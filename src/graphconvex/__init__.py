@@ -69,7 +69,6 @@ from .lattice import (
     build_lattice,
     group_metric,
     has_nearest_neighbor_property,
-    interior_vertices,
     is_midpoint_convex_at,
 )
 from .subharmonic import (

@@ -30,12 +30,7 @@ import random
 import sys
 
 from . import generators
-from .convexity import (
-    betweenness_closure,
-    convex_hull,
-    is_convex_at,
-    is_convex_set,
-)
+from .convexity import betweenness_closure, convex_hull, is_convex_at
 from .extreal import DEFAULT_TOL
 from .graph import Graph, UnknownVertexError, sort_vertices
 from .io import (
@@ -281,13 +276,10 @@ def _cmd_check(args, parser) -> int:
     weighted = bool(args.weighted)
     if kind == "set-convex":
         members = parse_vertex_set(_read_text(_need(args, parser, "set")), inst.universe)
-        ok = is_convex_set(inst.metric, members)
-        row = {"vertex": None, "verdict": "ok" if ok else "violated"}
-        if not ok:
-            closure = betweenness_closure(inst.metric, members)
-            row["missing"] = [
-                format_vertex(v) for v in sort_vertices(closure - frozenset(members))
-            ]
+        missing = betweenness_closure(inst.metric, members) - frozenset(members)
+        row = {"vertex": None, "verdict": "violated" if missing else "ok"}
+        if missing:
+            row["missing"] = [format_vertex(v) for v in sort_vertices(missing)]
         rows.append(row)
     elif kind == "nn-property":
         if inst.lattice is None:

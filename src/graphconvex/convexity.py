@@ -2,8 +2,10 @@
 
 Everything here is relative to a :class:`~graphconvex.graph.Metric`.  A
 vertex z lies between x and y when d(x, y) = d(x, z) + d(z, y) with
-d(x, y) finite.  A set is convex when it is fixed by the one-step
-betweenness closure; the convex hull is the least such fixed point.
+d(x, y) finite.  One engine, :class:`Betweenness`, decides that relation
+for every caller, exactly on integer distances.  A set is convex when it
+is fixed by the one-step betweenness closure; the convex hull is the least
+such fixed point.
 
 A function f is convex at z when for every pair x, y with z between them,
 
@@ -17,11 +19,13 @@ denominators cleared, so unit-weight graphs are checked in exact ints.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Mapping
+from functools import lru_cache, partial
+from itertools import combinations
+from typing import Any, Iterator, Mapping
 
-from .extreal import INF, approx_eq, approx_le, exact_div, scaled
+from .extreal import INF, approx_eq, approx_le, check_value, exact_div, scaled
 from .graph import Metric, UnknownVertexError
 
 VertexFunction = Mapping[Any, float]
@@ -47,43 +51,77 @@ class ConvexityVerdict:
         return self.ok
 
 
+class Betweenness:
+    """Index-based distance rows of one metric and the interval relation.
+
+    Row i is ``[d(v_i, v) for v in m.vertices]``, filled the first time it
+    is read.  ``eq`` is exact (``==``) while every row read holds ints or
+    +inf, and ``approx_eq(., ., m.tol)`` from the first float distance on;
+    callers fill the rows they compare before they read it.
+    """
+
+    def __init__(self, m: Metric):
+        self.vertices, self.dist, self.tol = m.vertices, m.dist, m.tol
+        self.index = {v: i for i, v in enumerate(m.vertices)}
+        self.rows: list = [None] * len(m.vertices)
+        self.eq = operator.eq
+
+    def row(self, i: int) -> list:
+        r = self.rows[i]
+        if r is None:
+            r = self.rows[i] = [self.dist(self.vertices[i], v) for v in self.vertices]
+            if self.eq is operator.eq and any(isinstance(d, float) and d != INF for d in r):
+                self.eq = partial(approx_eq, tol=self.tol)
+        return r
+
+    def interval(self, i: int, j: int) -> list:
+        """The indices k with d(i, k) + d(k, j) = d(i, j), d(i, j) finite."""
+        ri, rj = self.row(i), self.row(j)
+        dij, eq = ri[j], self.eq
+        return [k for k, (dik, djk) in enumerate(zip(ri, rj)) if dij < INF and eq(dij, dik + djk)]
+
+    def between_pairs(self, k: int) -> Iterator[tuple]:
+        """``(i, j, d_ij, d_kj, d_ik)`` for every i < j with k between them
+        and 0 < d_ij < inf, in (i, j) order."""
+        rows = [self.row(i) for i in range(len(self.vertices))]
+        rk, eq = rows[k], self.eq
+        for i, ri in enumerate(rows):
+            dik = ri[k]
+            if dik == INF:
+                continue
+            for j in range(i + 1, len(ri)):
+                dij = ri[j]
+                if 0 < dij < INF and eq(dij, dik + rk[j]):
+                    yield i, j, dij, rk[j], dik
+
+
+def betweenness(m: Metric) -> Betweenness:
+    """The betweenness engine of m, built on first use and kept on m."""
+    engine = m.memo.get("betweenness")
+    if engine is None:
+        engine = m.memo["betweenness"] = Betweenness(m)
+    return engine
+
+
 def is_between(m: Metric, x, z, y) -> bool:
     """True iff d(x, y) = d(x, z) + d(z, y) with d(x, y) finite."""
-    dxy = m.dist(x, y)
-    if math.isinf(dxy):
-        return False
-    return approx_eq(dxy, m.dist(x, z) + m.dist(z, y), m.tol)
+    _require_members(m, (x, z, y))
+    e = betweenness(m)
+    return e.index[z] in e.interval(e.index[x], e.index[y])
 
 
 def betweenness_closure(m: Metric, members) -> frozenset:
     """One closure step: members plus every vertex between two members."""
     a = frozenset(members)
     _require_members(m, a)
-    if not a:
-        return a
-    dist, tol = m.dist, m.tol
-    out = set(a)
-    pts = [v for v in m.vertices if v in a]
-    for z in m.vertices:
-        if z in out:
-            continue
-        found = False
-        for i, x in enumerate(pts):
-            dxz = dist(x, z)
-            if math.isinf(dxz):
-                continue
-            for y in pts[i + 1 :]:
-                dxy = dist(x, y)
-                if math.isinf(dxy):
-                    continue
-                if approx_eq(dxy, dxz + dist(z, y), tol):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            out.add(z)
-    return frozenset(out)
+    e = betweenness(m)
+    rows = [(i, e.row(i)) for i in sorted(e.index[v] for v in a)]
+    eq = e.eq
+    pairs = [(rx, rx[j], ry) for (_, rx), (j, ry) in combinations(rows, 2) if rx[j] != INF]
+    return a.union(
+        z for k, z in enumerate(m.vertices)
+        if z not in a and any(eq(dxy, rx[k] + ry[k]) for rx, dxy, ry in pairs)
+    )
 
 
 def convex_hull(m: Metric, members) -> frozenset:
@@ -110,30 +148,24 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     the first violating pair.  Vertices without a value are skipped; if z
     itself has none there is nothing to check and the verdict is ok.
     """
-    if z not in m.vertices:
+    e = betweenness(m)
+    if z not in e.index:
         raise UnknownVertexError(z)
     if z not in f:
         return ConvexityVerdict(True, z)
-    dist, tol = m.dist, m.tol
-    dom = [v for v in m.vertices if v in f]
+    for v in f.values():
+        check_value(v)
+    verts, tol = m.vertices, m.tol
     fz = f[z]
-    for i, x in enumerate(dom):
-        dxz = dist(x, z)
-        if math.isinf(dxz):
+    for i, j, dij, dkj, dik in e.between_pairs(e.index[z]):
+        x, y = verts[i], verts[j]
+        if x not in f or y not in f:
             continue
-        fx = f[x]
-        for y in dom[i + 1 :]:
-            dxy = dist(x, y)
-            if dxy == 0 or math.isinf(dxy):
-                continue
-            dzy = dist(z, y)
-            if not approx_eq(dxy, dxz + dzy, tol):
-                continue
-            lhs = scaled(dxy, fz)
-            rhs = scaled(dzy, fx) + scaled(dxz, f[y])
-            if not approx_le(lhs, rhs, tol):
-                combo = INF if math.isinf(rhs) else exact_div(rhs, dxy)
-                return ConvexityVerdict(False, z, ConvexityWitness(x, y, fz, combo))
+        lhs = scaled(dij, fz)
+        rhs = scaled(dkj, f[x]) + scaled(dik, f[y])
+        if not approx_le(lhs, rhs, tol):
+            combo = INF if math.isinf(rhs) else exact_div(rhs, dij)
+            return ConvexityVerdict(False, z, ConvexityWitness(x, y, fz, combo))
     return ConvexityVerdict(True, z)
 
 

@@ -1,28 +1,38 @@
 """Tolerance-aware comparisons and +inf-safe helpers.
 
 Values handled here are "extended reals": ordinary ints/floats plus +inf
-(``math.inf``).  -inf is never produced by this package.  Unit-weight
-graphs keep every distance an exact int, so the relative tolerance used
-below degrades to exact equality on integer data.
+(``math.inf``).  -inf and NaN are rejected by :func:`check_value` at the
+library boundary and never produced by this package.  The relative
+tolerance below only applies when a float is involved: ints (and
+``Fraction`` values) are compared exactly at every magnitude.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
 
 
+def check_value(v):
+    """v itself when it is a real number or +inf; ValueError for NaN, -inf
+    and anything that is not a number."""
+    # int and float skip the slow abstract-class check; NaN fails v > -INF
+    if (type(v) is int or type(v) is float or isinstance(v, Real)) and v > -INF:
+        return v
+    raise ValueError(f"value must be a real number or +inf, got {v!r}")
+
+
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Equality up to relative tolerance: |a-b| <= tol * max(1, |a|, |b|).
 
-    Exact on ints (the band is smaller than any integer gap); +inf is
-    equal only to +inf.
+    Exact unless a side is a float; +inf is equal only to +inf.
     """
     if a == b:
         return True
-    if math.isinf(a) or math.isinf(b):
+    if not (isinstance(a, float) or isinstance(b, float)) or math.isinf(a) or math.isinf(b):
         return False
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 

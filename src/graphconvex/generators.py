@@ -31,29 +31,12 @@ def int_path(lo: int, hi: int) -> Graph:
 
 def grid(w: int, h: int) -> Graph:
     """w x h square grid of (i, j) tuples, 4-neighbor, unit weights."""
-    _require_dims(w, h)
-    edges = []
-    for i in range(w):
-        for j in range(h):
-            if i + 1 < w:
-                edges.append(((i, j), (i + 1, j)))
-            if j + 1 < h:
-                edges.append(((i, j), (i, j + 1)))
-    return Graph(edges, vertices=((i, j) for i in range(w) for j in range(h)))
+    return _step_grid(w, h, ((1, 0), (0, 1)))
 
 
 def king_grid(w: int, h: int) -> Graph:
     """w x h grid with king moves (8 neighbors), unit weights."""
-    _require_dims(w, h)
-    steps = ((1, 0), (0, 1), (1, 1), (1, -1))
-    edges = []
-    for i in range(w):
-        for j in range(h):
-            for di, dj in steps:
-                ni, nj = i + di, j + dj
-                if 0 <= ni < w and 0 <= nj < h:
-                    edges.append(((i, j), (ni, nj)))
-    return Graph(edges, vertices=((i, j) for i in range(w) for j in range(h)))
+    return _step_grid(w, h, ((1, 0), (0, 1), (1, 1), (1, -1)))
 
 
 def triangular_tiling(w: int, h: int) -> Graph:
@@ -62,16 +45,7 @@ def triangular_tiling(w: int, h: int) -> Graph:
     Vertices (i, j) for 0 <= i < w, 0 <= j < h; edges step by (1,0), (0,1)
     and (1,1), so every interior vertex has six neighbors forming a 6-cycle.
     """
-    _require_dims(w, h)
-    steps = ((1, 0), (0, 1), (1, 1))
-    edges = []
-    for i in range(w):
-        for j in range(h):
-            for di, dj in steps:
-                ni, nj = i + di, j + dj
-                if 0 <= ni < w and 0 <= nj < h:
-                    edges.append(((i, j), (ni, nj)))
-    return Graph(edges, vertices=((i, j) for i in range(w) for j in range(h)))
+    return _step_grid(w, h, ((1, 0), (0, 1), (1, 1)))
 
 
 def tiling_interior(w: int, h: int) -> frozenset:
@@ -101,6 +75,16 @@ def random_connected_graph(n: int, p: float, rng: random.Random, max_tries: int 
     raise RuntimeError(f"no connected G({n}, {p}) found in {max_tries} tries")
 
 
-def _require_dims(w: int, h: int) -> None:
+def _step_grid(w: int, h: int, steps) -> Graph:
+    """Cells (i, j) of a w x h box, each joined to (i + di, j + dj) for every
+    step that stays inside; edges in cell order, then step order."""
     if w < 1 or h < 1:
         raise ValueError("grid dimensions must be positive")
+    cells = [(i, j) for i in range(w) for j in range(h)]
+    edges = [
+        ((i, j), (i + di, j + dj))
+        for i, j in cells
+        for di, dj in steps
+        if 0 <= i + di < w and 0 <= j + dj < h
+    ]
+    return Graph(edges, vertices=cells)

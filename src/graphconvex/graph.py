@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -39,13 +39,16 @@ class Metric:
 
     ``kind`` is ``"shortest-path"`` for graph metrics and ``"norm-induced"``
     for lattice norms.  ``tol`` is the relative tolerance used by every
-    comparison downstream of this metric.
+    comparison downstream of this metric.  ``memo`` holds tables derived
+    from the metric (the betweenness engine of :mod:`graphconvex.convexity`),
+    so they live exactly as long as the metric does.
     """
 
     kind: str
     vertices: tuple
     dist: Callable[[Any, Any], Weight]
     tol: float = DEFAULT_TOL
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 class Graph:

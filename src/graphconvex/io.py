@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from .extreal import check_value
 from .graph import Graph
 
 
@@ -173,12 +174,9 @@ def _parse_value(token: str, lineno: int):
     except ValueError:
         pass
     try:
-        value = float(token)
+        return check_value(float(token))
     except ValueError:
         raise FormatError(lineno, f"bad value {token!r}") from None
-    if math.isnan(value) or value == -math.inf:
-        raise FormatError(lineno, f"bad value {token!r}")
-    return value
 
 
 def _format_number(x) -> str:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterator, Mapping
 
-from .extreal import DEFAULT_TOL, approx_le
+from .extreal import DEFAULT_TOL, approx_le, check_value
 from .graph import Graph, Metric, UnknownVertexError
 
 NORMS = ("l1", "l2", "linf")
@@ -161,10 +161,6 @@ def group_metric(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> Metric:
     return Metric("norm-induced", tuple(spec.points()), dist, tol)
 
 
-def interior_vertices(lat: GroupLattice) -> frozenset:
-    return lat.interior
-
-
 @dataclass(frozen=True)
 class MidpointWitness:
     z: tuple
@@ -190,6 +186,8 @@ def is_midpoint_convex_at(
     tol = lat._tol if tol is None else tol
     if x not in f:
         return MidpointVerdict(True, x)
+    for v in f.values():
+        check_value(v)
     spec = lat.spec
     fx2 = 2 * f[x]
     for p in lat.window:  # lexicographic, so z = p - x ascends too

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .extreal import DEFAULT_TOL, INF, approx_eq, exact_div
+from .extreal import DEFAULT_TOL, INF, approx_eq, check_value, exact_div
 from .graph import Graph
 
 
@@ -71,7 +71,7 @@ def compare_to_neighborhood_mean(
     return MeanComparison(x, fx, mean, total, verdict)
 
 
-def laplacian(g: Graph, f: Mapping, x, tol: float = DEFAULT_TOL):
+def laplacian(g: Graph, f: Mapping, x):
     """sum over y~x of e(x, y) * (f(y) - f(x)); +inf if any value involved
     is +inf.  Nonnegative exactly when f is weighted-subharmonic at x."""
     nbrs = g.neighbors(x)
@@ -100,6 +100,7 @@ def is_harmonic_at(
 
 def _value(f: Mapping, v):
     try:
-        return f[v]
+        value = f[v]
     except KeyError:
         raise ValueError(f"function has no value at vertex {v!r}") from None
+    return check_value(value)

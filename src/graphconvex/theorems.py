@@ -37,6 +37,8 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from . import generators
 from .convexity import (
+    betweenness,
+    betweenness_closure,
     distance_function,
     indicator,
     is_convex_at,
@@ -47,7 +49,7 @@ from .enumeration import connected_unit_graphs
 from .extreal import DEFAULT_TOL
 from .graph import Graph
 from .io import format_graph, format_vertex
-from .lattice import GroupLattice, is_midpoint_convex_at, has_nearest_neighbor_property
+from .lattice import GroupLattice, _sub, has_nearest_neighbor_property, is_midpoint_convex_at
 from .subharmonic import is_subharmonic_at
 
 CLAIM_IDS = (
@@ -151,6 +153,15 @@ def pairing_hypothesis(g: Graph, z) -> tuple | None:
     return tuple(pairs) if extend(nbrs) else None
 
 
+def _graph_hypothesis(hypothesis: str):
+    """Claim id and per-vertex test of a structural hypothesis."""
+    if hypothesis == "triangle_free":
+        return "thm1", triangle_free_hypothesis
+    if hypothesis == "pairing":
+        return "thm2", lambda g, z: pairing_hypothesis(g, z) is not None
+    raise ValueError(f"unknown hypothesis {hypothesis!r}")
+
+
 # -- pointwise implication claims ---------------------------------------------
 
 
@@ -182,16 +193,12 @@ def verify_pointwise_implication(
 def _verify_on_graph(g: Graph, f, hypothesis, tol, label) -> ClaimReport:
     if not g.is_unit_weight:
         raise ValueError("structural hypotheses assume unit edge weights")
-    claim = "thm1" if hypothesis == "triangle_free" else "thm2"
+    claim, hyp = _graph_hypothesis(hypothesis)
     instance = label or repr(g)
     m = g.metric(tol)
     checked = fired = 0
     for z in g.vertices:
-        if hypothesis == "triangle_free":
-            hyp = triangle_free_hypothesis(g, z)
-        else:
-            hyp = pairing_hypothesis(g, z) is not None
-        if not hyp:
+        if not hyp(g, z):
             continue
         checked += 1
         if not is_convex_at(m, f, z):
@@ -266,12 +273,10 @@ def verify_dist_convex_implies_set_convex(
     name = label or f"{instance!r}, |F|={len(f_set)}"
     if not antecedent:
         return ClaimReport(claim, name, checked, 0, "vacuous")
-    if is_convex_set(m, f_set):
+    extra = betweenness_closure(m, f_set) - f_set
+    if not extra:
         return ClaimReport(claim, name, checked, 1, "verified")
-    from .convexity import betweenness_closure
-
-    extra = sorted(betweenness_closure(m, f_set) - f_set, key=format_vertex)
-    witness = {"vertex": format_vertex(extra[0]), "outside_set": True}
+    witness = {"vertex": format_vertex(min(extra, key=format_vertex)), "outside_set": True}
     return ClaimReport(claim, name, checked, 1, "refuted", witness)
 
 
@@ -398,7 +403,8 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
     n = g.vertex_count
     if len(values) ** n > 250_000:
         raise ValueError("value sweep too large")
-    pairs_at, nbrs_at = _prepare_unit(g)
+    between_pairs, nbrs_at = _prepare_unit(g)
+    pairs_at = [list(between_pairs(k)) for k in range(n)]
     checked = fired = 0
     for fvals in itertools.product(values, repeat=n):
         conv = []
@@ -458,26 +464,14 @@ def exhaustive_small_graph_sweep(
     hypothesis site scanned and every firing (site where the function was
     also convex); a single refutation aborts the sweep with its witness.
     """
-    if hypothesis == "triangle_free":
-        claim = "thm1"
-
-        def hyp(g, z):
-            return triangle_free_hypothesis(g, z)
-
-    elif hypothesis == "pairing":
-        claim = "thm2"
-
-        def hyp(g, z):
-            return pairing_hypothesis(g, z) is not None
-
-    else:
-        raise ValueError(f"unknown hypothesis {hypothesis!r}")
+    claim, hyp = _graph_hypothesis(hypothesis)
     if not all(isinstance(v, int) for v in values):
         raise ValueError("values must be ints for the exact sweep")
     if graphs is None:
         graphs = [g for n in range(1, max_n + 1) for g in connected_unit_graphs(n)]
     else:
         graphs = list(graphs)
+    label = f"{len(graphs)} graphs, f in {values}^X"
     checked = fired = 0
     for g in graphs:
         if len(values) ** g.vertex_count > 4_000_000:
@@ -488,8 +482,8 @@ def exhaustive_small_graph_sweep(
         sites = [index[z] for z in g.vertices if hyp(g, z)]
         if not sites:
             continue
-        pairs_at, nbrs_at = _prepare_unit(g)
-        data = [(k, pairs_at[k], nbrs_at[k]) for k in sites]
+        between_pairs, nbrs_at = _prepare_unit(g)
+        data = [(k, list(between_pairs(k)), nbrs_at[k]) for k in sites]
         n = g.vertex_count
         for fvals in itertools.product(values, repeat=n):
             for k, plist, (nlist, deg) in data:
@@ -507,43 +501,18 @@ def exhaustive_small_graph_sweep(
                     witness = _sweep_witness(
                         g, fvals, k, "convex at z but not subharmonic at z"
                     )
-                    label = f"{len(graphs)} graphs, f in {values}^X"
                     return ClaimReport(claim, label, checked, fired, "refuted", witness)
-    label = f"{len(graphs)} graphs, f in {values}^X"
     return ClaimReport(claim, label, checked, fired, "verified" if fired else "vacuous")
 
 
 def _prepare_unit(g: Graph):
-    """Index-based distance/betweenness tables for exact integer sweeps."""
+    """The betweenness pairs of the unit-weight metric and the neighbor index
+    lists, for exact integer sweeps."""
     if not g.is_unit_weight:
         raise ValueError("prepared sweeps require unit weights")
-    verts = g.vertices
-    n = len(verts)
-    rows = []
-    for u in verts:
-        row = g.distances_from(u)
-        rows.append([row.get(v) for v in verts])
-    pairs_at: list[list[tuple]] = [[] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            dik = rows[i][k]
-            if dik is None:
-                continue
-            for j in range(i + 1, n):
-                dij = rows[i][j]
-                if dij is None or dij == 0:
-                    continue
-                dkj = rows[k][j]
-                if dkj is None:
-                    continue
-                if dik + dkj == dij:
-                    pairs_at[k].append((i, j, dij, dkj, dik))
-    nbrs_at = []
-    index = {v: i for i, v in enumerate(verts)}
-    for v in verts:
-        nlist = [index[u] for u in g.neighbors(v)]
-        nbrs_at.append((nlist, len(nlist)))
-    return pairs_at, nbrs_at
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs_at = [([index[u] for u in g.neighbors(v)], g.degree(v)) for v in g.vertices]
+    return betweenness(g.metric()).between_pairs, nbrs_at
 
 
 def _sweep_witness(g: Graph, fvals, k: int, reason: str) -> dict:
@@ -795,6 +764,3 @@ def _num(x):
         return "inf"
     return x
 
-
-def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))

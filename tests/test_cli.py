@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+import graphconvex
 from graphconvex.cli import main
 
 SCHEMA = json.loads(
@@ -362,9 +364,12 @@ def test_bad_window_spec_exits_two(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same graphconvex as this process
+    src = str(Path(graphconvex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "graphconvex", "gen", "cycle", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("v 0\n")

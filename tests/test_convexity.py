@@ -47,6 +47,11 @@ def test_is_between_on_lettered_square(lettered_square):
     assert not is_between(m, "a", "y", "x")
 
 
+def test_is_between_rejects_unknown_vertices():
+    with pytest.raises(UnknownVertexError):
+        is_between(path(3).metric(), 0, 7, 2)
+
+
 def test_between_ignores_unreachable_pairs():
     g = Graph([(0, 1)], vertices=[2])
     m = g.metric()
@@ -262,3 +267,27 @@ def test_hull_closure_properties_quick():
         assert ha <= hb  # monotone
         assert convex_hull(m, ha) == ha  # idempotent
         assert is_convex_set(m, ha & hb)  # intersection of convex is convex
+
+
+# ----------------------------------------------------------------------
+# exact integers and value validation
+# ----------------------------------------------------------------------
+
+
+def test_is_convex_at_is_exact_on_large_ints():
+    # 2 * 10**10 > 0 + (2 * 10**10 - 2) by 2, far inside a relative 1e-9 band
+    f = {0: 0, 1: 10**10, 2: 2 * 10**10 - 2}
+    verdict = is_convex_at(path(3).metric(), f, 1)
+    assert not verdict
+    w = verdict.witness
+    assert (w.x, w.y, w.lhs, w.rhs) == (0, 2, 10**10, 9999999999)
+
+
+def test_is_convex_at_rejects_nan_and_minus_inf():
+    m = path(3).metric()
+    with pytest.raises(ValueError):
+        is_convex_at(m, {0: 0, 1: math.nan, 2: 0}, 1)
+    with pytest.raises(ValueError):
+        is_convex_at(m, {0: -INF, 1: 0, 2: 0}, 1)
+    with pytest.raises(ValueError):
+        is_convex_at(m, {0: "0", 1: 0, 2: 0}, 1)

@@ -1,6 +1,10 @@
 import math
+from fractions import Fraction
+
+import pytest
 
 from graphconvex import INF, approx_eq, approx_le, exact_div, scaled
+from graphconvex.extreal import check_value
 
 
 def test_approx_eq_is_exact_on_ints():
@@ -9,6 +13,12 @@ def test_approx_eq_is_exact_on_ints():
     assert not approx_eq(0, 1)
     # the default band (1e-9 relative) can never bridge an integer gap
     assert not approx_eq(10**12, 10**12 + 1, tol=1e-13)
+    # ... nor can the band of any tolerance at any magnitude
+    assert not approx_eq(10**10, 10**10 - 1)
+    assert not approx_le(2 * 10**10, 2 * 10**10 - 2)
+    assert not approx_eq(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12))
+    # a float side still gets the band
+    assert approx_eq(float(10**10), 10**10 - 1)
 
 
 def test_approx_eq_relative_band():
@@ -36,6 +46,17 @@ def test_approx_le():
     assert approx_le(5, INF)
     assert approx_le(INF, INF)
     assert not approx_le(INF, 5)
+
+
+def test_check_value_accepts_reals_and_plus_inf():
+    for v in (0, -3, 2.5, INF, Fraction(1, 3), True):
+        assert check_value(v) is v
+
+
+@pytest.mark.parametrize("bad", [math.nan, -INF, "1", None, 1j])
+def test_check_value_rejects_nan_minus_inf_and_non_numbers(bad):
+    with pytest.raises(ValueError):
+        check_value(bad)
 
 
 def test_scaled_zero_times_inf_is_zero():

@@ -11,7 +11,6 @@ from graphconvex import (
     build_lattice,
     group_metric,
     has_nearest_neighbor_property,
-    interior_vertices,
     is_convex_at,
     is_midpoint_convex_at,
 )
@@ -82,7 +81,6 @@ def test_l1_lattice_counts():
     assert lat.graph.edge_count == 40
     assert lat.graph.is_unit_weight
     assert len(lat.interior) == 9
-    assert interior_vertices(lat) == lat.interior
     assert lat.is_interior((0, 0)) and not lat.is_interior((2, 0))
     with pytest.raises(UnknownVertexError):
         lat.is_interior((9, 9))
@@ -141,6 +139,14 @@ def test_concave_function_fails_with_unit_witness():
     assert verdict.witness.z == (1,)  # the smallest positive offset fails first
     assert verdict.witness.lhs == 0
     assert verdict.witness.rhs == -2
+
+
+def test_midpoint_rejects_nan():
+    lat = make(lo=-2, hi=2)
+    f = {v: 0 for v in lat.window}
+    f[(2,)] = math.nan
+    with pytest.raises(ValueError):
+        is_midpoint_convex_at(lat, f, (0,))
 
 
 def test_midpoint_skips_half_space_and_window_edges():

@@ -10,6 +10,7 @@ from graphconvex import (
     is_harmonic_at,
     is_subharmonic_at,
     laplacian,
+    path,
 )
 
 INF = math.inf
@@ -103,3 +104,22 @@ def test_missing_value_is_an_error():
         is_subharmonic_at(g, {0: 1, 1: 1}, 0)
     with pytest.raises(ValueError, match="unknown vertex"):
         is_subharmonic_at(g, {0: 1, 1: 1, 2: 1}, 9)
+
+
+def test_large_int_comparison_is_exact():
+    # mean (0 + 2*10**10 - 2) / 2 = 9999999999 < 10**10: a relative band
+    # would call this harmonic
+    f = {0: 0, 1: 10**10, 2: 2 * 10**10 - 2}
+    cmp = compare_to_neighborhood_mean(path(3), f, 1)
+    assert cmp.verdict == "neither"
+    assert cmp.neighborhood_mean == 9999999999
+
+
+def test_bad_values_are_rejected():
+    g = path(3)
+    with pytest.raises(ValueError):
+        compare_to_neighborhood_mean(g, {0: -INF, 1: 0, 2: INF}, 1)
+    with pytest.raises(ValueError):
+        compare_to_neighborhood_mean(g, {0: 0, 1: math.nan, 2: 0}, 1)
+    with pytest.raises(ValueError):
+        laplacian(g, {0: 0, 1: 0, 2: math.nan}, 1)
