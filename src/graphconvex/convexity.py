@@ -19,9 +19,8 @@ denominators cleared, so unit-weight graphs are checked in exact ints.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from typing import Any, Iterator, Mapping
 
@@ -52,62 +51,55 @@ class ConvexityVerdict:
 
 
 class Betweenness:
-    """Index-based distance rows of one metric and the interval relation.
+    """Index-based distance rows of one metric and the betweenness relation.
 
     Row i is ``[d(v_i, v) for v in m.vertices]``, filled the first time it
-    is read.  ``eq`` is exact (``==``) while every row read holds ints or
-    +inf, and ``approx_eq(., ., m.tol)`` from the first float distance on;
-    callers fill the rows they compare before they read it.
+    is read.  Distances are compared with ``approx_eq(., ., m.tol)``, which
+    is exact unless a float is involved.
     """
 
     def __init__(self, m: Metric):
         self.vertices, self.dist, self.tol = m.vertices, m.dist, m.tol
         self.index = {v: i for i, v in enumerate(m.vertices)}
         self.rows: list = [None] * len(m.vertices)
-        self.eq = operator.eq
 
     def row(self, i: int) -> list:
         r = self.rows[i]
         if r is None:
             r = self.rows[i] = [self.dist(self.vertices[i], v) for v in self.vertices]
-            if self.eq is operator.eq and any(isinstance(d, float) and d != INF for d in r):
-                self.eq = partial(approx_eq, tol=self.tol)
         return r
 
-    def interval(self, i: int, j: int) -> list:
-        """The indices k with d(i, k) + d(k, j) = d(i, j), d(i, j) finite."""
-        ri, rj = self.row(i), self.row(j)
-        dij, eq = ri[j], self.eq
-        return [k for k, (dik, djk) in enumerate(zip(ri, rj)) if dij < INF and eq(dij, dik + djk)]
-
-    def between_pairs(self, k: int) -> Iterator[tuple]:
-        """``(i, j, d_ij, d_kj, d_ik)`` for every i < j with k between them
-        and 0 < d_ij < inf, in (i, j) order."""
-        rows = [self.row(i) for i in range(len(self.vertices))]
-        rk, eq = rows[k], self.eq
-        for i, ri in enumerate(rows):
+    def between_pairs(self, k: int, candidates) -> Iterator[tuple]:
+        """``(i, j, d_ij, d_kj, d_ik)`` for every i < j from the ascending
+        ``candidates`` with k between them and 0 < d_ij < inf, in (i, j)
+        order.  Only the rows of k and of the candidates are filled."""
+        rk, tol = self.row(k), self.tol
+        cands = list(candidates)
+        for a, i in enumerate(cands):
+            ri = self.row(i)
             dik = ri[k]
             if dik == INF:
                 continue
-            for j in range(i + 1, len(ri)):
+            for j in cands[a + 1 :]:
                 dij = ri[j]
-                if 0 < dij < INF and eq(dij, dik + rk[j]):
+                if 0 < dij < INF and approx_eq(dij, dik + rk[j], tol):
                     yield i, j, dij, rk[j], dik
 
 
 def betweenness(m: Metric) -> Betweenness:
     """The betweenness engine of m, built on first use and kept on m."""
-    engine = m.memo.get("betweenness")
-    if engine is None:
-        engine = m.memo["betweenness"] = Betweenness(m)
-    return engine
+    if m._betweenness is None:
+        object.__setattr__(m, "_betweenness", Betweenness(m))
+    return m._betweenness
 
 
 def is_between(m: Metric, x, z, y) -> bool:
     """True iff d(x, y) = d(x, z) + d(z, y) with d(x, y) finite."""
     _require_members(m, (x, z, y))
     e = betweenness(m)
-    return e.index[z] in e.interval(e.index[x], e.index[y])
+    ix, iz, iy = e.index[x], e.index[z], e.index[y]
+    rx, ry = e.row(ix), e.row(iy)
+    return rx[iy] < INF and approx_eq(rx[iy], rx[iz] + ry[iz], m.tol)
 
 
 def betweenness_closure(m: Metric, members) -> frozenset:
@@ -116,11 +108,11 @@ def betweenness_closure(m: Metric, members) -> frozenset:
     _require_members(m, a)
     e = betweenness(m)
     rows = [(i, e.row(i)) for i in sorted(e.index[v] for v in a)]
-    eq = e.eq
+    tol = m.tol
     pairs = [(rx, rx[j], ry) for (_, rx), (j, ry) in combinations(rows, 2) if rx[j] != INF]
     return a.union(
         z for k, z in enumerate(m.vertices)
-        if z not in a and any(eq(dxy, rx[k] + ry[k]) for rx, dxy, ry in pairs)
+        if z not in a and any(approx_eq(dxy, rx[k] + ry[k], tol) for rx, dxy, ry in pairs)
     )
 
 
@@ -151,16 +143,15 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     e = betweenness(m)
     if z not in e.index:
         raise UnknownVertexError(z)
-    if z not in f:
-        return ConvexityVerdict(True, z)
     for v in f.values():
         check_value(v)
+    if z not in f:
+        return ConvexityVerdict(True, z)
     verts, tol = m.vertices, m.tol
     fz = f[z]
-    for i, j, dij, dkj, dik in e.between_pairs(e.index[z]):
+    dom = [i for i, v in enumerate(verts) if v in f]
+    for i, j, dij, dkj, dik in e.between_pairs(e.index[z], dom):
         x, y = verts[i], verts[j]
-        if x not in f or y not in f:
-            continue
         lhs = scaled(dij, fz)
         rhs = scaled(dkj, f[x]) + scaled(dik, f[y])
         if not approx_le(lhs, rhs, tol):

@@ -39,16 +39,16 @@ class Metric:
 
     ``kind`` is ``"shortest-path"`` for graph metrics and ``"norm-induced"``
     for lattice norms.  ``tol`` is the relative tolerance used by every
-    comparison downstream of this metric.  ``memo`` holds tables derived
-    from the metric (the betweenness engine of :mod:`graphconvex.convexity`),
-    so they live exactly as long as the metric does.
+    comparison downstream of this metric.  ``_betweenness`` holds the
+    metric's engine from :mod:`graphconvex.convexity`, built on first use,
+    so its distance rows live exactly as long as the metric does.
     """
 
     kind: str
     vertices: tuple
     dist: Callable[[Any, Any], Weight]
     tol: float = DEFAULT_TOL
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _betweenness: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 class Graph:

@@ -184,10 +184,10 @@ def is_midpoint_convex_at(
     """Check 2 f(x) <= f(x+z) + f(x-z) for all z with both points in window."""
     lat._require(x)
     tol = lat._tol if tol is None else tol
-    if x not in f:
-        return MidpointVerdict(True, x)
     for v in f.values():
         check_value(v)
+    if x not in f:
+        return MidpointVerdict(True, x)
     spec = lat.spec
     fx2 = 2 * f[x]
     for p in lat.window:  # lexicographic, so z = p - x ascends too

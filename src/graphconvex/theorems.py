@@ -404,7 +404,7 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
     if len(values) ** n > 250_000:
         raise ValueError("value sweep too large")
     between_pairs, nbrs_at = _prepare_unit(g)
-    pairs_at = [list(between_pairs(k)) for k in range(n)]
+    pairs_at = [list(between_pairs(k, range(n))) for k in range(n)]
     checked = fired = 0
     for fvals in itertools.product(values, repeat=n):
         conv = []
@@ -483,8 +483,8 @@ def exhaustive_small_graph_sweep(
         if not sites:
             continue
         between_pairs, nbrs_at = _prepare_unit(g)
-        data = [(k, list(between_pairs(k)), nbrs_at[k]) for k in sites]
         n = g.vertex_count
+        data = [(k, list(between_pairs(k, range(n))), nbrs_at[k]) for k in sites]
         for fvals in itertools.product(values, repeat=n):
             for k, plist, (nlist, deg) in data:
                 fz = fvals[k]

@@ -5,6 +5,7 @@ import pytest
 
 from graphconvex import (
     Graph,
+    Metric,
     UnknownVertexError,
     betweenness_closure,
     brute_force_convex_hull,
@@ -291,3 +292,24 @@ def test_is_convex_at_rejects_nan_and_minus_inf():
         is_convex_at(m, {0: -INF, 1: 0, 2: 0}, 1)
     with pytest.raises(ValueError):
         is_convex_at(m, {0: "0", 1: 0, 2: 0}, 1)
+    with pytest.raises(ValueError):  # also where z has no value to check
+        is_convex_at(m, {0: math.nan, 2: 0}, 1)
+
+
+def test_is_convex_at_reads_only_rows_of_the_domain():
+    # a three-point domain on a 300-vertex path reads the rows of z and of
+    # the domain only, not all n rows
+    g = path(300)
+    sources = set()
+
+    def dist(x, y):
+        sources.add(x)
+        return g.distance(x, y)
+
+    verdict = is_convex_at(Metric("shortest-path", g.vertices, dist), {0: 0, 150: 5, 299: 0}, 150)
+    assert (verdict.witness.x, verdict.witness.y) == (0, 299)
+    assert sources <= {0, 150, 299}
+    sources.clear()
+    linear = {0: 0, 150: 150, 299: 299}  # convex, so every pair is scanned
+    assert is_convex_at(Metric("shortest-path", g.vertices, dist), linear, 150)
+    assert sources == {0, 150, 299}

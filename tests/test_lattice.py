@@ -147,6 +147,9 @@ def test_midpoint_rejects_nan():
     f[(2,)] = math.nan
     with pytest.raises(ValueError):
         is_midpoint_convex_at(lat, f, (0,))
+    del f[(0,)]  # rejected even where x has no value
+    with pytest.raises(ValueError):
+        is_midpoint_convex_at(lat, f, (0,))
 
 
 def test_midpoint_skips_half_space_and_window_edges():
