@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -47,7 +48,7 @@ from .convexity import (
 )
 from .enumeration import connected_unit_graphs
 from .extreal import DEFAULT_TOL
-from .graph import Graph
+from .graph import Graph, Metric
 from .io import format_graph, format_vertex
 from .lattice import GroupLattice, _sub, has_nearest_neighbor_property, is_midpoint_convex_at
 from .subharmonic import is_subharmonic_at
@@ -253,21 +254,26 @@ def verify_dist_convex_implies_set_convex(
 
     Claim thm3 on graphs, prop-dist-cvx on lattices.  F must be nonempty.
     """
+    return _dist_convex_report(instance, instance.metric(tol), members, label)
+
+
+def _dist_convex_report(
+    instance: Graph | GroupLattice, m: Metric, members, label: str | None
+) -> ClaimReport:
+    """:func:`verify_dist_convex_implies_set_convex` on the metric ``m`` of
+    ``instance``, so a sweep over many sets builds one metric."""
     f_set = frozenset(members)
     if not f_set:
         raise ValueError("F must be nonempty")
+    fun = set_distance_function(m, f_set)
     if isinstance(instance, GroupLattice):
         claim = "prop-dist-cvx"
-        m = instance.metric(tol)
-        fun = set_distance_function(m, f_set)
         antecedent = all(
-            is_midpoint_convex_at(instance, fun, x, tol=tol) for x in instance.window
+            is_midpoint_convex_at(instance, fun, x, tol=m.tol) for x in instance.window
         )
         checked = len(instance.window)
     else:
         claim = "thm3"
-        m = instance.metric(tol)
-        fun = set_distance_function(m, f_set)
         antecedent = all(is_convex_at(m, fun, z) for z in m.vertices)
         checked = len(m.vertices)
     name = label or f"{instance!r}, |F|={len(f_set)}"
@@ -289,11 +295,17 @@ def verify_nn_implies_dist_midpoint_convex(
     """Claim prop-nn: a convex set with the nearest-neighbor property has a
     midpoint-convex (hence weighted-subharmonic) distance function at every
     interior vertex."""
+    return _nn_report(lat, lat.metric(tol), members, label)
+
+
+def _nn_report(lat: GroupLattice, m: Metric, members, label: str | None) -> ClaimReport:
+    """:func:`verify_nn_implies_dist_midpoint_convex` on the metric ``m`` of
+    ``lat``, so a sweep over many sets builds one metric."""
     f_set = frozenset(members)
     if not f_set:
         raise ValueError("F must be nonempty")
     name = label or f"{lat!r}, |F|={len(f_set)}"
-    m = lat.metric(tol)
+    tol = m.tol
     checked = len(lat.interior)
     if not is_convex_set(m, f_set) or not has_nearest_neighbor_property(lat, f_set, tol=tol):
         return ClaimReport("prop-nn", name, checked, 0, "vacuous")
@@ -463,7 +475,14 @@ def exhaustive_small_graph_sweep(
     All arithmetic is exact ints.  The returned report counts every
     hypothesis site scanned and every firing (site where the function was
     also convex); a single refutation aborts the sweep with its witness.
+    Progress goes to this module's logger at INFO level, one record each
+    time the vertex count changes.
     """
+    # imported here: logging would add about 5 ms to every import of the
+    # package, the CLI's included
+    import logging
+
+    log = logging.getLogger(__name__)
     claim, hyp = _graph_hypothesis(hypothesis)
     if not all(isinstance(v, int) for v in values):
         raise ValueError("values must be ints for the exact sweep")
@@ -473,7 +492,14 @@ def exhaustive_small_graph_sweep(
         graphs = list(graphs)
     label = f"{len(graphs)} graphs, f in {values}^X"
     checked = fired = 0
-    for g in graphs:
+    start, last_n = time.perf_counter(), None
+    for swept, g in enumerate(graphs):
+        if g.vertex_count != last_n:
+            last_n = g.vertex_count
+            log.info(
+                "%s sweep: n=%d after %d graphs, checked=%d fired=%d, %.2f s",
+                claim, last_n, swept, checked, fired, time.perf_counter() - start,
+            )
         if len(values) ** g.vertex_count > 4_000_000:
             raise ValueError(
                 f"value sweep over {g.vertex_count} vertices is too large"
@@ -548,8 +574,9 @@ def sweep_subsets_dist_convex(
     """thm3 (graph) / prop-dist-cvx (lattice) over every nonempty subset."""
     universe = instance.window if isinstance(instance, GroupLattice) else instance.vertices
     claim = "prop-dist-cvx" if isinstance(instance, GroupLattice) else "thm3"
+    m = instance.metric(tol)
     reports = [
-        verify_dist_convex_implies_set_convex(instance, subset, tol=tol)
+        _dist_convex_report(instance, m, subset, None)
         for subset in _nonempty_subsets(universe, max_universe)
     ]
     return aggregate_reports(claim, f"{instance!r}, all nonempty F", reports)
@@ -559,8 +586,9 @@ def sweep_subsets_nn(
     lat: GroupLattice, tol: float = DEFAULT_TOL, max_universe: int = 12
 ) -> ClaimReport:
     """prop-nn over every nonempty subset of the window."""
+    m = lat.metric(tol)
     reports = [
-        verify_nn_implies_dist_midpoint_convex(lat, subset, tol=tol)
+        _nn_report(lat, m, subset, None)
         for subset in _nonempty_subsets(lat.window, max_universe)
     ]
     return aggregate_reports("prop-nn", f"{lat!r}, all nonempty F", reports)

@@ -21,6 +21,7 @@ from graphconvex import (
     brute_force_convex_hull,
     build_lattice,
     compare_to_neighborhood_mean,
+    connected_unit_graphs,
     convex_hull,
     cycle,
     distance_function,
@@ -122,6 +123,21 @@ def test_criterion_4_pairing_sweep_and_tiling_matchings():
         pairs = pairing_hypothesis(g, z)
         assert pairs is not None and len(pairs) == 2
         assert all(not g.adjacent(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize(
+    "hypothesis, checked, fired",
+    [("triangle_free", 2_047_032, 1_021_330), ("pairing", 3_203_955, 1_511_613)],
+)
+def test_thm1_thm2_sweeps_on_all_853_graphs_with_seven_vertices(hypothesis, checked, fired):
+    """Criteria 3 and 4 one vertex further: every function into {0,1,2} on
+    every connected graph with exactly 7 vertices."""
+    report = exhaustive_small_graph_sweep(
+        hypothesis, graphs=connected_unit_graphs(7), values=(0, 1, 2)
+    )
+    assert report.verdict == "verified"
+    assert report.instance.startswith("853 graphs")
+    assert (report.checked, report.hypothesis_fired) == (checked, fired)
 
 
 def test_criterion_5_max_affine_samples_are_weighted_subharmonic():

@@ -11,13 +11,16 @@ enumeration, a completely separate code path).
 from itertools import combinations, permutations
 from math import factorial
 
+import pytest
+
 from graphconvex import (
     connected_unit_graphs,
     count_connected_graphs,
     count_labeled_connected_graphs,
 )
+from graphconvex.enumeration import _canonical_form, _canonical_masks, _pairs
 
-ISO_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+ISO_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
 LABELED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
 
@@ -46,6 +49,23 @@ def brute_force_isomorphic(g, h):
 def test_isomorphism_class_counts():
     for n, expected in ISO_COUNTS.items():
         assert count_connected_graphs(n) == expected
+
+
+def test_classes_match_the_networkx_atlas():
+    """Every connected graph of the atlas (all graphs up to 7 vertices),
+    canonicalized, gives exactly the enumerated classes."""
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, set[int]] = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n == 0 or not nx.is_connected(h):
+            continue
+        slot = {p: k for k, p in enumerate(_pairs(n))}
+        mask = sum(1 << slot[tuple(sorted(e))] for e in h.edges())
+        atlas[n].add(_canonical_form(n, mask))
+    for n, classes in atlas.items():
+        assert classes == set(_canonical_masks(n)), n
+        assert len(classes) == ISO_COUNTS[n]
 
 
 def test_labeled_counts():

@@ -1,9 +1,11 @@
 import itertools
 import json
+import logging
 import random
 
 import pytest
 
+from graphconvex import convexity
 from graphconvex import (
     ClaimReport,
     Graph,
@@ -282,6 +284,16 @@ def test_sweep_small_binary_values():
     assert report.hypothesis_fired > 0
 
 
+def test_sweep_logs_progress_once_per_vertex_count(caplog):
+    with caplog.at_level(logging.INFO, logger="graphconvex.theorems"):
+        report = exhaustive_small_graph_sweep("triangle_free", max_n=4, values=(0, 1))
+    messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.theorems"]
+    assert len(messages) == 4
+    assert messages[0].startswith("thm1 sweep: n=1 after 0 graphs, checked=0 fired=0")
+    assert messages[3].startswith("thm1 sweep: n=4 after 4 graphs")
+    assert report.instance.startswith("10 graphs")
+
+
 # ----------------------------------------------------------------------
 # aggregate reports and suite sweeps
 # ----------------------------------------------------------------------
@@ -325,6 +337,47 @@ def test_suite_sweeps():
 
     with pytest.raises(ValueError, match="too large"):
         sweep_subsets_dist_convex(grid(4, 4))
+
+
+def test_subset_sweeps_match_the_per_subset_verifiers():
+    """A sweep shares one metric across subsets; its report must equal the
+    fold of the public verifier called once per subset."""
+    line = lattice_1d(-2, 2)
+    for instance, sweep, verify, claim in (
+        (path(5), sweep_subsets_dist_convex, verify_dist_convex_implies_set_convex, "thm3"),
+        (line, sweep_subsets_dist_convex, verify_dist_convex_implies_set_convex,
+         "prop-dist-cvx"),
+        (line, sweep_subsets_nn, verify_nn_implies_dist_midpoint_convex, "prop-nn"),
+    ):
+        universe = instance.window if instance is line else instance.vertices
+        subsets = [
+            [v for i, v in enumerate(universe) if mask >> i & 1]
+            for mask in range(1, 1 << len(universe))
+        ]
+        expected = aggregate_reports(
+            claim, f"{instance!r}, all nonempty F", (verify(instance, s) for s in subsets)
+        )
+        assert sweep(instance) == expected
+
+
+def test_subset_sweeps_build_one_betweenness_engine(monkeypatch):
+    built = []
+    init = convexity.Betweenness.__init__
+
+    def counting_init(self, m):
+        built.append(m)
+        init(self, m)
+
+    monkeypatch.setattr(convexity.Betweenness, "__init__", counting_init)
+    line = lattice_1d(-5, 5)
+    for sweep, instance in (
+        (sweep_subsets_dist_convex, path(11)),
+        (sweep_subsets_dist_convex, line),
+        (sweep_subsets_nn, line),
+    ):
+        built.clear()
+        assert sweep(instance).verdict == "verified"
+        assert len(built) == 1
 
 
 # ----------------------------------------------------------------------
