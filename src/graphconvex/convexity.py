@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Any, Iterator, Mapping
 
-from .extreal import INF, approx_eq, approx_le, check_value, exact_div, scaled
+from .extreal import INF, approx_eq, approx_le, check_values, exact_div, scaled
 from .graph import Metric, UnknownVertexError
 
 VertexFunction = Mapping[Any, float]
@@ -143,8 +143,7 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     e = betweenness(m)
     if z not in e.index:
         raise UnknownVertexError(z)
-    for v in f.values():
-        check_value(v)
+    check_values(f.values())
     if z not in f:
         return ConvexityVerdict(True, z)
     verts, tol = m.vertices, m.tol
@@ -162,12 +161,8 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
 
 def distance_to_set(m: Metric, x, members):
     """min over members of d(x, .); +inf for the empty set."""
-    best = INF
-    for y in members:
-        d = m.dist(x, y)
-        if d < best:
-            best = d
-    return best
+    k = _indices(betweenness(m), (x,))[0]
+    return min((r[k] for r in _member_rows(m, members)), default=INF)
 
 
 def indicator(members, vertices) -> dict:
@@ -186,7 +181,24 @@ def distance_function(m: Metric, a) -> dict:
 
 def set_distance_function(m: Metric, members) -> dict:
     """f(v) = distance_to_set(v, members) over the vertex universe."""
-    return {v: distance_to_set(m, v, members) for v in m.vertices}
+    rows = _member_rows(m, members)
+    if not rows:
+        return dict.fromkeys(m.vertices, INF)
+    return dict(zip(m.vertices, map(min, zip(*rows))))
+
+
+def _member_rows(m: Metric, members) -> list:
+    """The engine's distance rows of the members, in iteration order; by
+    symmetry, entry k of a member's row is d(v_k, member)."""
+    e = betweenness(m)
+    return [e.row(i) for i in _indices(e, members)]
+
+
+def _indices(e: Betweenness, vertices) -> list:
+    try:
+        return [e.index[v] for v in vertices]
+    except KeyError as err:
+        raise UnknownVertexError(err.args[0]) from None
 
 
 def brute_force_convex_hull(m: Metric, members) -> frozenset:

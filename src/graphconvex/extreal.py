@@ -1,10 +1,11 @@
 """Tolerance-aware comparisons and +inf-safe helpers.
 
 Values handled here are "extended reals": ordinary ints/floats plus +inf
-(``math.inf``).  -inf and NaN are rejected by :func:`check_value` at the
-library boundary and never produced by this package.  The relative
-tolerance below only applies when a float is involved: ints (and
-``Fraction`` values) are compared exactly at every magnitude.
+(``math.inf``).  -inf and NaN are rejected by :func:`check_value` and
+:func:`check_values` at the library boundary and never produced by this
+package.  The relative tolerance below only applies when a float is
+involved: ints (and ``Fraction`` values) are compared exactly at every
+magnitude.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ def check_value(v):
     if (type(v) is int or type(v) is float or isinstance(v, Real)) and v > -INF:
         return v
     raise ValueError(f"value must be a real number or +inf, got {v!r}")
+
+
+def check_values(values) -> None:
+    """:func:`check_value` on every item of the collection ``values``."""
+    # plain ints need no check; one set test over their types is cheaper
+    # than a call per value
+    if not {int}.issuperset(map(type, values)):
+        for v in values:
+            check_value(v)
 
 
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -16,9 +16,15 @@ both x + z and x - z in the window:
 
     2 f(x) <= f(x + z) + f(x - z).
 
-Candidates are scanned in lexicographic order over the half-space of
-vectors whose first nonzero coordinate is positive (z and -z give the same
-inequality), so witnesses are deterministic.
+Both translates lie in the window exactly when |z_i| <= reach_i on every
+axis, where reach_i = min(x_i - lo_i, hi_i - x_i) is x's distance to the
+nearer face of the window.  The scan therefore visits only that box, and
+of it only the half-space of vectors whose first nonzero coordinate is
+positive (z and -z give the same inequality).  It goes in lexicographic
+order of z, which is the order of the points x + z in the window, so the
+first witness is the one a scan over the whole window would report.  The
+same reach decides interiority: x is interior when reach_i is at least
+the largest |z_i| over the radius ball.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Any, Iterator, Mapping
 
-from .extreal import DEFAULT_TOL, approx_le, check_value
+from .extreal import DEFAULT_TOL, approx_le, check_values
 from .graph import Graph, Metric, UnknownVertexError
 
 NORMS = ("l1", "l2", "linf")
@@ -112,17 +119,19 @@ class GroupLattice:
         self.spec = spec
         self.window: tuple = tuple(spec.points())
         offsets = spec.ball_offsets(tol)
-        half = [z for z in offsets if z != _zero(spec.dimension) and _positive(z)]
+        steps = [(z, spec.norm_value(z)) for z in offsets if _positive(z)]
+        points = frozenset(self.window)
         edges = []
         for x in self.window:
-            for z in half:
+            for z, w in steps:
                 y = _add(x, z)
-                if spec.contains(y):
-                    edges.append((x, y, spec.norm_value(z)))
+                if y in points:
+                    edges.append((x, y, w))
         self.graph = Graph(edges, vertices=self.window)
+        span = [max(abs(z[i]) for z in offsets) for i in range(spec.dimension)]
         self.interior: frozenset = frozenset(
             x for x in self.window
-            if all(spec.contains(_add(x, z)) for z in offsets)
+            if all(r >= s for r, s in zip(_reach(spec, x), span))
         )
         self._tol = tol
 
@@ -137,7 +146,7 @@ class GroupLattice:
         return group_metric(self.spec, self._tol if tol is None else tol)
 
     def _require(self, x) -> None:
-        if not self.spec.contains(x):
+        if x not in self.graph:
             raise UnknownVertexError(x)
 
 
@@ -184,25 +193,32 @@ def is_midpoint_convex_at(
     """Check 2 f(x) <= f(x+z) + f(x-z) for all z with both points in window."""
     lat._require(x)
     tol = lat._tol if tol is None else tol
-    for v in f.values():
-        check_value(v)
+    check_values(f.values())
     if x not in f:
         return MidpointVerdict(True, x)
-    spec = lat.spec
     fx2 = 2 * f[x]
-    for p in lat.window:  # lexicographic, so z = p - x ascends too
-        z = _sub(p, x)
-        if z == _zero(spec.dimension) or not _positive(z):
+    for z in _half_box(_reach(lat.spec, x)):
+        fp = f.get(tuple(map(add, x, z)))
+        fq = f.get(tuple(map(sub, x, z)))
+        if fp is None or fq is None:
             continue
-        q = _sub(x, z)
-        if not spec.contains(q):
-            continue
-        if p not in f or q not in f:
-            continue
-        rhs = f[p] + f[q]
+        rhs = fp + fq
         if not approx_le(fx2, rhs, tol):
             return MidpointVerdict(False, x, MidpointWitness(z, fx2, rhs))
     return MidpointVerdict(True, x)
+
+
+def _reach(spec: LatticeSpec, x) -> tuple:
+    """Per axis, how far x can move either way and stay in the window."""
+    return tuple(min(c - lo, hi - c) for c, (lo, hi) in zip(x, spec.window))
+
+
+@lru_cache(maxsize=256)
+def _half_box(reach: tuple) -> tuple:
+    """Nonzero z with |z_i| <= reach_i and first nonzero coordinate
+    positive, in lexicographic order."""
+    axes = [range(-r, r + 1) for r in reach]
+    return tuple(z for z in itertools.product(*axes) if _positive(z))
 
 
 @dataclass(frozen=True)
@@ -235,15 +251,19 @@ def has_nearest_neighbor_property(
     pts = sorted(members)
     for y in pts:
         lat._require(y)
+    if not pts:
+        return NearestNeighborVerdict(True)
+    # approx_le is monotone in its left side, so some member covers z iff
+    # the nearest one does
+    nearest = [
+        (z, _scale(z, 2), 2 * min(spec.norm_value(_sub(y, z)) for y in pts))
+        for z in lat.window
+    ]
     for i, y1 in enumerate(pts):
         for y2 in pts[i:]:
             target_base = _add(y1, y2)
-            for z in lat.window:
-                target = spec.norm_value(_sub(target_base, _scale(z, 2)))
-                if not any(
-                    approx_le(2 * spec.norm_value(_sub(y, z)), target, tol)
-                    for y in pts
-                ):
+            for z, z2, best in nearest:
+                if not approx_le(best, spec.norm_value(_sub(target_base, z2)), tol):
                     return NearestNeighborVerdict(
                         False, NearestNeighborWitness(y1, y2, z)
                     )
@@ -254,19 +274,15 @@ def has_nearest_neighbor_property(
 
 
 def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _scale(a: tuple, c: int) -> tuple:
     return tuple(c * x for x in a)
-
-
-def _zero(n: int) -> tuple:
-    return (0,) * n
 
 
 def _positive(z: tuple) -> bool:

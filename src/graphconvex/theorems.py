@@ -401,6 +401,8 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
     there.  Only the function-level equivalence is a theorem;
     ``test_criterion_9_pointwise_equivalence_on_cycles`` checks the
     pointwise relation on C_4..C_8.
+
+    The finished sweep is logged at INFO level on this module's logger.
     """
     if not g.is_unit_weight:
         raise ValueError("degree-2 equivalence assumes unit weights")
@@ -415,6 +417,16 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
     n = g.vertex_count
     if len(values) ** n > 250_000:
         raise ValueError("value sweep too large")
+    start = time.perf_counter()
+    report = _degree2_sweep(g, values)
+    _log_sweep(report, start)
+    return report
+
+
+def _degree2_sweep(g: Graph, values) -> ClaimReport:
+    """The value sweep of :func:`verify_degree2_equivalence` on a validated
+    graph."""
+    n = g.vertex_count
     between_pairs, nbrs_at = _prepare_unit(g)
     pairs_at = [list(between_pairs(k, range(n))) for k in range(n)]
     checked = fired = 0
@@ -478,11 +490,7 @@ def exhaustive_small_graph_sweep(
     Progress goes to this module's logger at INFO level, one record each
     time the vertex count changes.
     """
-    # imported here: logging would add about 5 ms to every import of the
-    # package, the CLI's included
-    import logging
-
-    log = logging.getLogger(__name__)
+    log = _logger()
     claim, hyp = _graph_hypothesis(hypothesis)
     if not all(isinstance(v, int) for v in values):
         raise ValueError("values must be ints for the exact sweep")
@@ -571,27 +579,53 @@ def sweep_max_affine(
 def sweep_subsets_dist_convex(
     instance: Graph | GroupLattice, tol: float = DEFAULT_TOL, max_universe: int = 12
 ) -> ClaimReport:
-    """thm3 (graph) / prop-dist-cvx (lattice) over every nonempty subset."""
+    """thm3 (graph) / prop-dist-cvx (lattice) over every nonempty subset,
+    logged at INFO level when done."""
     universe = instance.window if isinstance(instance, GroupLattice) else instance.vertices
     claim = "prop-dist-cvx" if isinstance(instance, GroupLattice) else "thm3"
+    start = time.perf_counter()
     m = instance.metric(tol)
     reports = [
         _dist_convex_report(instance, m, subset, None)
         for subset in _nonempty_subsets(universe, max_universe)
     ]
-    return aggregate_reports(claim, f"{instance!r}, all nonempty F", reports)
+    report = aggregate_reports(claim, f"{instance!r}, all nonempty F", reports)
+    _log_sweep(report, start)
+    return report
 
 
 def sweep_subsets_nn(
     lat: GroupLattice, tol: float = DEFAULT_TOL, max_universe: int = 12
 ) -> ClaimReport:
-    """prop-nn over every nonempty subset of the window."""
+    """prop-nn over every nonempty subset of the window, logged at INFO
+    level when done."""
+    start = time.perf_counter()
     m = lat.metric(tol)
     reports = [
         _nn_report(lat, m, subset, None)
         for subset in _nonempty_subsets(lat.window, max_universe)
     ]
-    return aggregate_reports("prop-nn", f"{lat!r}, all nonempty F", reports)
+    report = aggregate_reports("prop-nn", f"{lat!r}, all nonempty F", reports)
+    _log_sweep(report, start)
+    return report
+
+
+def _logger():
+    """This module's logger."""
+    # imported here: logging would add about 5 ms to every import of the
+    # package, the CLI's included
+    import logging
+
+    return logging.getLogger(__name__)
+
+
+def _log_sweep(report: ClaimReport, start: float) -> None:
+    """One INFO record on this module's logger for a finished sweep."""
+    _logger().info(
+        "%s sweep: %s, checked=%d fired=%d, %s, %.2f s",
+        report.claim, report.instance, report.checked, report.hypothesis_fired,
+        report.verdict, time.perf_counter() - start,
+    )
 
 
 def _nonempty_subsets(universe, max_universe: int) -> Iterator[frozenset]:

@@ -5,10 +5,12 @@ import pytest
 
 from graphconvex import (
     Graph,
+    LatticeSpec,
     Metric,
     UnknownVertexError,
     betweenness_closure,
     brute_force_convex_hull,
+    build_lattice,
     convex_hull,
     cycle,
     distance_function,
@@ -228,6 +230,17 @@ def test_distance_to_set_unreachable_component():
     g = Graph([(0, 1), (2, 3)])
     m = g.metric()
     assert distance_to_set(m, 0, {2}) == INF
+
+
+def test_set_distances_reject_unknown_vertices():
+    line = build_lattice(LatticeSpec(1, "l1", 1, ((0, 4),)))
+    for m, known, unknown in ((path(5).metric(), 4, 99), (line.metric(), (4,), (99,))):
+        with pytest.raises(UnknownVertexError):
+            set_distance_function(m, [known, unknown])
+        with pytest.raises(UnknownVertexError):
+            distance_to_set(m, known, [unknown])
+        with pytest.raises(UnknownVertexError):
+            distance_to_set(m, unknown, [known])
 
 
 # ----------------------------------------------------------------------

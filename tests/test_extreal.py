@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphconvex import INF, approx_eq, approx_le, exact_div, scaled
-from graphconvex.extreal import check_value
+from graphconvex.extreal import check_value, check_values
 
 
 def test_approx_eq_is_exact_on_ints():
@@ -57,6 +57,22 @@ def test_check_value_accepts_reals_and_plus_inf():
 def test_check_value_rejects_nan_minus_inf_and_non_numbers(bad):
     with pytest.raises(ValueError):
         check_value(bad)
+
+
+def test_check_values_accepts_reals_and_plus_inf():
+    check_values([0, -3, 10**100, -(10**100)])  # all plain ints
+    check_values([True, False, 2])
+    check_values([Fraction(1, 3), 1, 2.5, INF])
+    check_values([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -INF, "1", None, 1j])
+def test_check_values_rejects_a_bad_value_among_ints(bad):
+    for position in (0, 2, 4):
+        values = [1, 2, 3, 4]
+        values.insert(position, bad)
+        with pytest.raises(ValueError):
+            check_values(values)
 
 
 def test_scaled_zero_times_inf_is_zero():

@@ -1,14 +1,20 @@
-"""Property tests: the betweenness engine against independent oracles.
+"""Property tests: the betweenness engine and the lattice checks against
+independent oracles.
 
-Distances for the oracles come from networkx, never from the library.
+Distances for the graph oracles come from networkx, never from the library.
 Weights are drawn from {1, 2, 0.5, 1.5}: graphs that draw only 1s and 2s
 keep exact int distances, the others exercise the tolerant float path.
 All sums of these weights are exact binary fractions, so the oracles can
 compare distances with ``==``.
+
+The lattice oracles scan the whole window, while the library visits
+only the vectors that can matter; verdicts, first witnesses and set
+distances must agree exactly, value types included.
 """
 
 import itertools
 import math
+import warnings
 
 import pytest
 
@@ -19,11 +25,18 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from graphconvex import (  # noqa: E402
+    NORMS,
     Graph,
+    LatticeSpec,
+    approx_le,
     betweenness_closure,
     brute_force_convex_hull,
+    build_lattice,
     convex_hull,
+    has_nearest_neighbor_property,
     is_convex_at,
+    is_midpoint_convex_at,
+    set_distance_function,
 )
 
 WEIGHTS = (1, 2, 0.5, 1.5)
@@ -31,18 +44,18 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 @st.composite
-def weighted_graphs(draw, connected=True, max_n=8):
+def weighted_graphs(draw, connected=True, max_n=8, weights=WEIGHTS):
     """Edge list (u, v, w) on vertices 0..n-1: a random spanning tree (only
     some of its edges unless ``connected``) plus random chords."""
     n = draw(st.integers(1, max_n))
     edges = {}
     for v in range(1, n):
         if connected or draw(st.booleans()):
-            edges[(draw(st.integers(0, v - 1)), v)] = draw(st.sampled_from(WEIGHTS))
+            edges[(draw(st.integers(0, v - 1)), v)] = draw(st.sampled_from(weights))
     others = [p for p in itertools.combinations(range(n), 2) if p not in edges]
     if others:
         for p in draw(st.lists(st.sampled_from(others), unique=True)):
-            edges[p] = draw(st.sampled_from(WEIGHTS))
+            edges[p] = draw(st.sampled_from(weights))
     return n, [(u, v, w) for (u, v), w in edges.items()]
 
 
@@ -107,3 +120,160 @@ def test_convex_at_matches_pair_scan(graph, data):
             assert not verdict.ok
             assert (w.x, w.y, w.lhs) == expected[:3]
             assert math.isclose(w.rhs, expected[3])
+
+
+# ----------------------------------------------------------------------
+# lattices: whole-window oracles
+# ----------------------------------------------------------------------
+
+# 0.1 + 0.2 != 0.3 in floats, so sums of these land inside the tolerance band
+VALUES = st.one_of(
+    st.none(), st.integers(-3, 3), st.sampled_from((0.1, 0.2, 0.3, -0.7, 1.5, math.inf))
+)
+
+
+@st.composite
+def lattices(draw):
+    """A window of dimension 1-3, each axis up to 8/5/3 points long."""
+    dim = draw(st.integers(1, 3))
+    longest = {1: 8, 2: 5, 3: 3}[dim]
+    window = []
+    for _ in range(dim):
+        lo = draw(st.integers(-2, 1))
+        window.append((lo, lo + draw(st.integers(0, longest - 1))))
+    spec = LatticeSpec(dim, draw(st.sampled_from(NORMS)), draw(st.sampled_from((1, 1.5, 2))),
+                       tuple(window))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # windows without an interior point
+        return build_lattice(spec)
+
+
+def partial_function(data, lat):
+    """Values on a box one wider than the window on every side, so a check
+    that read points outside the window would change its verdicts."""
+    axes = [range(lo - 1, hi + 2) for lo, hi in lat.spec.window]
+    f = {}
+    for v in itertools.product(*axes):
+        value = data.draw(VALUES)
+        if value is not None:
+            f[v] = value
+    return f
+
+
+def positive(z):
+    return next((c > 0 for c in z if c), False)
+
+
+def midpoint_oracle(lat, f, x):
+    """First (z, 2 f(x), f(x+z) + f(x-z)) violating midpoint convexity,
+    scanning z = p - x over every window point p."""
+    if x not in f:
+        return None
+    for p in lat.window:
+        z = tuple(a - b for a, b in zip(p, x))
+        q = tuple(a - b for a, b in zip(x, z))
+        if positive(z) and lat.spec.contains(q) and p in f and q in f:
+            rhs = f[p] + f[q]
+            if not approx_le(2 * f[x], rhs):
+                return (z, 2 * f[x], rhs)
+    return None
+
+
+def nn_oracle(lat, members):
+    """First (y1, y2, z) that no member covers."""
+    norm, pts = lat.spec.norm_value, sorted(members)
+    for i, y1 in enumerate(pts):
+        for y2 in pts[i:]:
+            for z in lat.window:
+                target = norm(tuple(a + b - 2 * c for a, b, c in zip(y1, y2, z)))
+                if not any(
+                    approx_le(2 * norm(tuple(a - c for a, c in zip(y, z))), target)
+                    for y in pts
+                ):
+                    return (y1, y2, z)
+    return None
+
+
+def set_distance_oracle(m, members):
+    f = {}
+    for v in m.vertices:
+        best = math.inf
+        for y in members:
+            d = m.dist(v, y)
+            if d < best:
+                best = d
+        f[v] = best
+    return f
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_midpoint_matches_window_scan(lat, data):
+    f = partial_function(data, lat)
+    for x in lat.window:
+        verdict = is_midpoint_convex_at(lat, f, x)
+        expected = midpoint_oracle(lat, f, x)
+        assert verdict.ok == (expected is None)
+        if expected is not None:
+            w = verdict.witness
+            assert typed((w.z, w.lhs, w.rhs)) == typed(expected)
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_norm_metric_convexity_implies_midpoint_convexity(lat, data):
+    """x lies between x + z and x - z with weights 1/2, so the two-point
+    inequality of the norm metric contains the midpoint inequality."""
+    f = partial_function(data, lat)
+    m = lat.metric()
+    for x in lat.window:
+        if is_convex_at(m, f, x):
+            assert is_midpoint_convex_at(lat, f, x)
+
+
+@PROPERTY
+@given(lattices())
+def test_interior_matches_ball_containment(lat):
+    spec = lat.spec
+    expected = {
+        x for x in lat.window
+        if all(spec.contains(tuple(a + b for a, b in zip(x, z))) for z in spec.ball_offsets())
+    }
+    assert lat.interior == expected
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_nn_property_matches_triple_scan(lat, data):
+    members = data.draw(st.sets(st.sampled_from(lat.window), max_size=4))
+    verdict = has_nearest_neighbor_property(lat, members)
+    expected = nn_oracle(lat, members)
+    assert verdict.ok == (expected is None)
+    if expected is not None:
+        w = verdict.witness
+        assert (w.y1, w.y2, w.z) == expected
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_lattice_set_distance_matches_norm_minimum(lat, data):
+    members = data.draw(st.sets(st.sampled_from(lat.window), max_size=4))
+    m = lat.metric()
+    got, expected = set_distance_function(m, members), set_distance_oracle(m, members)
+    assert list(got) == list(expected)
+    assert typed(got.values()) == typed(expected.values())
+
+
+@PROPERTY
+@given(weighted_graphs(connected=False, weights=(1,)), st.data())
+def test_graph_set_distance_matches_row_minimum(graph, data):
+    n, edges = graph
+    m = Graph(edges, vertices=range(n)).metric()
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    got, expected = set_distance_function(m, members), set_distance_oracle(m, members)
+    assert list(got) == list(expected)
+    assert typed(got.values()) == typed(expected.values())

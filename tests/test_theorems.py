@@ -10,6 +10,7 @@ from graphconvex import (
     ClaimReport,
     Graph,
     LatticeSpec,
+    UnknownVertexError,
     aggregate_reports,
     build_lattice,
     cycle,
@@ -158,6 +159,11 @@ def test_dist_convex_claim_rejects_empty_set(lettered_square):
         verify_nn_implies_dist_midpoint_convex(lattice_1d(), set())
 
 
+def test_dist_convex_claim_rejects_members_outside_the_window():
+    with pytest.raises(UnknownVertexError):
+        verify_dist_convex_implies_set_convex(lattice_1d(0, 4), [(0,), (4,), (99,)])
+
+
 def test_dist_convex_claim_on_lattice():
     lat = lattice_1d()
     interval = {(v,) for v in range(-1, 2)}
@@ -292,6 +298,33 @@ def test_sweep_logs_progress_once_per_vertex_count(caplog):
     assert messages[0].startswith("thm1 sweep: n=1 after 0 graphs, checked=0 fired=0")
     assert messages[3].startswith("thm1 sweep: n=4 after 4 graphs")
     assert report.instance.startswith("10 graphs")
+
+
+def test_sweeps_log_one_record_per_call(caplog):
+    line = lattice_1d(-2, 2)
+    calls = (
+        (lambda: verify_degree2_equivalence(cycle(6)), "lem-deg2 sweep: Graph("),
+        (lambda: sweep_subsets_dist_convex(path(5)), "thm3 sweep: Graph("),
+        (lambda: sweep_subsets_dist_convex(line), "prop-dist-cvx sweep: GroupLattice("),
+        (lambda: sweep_subsets_nn(line), "prop-nn sweep: GroupLattice("),
+    )
+    for call, prefix in calls:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="graphconvex.theorems"):
+            report = call()
+        messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.theorems"]
+        assert len(messages) == 1
+        assert messages[0].startswith(prefix)
+        assert (
+            f"checked={report.checked} fired={report.hypothesis_fired}, {report.verdict}, "
+            in messages[0]
+        )
+
+
+def test_sweeps_are_silent_by_default(capsys):
+    verify_degree2_equivalence(cycle(4))
+    sweep_subsets_nn(lattice_1d(-1, 1))
+    assert capsys.readouterr() == ("", "")
 
 
 # ----------------------------------------------------------------------
