@@ -18,23 +18,26 @@ Instances are either a graph file (``--graph FILE``, ``-`` for stdin) or a
 norm lattice (``--lattice {l1,l2,linf} --window SPEC [--dim D] [--radius R]``).
 A window is ``N`` (a centred box, needs ``--dim``) or comma-separated
 ``lo:hi`` ranges, one per axis.
+
+Output has one path.  Each command returns a payload and an exit code:
+``gen`` its graph text, the others the report dict that
+``docs/report-schema.json`` describes.  :func:`main` renders the payload
+once, as JSON or as text chosen by the report kind, and writes it to
+stdout or ``-o FILE``.  Only the chosen subcommand's arguments are built.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import math
 import random
 import sys
 
 from . import generators
 from .convexity import betweenness_closure, convex_hull, is_convex_at
-from .extreal import DEFAULT_TOL
+from .extreal import DEFAULT_TOL, report_value
 from .graph import Graph, UnknownVertexError, sort_vertices
 from .io import (
-    FormatError,
     format_graph,
     format_vertex,
     parse_graph,
@@ -50,6 +53,7 @@ from .theorems import (
     FAMILIES,
     PREDICATES,
     SAMPLERS,
+    _midpoint_witness,
     search_counterexample,
     verify_degree2_equivalence,
     verify_dist_convex_implies_set_convex,
@@ -69,20 +73,26 @@ CHECK_KINDS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_glue_window(argv))
+    argv = _glue_window(sys.argv[1:] if argv is None else list(argv))
+    # the first token naming a command is the one argparse dispatches on:
+    # the top-level parser has no option that takes a value
+    parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
+    args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, code = _COMMANDS[args.command][2](args, parser)
+        text = _render(payload, getattr(args, "format", "text"))
+        if args.output in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except UnknownVertexError as exc:
         print(f"error: unknown vertex {format_vertex(exc.vertex)}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def _glue_window(argv: list[str]) -> list[str]:
@@ -99,19 +109,33 @@ def _glue_window(argv: list[str]) -> list[str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand listed, where only
+    ``command`` (if any) has its arguments."""
     parser = argparse.ArgumentParser(
         prog="graphconvex",
         description="Convexity and subharmonicity checks on graphs and norm lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(p)
+    return parser
 
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
 
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text")
-    fmt.add_argument(
+# -- arguments --------------------------------------------------------------------
+
+
+def _add_output(p) -> None:
+    p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
+
+
+def _add_report(p) -> None:
+    """-o, --format and --tolerance, which every report command takes."""
+    _add_output(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument(
         "--tolerance",
         type=float,
         default=DEFAULT_TOL,
@@ -119,133 +143,127 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance for float comparisons (default %(default)g)",
     )
 
-    inst = argparse.ArgumentParser(add_help=False)
-    inst.add_argument("--graph", metavar="FILE", help="graph file ('-' for stdin)")
-    inst.add_argument(
+
+def _add_instance(p) -> None:
+    p.add_argument("--graph", metavar="FILE", help="graph file ('-' for stdin)")
+    p.add_argument(
         "--lattice", choices=NORMS, metavar="NORM", help="use a norm lattice instance"
     )
-    inst.add_argument("--window", metavar="SPEC", help="N or lo:hi[,lo:hi...]")
-    inst.add_argument("--dim", type=int, metavar="D", help="lattice dimension")
-    inst.add_argument(
+    p.add_argument("--window", metavar="SPEC", help="N or lo:hi[,lo:hi...]")
+    p.add_argument("--dim", type=int, metavar="D", help="lattice dimension")
+    p.add_argument(
         "--radius", type=float, default=1.0, metavar="R", help="edge radius (default 1)"
     )
-    inst.add_argument("--interior-only", action="store_true", help="restrict rows to interior lattice vertices")
+    p.add_argument(
+        "--interior-only", action="store_true", help="restrict rows to interior lattice vertices"
+    )
 
-    files = argparse.ArgumentParser(add_help=False)
-    files.add_argument("--fn", metavar="FILE", help="vertex-function file")
-    files.add_argument("--set", metavar="FILE", help="vertex-set file")
 
-    p_gen = sub.add_parser("gen", help="generate an instance graph")
+def _add_files(p) -> None:
+    p.add_argument("--fn", metavar="FILE", help="vertex-function file")
+    p.add_argument("--set", metavar="FILE", help="vertex-set file")
+
+
+# family -> (size positionals, generator)
+_GEN_SIZED = {
+    "cycle": (("n",), generators.cycle),
+    "path": (("n",), generators.path),
+    "grid": (("w", "h"), generators.grid),
+    "king": (("w", "h"), generators.king_grid),
+    "tri-tiling": (("w", "h"), generators.triangular_tiling),
+}
+
+
+def _gen_arguments(p_gen) -> None:
     fam = p_gen.add_subparsers(dest="family", required=True)
-    p = fam.add_parser("cycle", parents=[out])
-    p.add_argument("n", type=int)
-    p = fam.add_parser("path", parents=[out])
-    p.add_argument("n", type=int)
-    for name in ("grid", "king", "tri-tiling"):
-        p = fam.add_parser(name, parents=[out])
-        p.add_argument("w", type=int)
-        p.add_argument("h", type=int)
-    p = fam.add_parser("random", parents=[out])
+    for name, (sizes, _) in _GEN_SIZED.items():
+        p = fam.add_parser(name)
+        _add_output(p)
+        for size in sizes:
+            p.add_argument(size, type=int)
+    p = fam.add_parser("random")
+    _add_output(p)
     p.add_argument("n", type=int)
     p.add_argument("p", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--connected", action="store_true")
-    p = fam.add_parser("lattice", parents=[out])
+    p = fam.add_parser("lattice")
+    _add_output(p)
     p.add_argument("--norm", choices=NORMS, default="l1")
     p.add_argument("--dim", type=int)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--window", required=True, metavar="SPEC")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p_gen.set_defaults(func=_cmd_gen)
-    for sp in fam.choices.values():
-        sp.set_defaults(func=_cmd_gen)
 
-    p_hull = sub.add_parser(
-        "hull", parents=[out, fmt, inst], help="convex hull of a vertex set"
-    )
-    p_hull.add_argument("--set", metavar="FILE", required=True)
-    p_hull.add_argument(
-        "--one-step", action="store_true", help="one betweenness-closure step only"
-    )
-    p_hull.set_defaults(func=_cmd_hull)
 
-    p_check = sub.add_parser(
-        "check", parents=[out, fmt, inst, files], help="evaluate a predicate per vertex"
-    )
-    p_check.add_argument("kind", choices=CHECK_KINDS)
-    p_check.add_argument(
-        "--weighted", action="store_true", help="edge-weighted neighborhood means"
-    )
-    p_check.set_defaults(func=_cmd_check)
+def _hull_arguments(p) -> None:
+    _add_report(p)
+    _add_instance(p)
+    p.add_argument("--set", metavar="FILE", required=True)
+    p.add_argument("--one-step", action="store_true", help="one betweenness-closure step only")
 
-    p_verify = sub.add_parser(
-        "verify", parents=[out, fmt, inst, files], help="check one named claim"
-    )
-    p_verify.add_argument("claim", choices=CLAIM_IDS)
-    p_verify.add_argument(
+
+def _check_arguments(p) -> None:
+    _add_report(p)
+    _add_instance(p)
+    _add_files(p)
+    p.add_argument("kind", choices=CHECK_KINDS)
+    p.add_argument("--weighted", action="store_true", help="edge-weighted neighborhood means")
+
+
+def _verify_arguments(p) -> None:
+    _add_report(p)
+    _add_instance(p)
+    _add_files(p)
+    p.add_argument("claim", choices=CLAIM_IDS)
+    p.add_argument(
         "--values", metavar="A,B,...", help="value alphabet for lem-deg2 (default 0,1,2)"
     )
-    p_verify.add_argument(
-        "--count", type=int, default=20, help="sample count for lem-dist-pt"
-    )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_search = sub.add_parser(
-        "search", parents=[out, fmt], help="hunt for a counterexample"
-    )
-    p_search.add_argument("family", choices=FAMILIES)
-    p_search.add_argument("--sampler", choices=SAMPLERS, required=True)
-    p_search.add_argument("--budget", type=int, default=100)
-    p_search.add_argument("--predicate", choices=PREDICATES, default=PREDICATES[0])
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--count", type=int, default=20, help="functions per instance")
-    p_search.add_argument("--n", type=int, help="size for the random family")
-    p_search.add_argument("--p", type=float, default=0.5, help="edge probability")
-    p_search.set_defaults(func=_cmd_search)
-
-    return parser
+    p.add_argument("--count", type=int, default=20, help="sample count for lem-dist-pt")
+    p.add_argument("--seed", type=int, default=0)
 
 
-# -- commands -------------------------------------------------------------------
+def _search_arguments(p) -> None:
+    _add_report(p)
+    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("--sampler", choices=SAMPLERS, required=True)
+    p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--predicate", choices=PREDICATES, default=PREDICATES[0])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=20, help="functions per instance")
+    p.add_argument("--n", type=int, help="size for the random family")
+    p.add_argument("--p", type=float, default=0.5, help="edge probability")
 
 
-def _cmd_gen(args, parser) -> int:
+# -- commands: each returns (payload, exit code) ----------------------------------
+
+
+def _cmd_gen(args, parser) -> tuple[str, int]:
     fam = args.family
     interior = None
-    if fam == "cycle":
-        g = generators.cycle(args.n)
-    elif fam == "path":
-        g = generators.path(args.n)
-    elif fam == "grid":
-        g = generators.grid(args.w, args.h)
-    elif fam == "king":
-        g = generators.king_grid(args.w, args.h)
-    elif fam == "tri-tiling":
-        g = generators.triangular_tiling(args.w, args.h)
-        interior = generators.tiling_interior(args.w, args.h)
+    if fam in _GEN_SIZED:
+        sizes, make = _GEN_SIZED[fam]
+        g = make(*(getattr(args, size) for size in sizes))
+        if fam == "tri-tiling":
+            interior = generators.tiling_interior(args.w, args.h)
     elif fam == "random":
         rng = random.Random(f"gen:{args.seed}")
         make = generators.random_connected_graph if args.connected else generators.random_graph
         g = make(args.n, args.p, rng)
-    elif fam == "lattice":
+    else:  # lattice
         window = _parse_window(args.window, args.dim, parser)
         spec = LatticeSpec(len(window), args.norm, args.radius, window)
         lat = build_lattice(spec, args.tolerance)
         g = lat.graph
         interior = lat.interior
-    else:  # pragma: no cover - argparse rejects unknown families
-        parser.error(f"unknown family {fam!r}")
     text = format_graph(g)
     if interior is not None:
         pts = " ".join(format_vertex(v) for v in sorted(interior))
         text = f"# interior {pts}\n{text}" if pts else f"# interior (empty)\n{text}"
-    with _open_out(args) as out:
-        out.write(text)
-    return 0
+    return text, 0
 
 
-def _cmd_hull(args, parser) -> int:
+def _cmd_hull(args, parser) -> tuple[dict, int]:
     inst = _load_instance(args, parser)
     members = parse_vertex_set(_read_text(args.set), inst.universe)
     close = betweenness_closure if args.one_step else convex_hull
@@ -258,17 +276,10 @@ def _cmd_hull(args, parser) -> int:
         "hull": [format_vertex(v) for v in sort_vertices(hull)],
         "grew": hull != frozenset(members),
     }
-    with _open_out(args) as out:
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            out.write(f"input: {' '.join(payload['input'])}\n")
-            out.write(f"{'closure' if args.one_step else 'hull'}: {' '.join(payload['hull'])}\n")
-            out.write(f"grew: {'yes' if payload['grew'] else 'no'}\n")
-    return 0
+    return payload, 0
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args, parser) -> tuple[dict, int]:
     kind = args.kind
     tol = args.tolerance
     inst = _load_instance(args, parser)
@@ -306,23 +317,7 @@ def _cmd_check(args, parser) -> int:
     }
     if kind in ("subharmonic", "harmonic"):
         payload["weighted"] = weighted
-    with _open_out(args) as out:
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            for r in rows:
-                name = r["vertex"] if r["vertex"] is not None else "set"
-                extra = " ".join(
-                    f"{k}={_fmt(v)}" for k, v in r.items() if k not in ("vertex", "verdict")
-                )
-                out.write(f"{name}: {r['verdict']}{' ' + extra if extra else ''}\n")
-            bad = sum(r["verdict"] == "violated" for r in rows)
-            skipped = sum(r["verdict"] == "skipped" for r in rows)
-            out.write(
-                f"result: {'pass' if ok_all else 'fail'} "
-                f"({bad}/{len(rows)} violated, {skipped} skipped)\n"
-            )
-    return 0 if ok_all else 1
+    return payload, 0 if ok_all else 1
 
 
 def _check_row(kind, inst, fun, z, weighted, tol, parser) -> dict:
@@ -338,8 +333,8 @@ def _check_row(kind, inst, fun, z, weighted, tol, parser) -> dict:
             "vertex": name,
             "verdict": "violated",
             "pair": [format_vertex(w.x), format_vertex(w.y)],
-            "lhs": w.lhs,
-            "rhs": w.rhs,
+            "lhs": report_value(w.lhs),
+            "rhs": report_value(w.rhs),
         }
     if kind == "midpoint":
         if inst.lattice is None:
@@ -347,14 +342,7 @@ def _check_row(kind, inst, fun, z, weighted, tol, parser) -> dict:
         verdict = is_midpoint_convex_at(inst.lattice, fun, z, tol=tol)
         if verdict:
             return {"vertex": name, "verdict": "ok"}
-        w = verdict.witness
-        return {
-            "vertex": name,
-            "verdict": "violated",
-            "z": format_vertex(w.z),
-            "lhs": w.lhs,
-            "rhs": w.rhs,
-        }
+        return _midpoint_witness(verdict.witness, vertex=name, verdict="violated")
     # subharmonic / harmonic
     g = inst.mean_graph
     if g.degree(z) == 0:
@@ -368,78 +356,52 @@ def _check_row(kind, inst, fun, z, weighted, tol, parser) -> dict:
     return {
         "vertex": name,
         "verdict": "ok" if ok else "violated",
-        "f_value": cmp.f_value,
-        "mean": cmp.neighborhood_mean,
+        "f_value": report_value(cmp.f_value),
+        "mean": report_value(cmp.neighborhood_mean),
     }
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser) -> tuple[dict, int]:
     claim = args.claim
     tol = args.tolerance
     if claim in ("thm1", "thm2", "thm3", "lem-deg2"):
-        g = _graph_instance(args, parser)
-        label = _graph_label(args)
-        if claim in ("thm1", "thm2"):
-            hyp = "triangle_free" if claim == "thm1" else "pairing"
-            if args.fn:
-                fun = parse_vertex_function(_read_text(args.fn), g.vertices)
-                report = verify_pointwise_implication(g, fun, hyp, tol=tol, label=label)
-            else:
-                values = _parse_values(args.values, parser)
-                report = theorems.exhaustive_small_graph_sweep(
-                    hyp, graphs=[g], values=values
-                )
-        elif claim == "thm3":
-            if args.set:
-                members = parse_vertex_set(_read_text(args.set), g.vertices)
-                report = verify_dist_convex_implies_set_convex(
-                    g, members, tol=tol, label=label
-                )
-            else:
-                report = theorems.sweep_subsets_dist_convex(g, tol=tol)
+        inst = _graph_instance(args, parser)
+        universe, label = inst.vertices, _graph_label(args)
+    else:
+        inst = _lattice_instance(args, parser)
+        universe, label = inst.window, None
+    if claim in ("thm1", "thm2", "thm4-cvx-sub"):
+        hyp = {"thm1": "triangle_free", "thm2": "pairing", "thm4-cvx-sub": "midpoint"}[claim]
+        if args.fn:
+            fun = parse_vertex_function(_read_text(args.fn), universe)
+            report = verify_pointwise_implication(inst, fun, hyp, tol=tol, label=label)
+        elif claim == "thm4-cvx-sub":
+            report = theorems.sweep_max_affine(inst, count=args.count, seed=args.seed, tol=tol)
         else:
             values = _parse_values(args.values, parser)
-            report = verify_degree2_equivalence(g, values=values)
-    else:
-        lat = _lattice_instance(args, parser)
-        if claim == "thm4-cvx-sub":
-            if args.fn:
-                fun = parse_vertex_function(_read_text(args.fn), lat.window)
-                report = verify_pointwise_implication(lat, fun, "midpoint", tol=tol)
-            else:
-                report = theorems.sweep_max_affine(
-                    lat, count=args.count, seed=args.seed, tol=tol
-                )
-        elif claim == "lem-dist-pt":
-            report = verify_dist_to_point_midpoint_convex(
-                lat, count=args.count, seed=args.seed, tol=tol
-            )
-        elif claim == "prop-dist-cvx":
-            if args.set:
-                members = parse_vertex_set(_read_text(args.set), lat.window)
-                report = verify_dist_convex_implies_set_convex(lat, members, tol=tol)
-            else:
-                report = theorems.sweep_subsets_dist_convex(lat, tol=tol)
-        else:  # prop-nn
-            if args.set:
-                members = parse_vertex_set(_read_text(args.set), lat.window)
-                report = verify_nn_implies_dist_midpoint_convex(lat, members, tol=tol)
-            else:
-                report = theorems.sweep_subsets_nn(lat, tol=tol)
-    payload = {"report": "claim", **report.as_dict()}
-    with _open_out(args) as out:
-        if args.format == "json":
-            _emit_json(payload, out)
+            report = theorems.exhaustive_small_graph_sweep(hyp, graphs=[inst], values=values)
+    elif claim in ("thm3", "prop-dist-cvx"):
+        if args.set:
+            members = parse_vertex_set(_read_text(args.set), universe)
+            report = verify_dist_convex_implies_set_convex(inst, members, tol=tol, label=label)
         else:
-            for key in ("claim", "instance", "checked", "hypothesis_fired", "verdict"):
-                out.write(f"{key}: {payload[key]}\n")
-            if report.witness:
-                for k, v in report.witness.items():
-                    out.write(f"witness.{k}: {_fmt(v)}\n")
-    return 0 if report.verdict == "verified" else 1
+            report = theorems.sweep_subsets_dist_convex(inst, tol=tol)
+    elif claim == "prop-nn":
+        if args.set:
+            members = parse_vertex_set(_read_text(args.set), universe)
+            report = verify_nn_implies_dist_midpoint_convex(inst, members, tol=tol)
+        else:
+            report = theorems.sweep_subsets_nn(inst, tol=tol)
+    elif claim == "lem-dist-pt":
+        report = verify_dist_to_point_midpoint_convex(
+            inst, count=args.count, seed=args.seed, tol=tol
+        )
+    else:  # lem-deg2
+        report = verify_degree2_equivalence(inst, values=_parse_values(args.values, parser))
+    return {"report": "claim", **report.as_dict()}, 0 if report.verdict == "verified" else 1
 
 
-def _cmd_search(args, parser) -> int:
+def _cmd_search(args, parser) -> tuple[dict, int]:
     params = {"count": args.count, "p": args.p}
     if args.n:
         params["n"] = args.n
@@ -463,26 +425,17 @@ def _cmd_search(args, parser) -> int:
     }
     if witness is not None:
         payload["witness"] = witness.as_dict()
-    with _open_out(args) as out:
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            if witness is None:
-                out.write(f"found: no (budget {args.budget})\n")
-            else:
-                w = payload["witness"]
-                out.write("found: yes\n")
-                out.write(f"instance: {w['instance']}\n")
-                out.write(f"function: {w['function']}\n")
-                out.write(f"vertex: {w['vertex']}\n")
-                for k, v in w["detail"].items():
-                    out.write(f"detail.{k}: {_fmt(v)}\n")
-                vals = " ".join(f"{k}={_fmt(v)}" for k, v in w["values"].items())
-                out.write(f"values: {vals}\n")
-                out.write("graph:\n")
-                for line in w["graph"].splitlines():
-                    out.write(f"  {line}\n")
-    return 1 if witness is not None else 0
+    return payload, 1 if witness is not None else 0
+
+
+# name -> (help, argument builder, command)
+_COMMANDS = {
+    "gen": ("generate an instance graph", _gen_arguments, _cmd_gen),
+    "hull": ("convex hull of a vertex set", _hull_arguments, _cmd_hull),
+    "check": ("evaluate a predicate per vertex", _check_arguments, _cmd_check),
+    "verify": ("check one named claim", _verify_arguments, _cmd_verify),
+    "search": ("hunt for a counterexample", _search_arguments, _cmd_search),
+}
 
 
 # -- instance plumbing ------------------------------------------------------------
@@ -583,37 +536,65 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-@contextlib.contextmanager
-def _open_out(args):
-    target = getattr(args, "output", None)
-    if target in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            yield fh
+# -- rendering ----------------------------------------------------------------------
 
 
-# -- output helpers ----------------------------------------------------------------
+def _render(payload, fmt: str) -> str:
+    """``gen``'s graph text as is; a report as JSON, or as text by its kind."""
+    if isinstance(payload, str):
+        return payload
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    return "".join(f"{line}\n" for line in _TEXT[payload["report"]](payload))
 
 
-def _emit_json(payload, out) -> None:
-    json.dump(_sanitize(payload), out, indent=2, sort_keys=False)
-    out.write("\n")
+def _hull_lines(p: dict) -> list[str]:
+    return [
+        f"input: {' '.join(p['input'])}",
+        f"{'closure' if p['one_step'] else 'hull'}: {' '.join(p['hull'])}",
+        f"grew: {'yes' if p['grew'] else 'no'}",
+    ]
 
 
-def _sanitize(obj):
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+def _check_lines(p: dict) -> list[str]:
+    lines = []
+    for r in p["rows"]:
+        name = r["vertex"] if r["vertex"] is not None else "set"
+        extra = " ".join(f"{k}={_fmt(v)}" for k, v in r.items() if k not in ("vertex", "verdict"))
+        lines.append(f"{name}: {r['verdict']}{' ' + extra if extra else ''}")
+    bad = sum(r["verdict"] == "violated" for r in p["rows"])
+    skipped = sum(r["verdict"] == "skipped" for r in p["rows"])
+    lines.append(
+        f"result: {'pass' if p['ok'] else 'fail'} "
+        f"({bad}/{len(p['rows'])} violated, {skipped} skipped)"
+    )
+    return lines
+
+
+def _claim_lines(p: dict) -> list[str]:
+    keys = ("claim", "instance", "checked", "hypothesis_fired", "verdict")
+    lines = [f"{key}: {p[key]}" for key in keys]
+    lines += [f"witness.{k}: {_fmt(v)}" for k, v in (p.get("witness") or {}).items()]
+    return lines
+
+
+def _search_lines(p: dict) -> list[str]:
+    if not p["found"]:
+        return [f"found: no (budget {p['budget']})"]
+    w = p["witness"]
+    lines = ["found: yes", f"instance: {w['instance']}", f"function: {w['function']}",
+             f"vertex: {w['vertex']}"]
+    lines += [f"detail.{k}: {_fmt(v)}" for k, v in w["detail"].items()]
+    lines.append("values: " + " ".join(f"{k}={_fmt(v)}" for k, v in w["values"].items()))
+    lines.append("graph:")
+    lines += [f"  {line}" for line in w["graph"].splitlines()]
+    return lines
+
+
+_TEXT = {"hull": _hull_lines, "check": _check_lines, "claim": _claim_lines, "search": _search_lines}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     if isinstance(value, (list, tuple)):

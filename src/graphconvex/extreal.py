@@ -59,6 +59,14 @@ def scaled(c, v):
     return c * v
 
 
+def report_value(x):
+    """x as reports carry it: +inf becomes the string ``"inf"``, which JSON
+    can hold and text output prints unchanged."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    return x
+
+
 def exact_div(a, b):
     """a / b, staying an int when both are ints and the division is exact."""
     if isinstance(a, int) and isinstance(b, int) and a % b == 0:

@@ -47,7 +47,7 @@ from .convexity import (
     set_distance_function,
 )
 from .enumeration import connected_unit_graphs
-from .extreal import DEFAULT_TOL
+from .extreal import DEFAULT_TOL, report_value
 from .graph import Graph, Metric
 from .io import format_graph, format_vertex
 from .lattice import GroupLattice, _sub, has_nearest_neighbor_property, is_midpoint_convex_at
@@ -88,6 +88,12 @@ class ClaimReport:
     verdict: str
     witness: dict | None = None
 
+    @classmethod
+    def settled(cls, claim: str, instance: str, checked: int, fired: int) -> ClaimReport:
+        """The report of a scan that found no refutation: verified when the
+        hypothesis fired somewhere, vacuous when it never did."""
+        return cls(claim, instance, checked, fired, "verified" if fired else "vacuous")
+
     def __bool__(self) -> bool:
         return self.verdict != "refuted"
 
@@ -115,7 +121,7 @@ def aggregate_reports(claim: str, instance: str, reports: Iterable[ClaimReport])
             first_refuted = r
     if first_refuted is not None:
         return ClaimReport(claim, instance, checked, fired, "refuted", first_refuted.witness)
-    return ClaimReport(claim, instance, checked, fired, "verified" if fired else "vacuous")
+    return ClaimReport.settled(claim, instance, checked, fired)
 
 
 # -- structural hypotheses ----------------------------------------------------
@@ -207,13 +213,9 @@ def _verify_on_graph(g: Graph, f, hypothesis, tol, label) -> ClaimReport:
         fired += 1
         cmp = is_subharmonic_at(g, f, z, weighted=False, tol=tol)
         if not cmp:
-            witness = {
-                "vertex": format_vertex(z),
-                "f_value": _num(cmp.f_value),
-                "neighborhood_mean": _num(cmp.neighborhood_mean),
-            }
+            witness = _mean_witness(cmp, vertex=format_vertex(z))
             return ClaimReport(claim, instance, checked, fired, "refuted", witness)
-    return ClaimReport(claim, instance, checked, fired, "verified" if fired else "vacuous")
+    return ClaimReport.settled(claim, instance, checked, fired)
 
 
 def _verify_on_lattice(lat: GroupLattice, f, tol, label) -> ClaimReport:
@@ -228,16 +230,11 @@ def _verify_on_lattice(lat: GroupLattice, f, tol, label) -> ClaimReport:
         fired += 1
         cmp = is_subharmonic_at(lat.graph, f, x, weighted=True, tol=tol)
         if not cmp:
-            witness = {
-                "vertex": format_vertex(x),
-                "f_value": _num(cmp.f_value),
-                "neighborhood_mean": _num(cmp.neighborhood_mean),
-                "total_weight": _num(cmp.total_weight),
-            }
+            witness = _mean_witness(
+                cmp, vertex=format_vertex(x), total_weight=report_value(cmp.total_weight)
+            )
             return ClaimReport("thm4-cvx-sub", instance, checked, fired, "refuted", witness)
-    return ClaimReport(
-        "thm4-cvx-sub", instance, checked, fired, "verified" if fired else "vacuous"
-    )
+    return ClaimReport.settled("thm4-cvx-sub", instance, checked, fired)
 
 
 # -- distance-function claims --------------------------------------------------
@@ -317,23 +314,13 @@ def _nn_report(lat: GroupLattice, m: Metric, members, label: str | None) -> Clai
         fired += 1
         mp = is_midpoint_convex_at(lat, fun, x, tol=tol)
         if not mp:
-            w = mp.witness
-            witness = {
-                "vertex": format_vertex(x),
-                "z": format_vertex(w.z),
-                "lhs": _num(w.lhs),
-                "rhs": _num(w.rhs),
-            }
+            witness = _midpoint_witness(mp.witness, vertex=format_vertex(x))
             return ClaimReport("prop-nn", name, checked, fired, "refuted", witness)
         cmp = is_subharmonic_at(lat.graph, fun, x, weighted=True, tol=tol)
         if not cmp:
-            witness = {
-                "vertex": format_vertex(x),
-                "f_value": _num(cmp.f_value),
-                "neighborhood_mean": _num(cmp.neighborhood_mean),
-            }
+            witness = _mean_witness(cmp, vertex=format_vertex(x))
             return ClaimReport("prop-nn", name, checked, fired, "refuted", witness)
-    return ClaimReport("prop-nn", name, checked, fired, "verified" if fired else "vacuous")
+    return ClaimReport.settled("prop-nn", name, checked, fired)
 
 
 def verify_dist_to_point_midpoint_convex(
@@ -362,23 +349,14 @@ def verify_dist_to_point_midpoint_convex(
             fired += 1
             mp = is_midpoint_convex_at(lat, fun, x, tol=tol)
             if not mp:
-                w = mp.witness
-                witness = {
-                    "base_point": format_vertex(a),
-                    "vertex": format_vertex(x),
-                    "z": format_vertex(w.z),
-                    "lhs": _num(w.lhs),
-                    "rhs": _num(w.rhs),
-                }
+                witness = _midpoint_witness(
+                    mp.witness, base_point=format_vertex(a), vertex=format_vertex(x)
+                )
                 return ClaimReport(
                     "lem-dist-pt", repr(lat), checked, fired, "refuted", witness
                 )
-    return ClaimReport(
-        "lem-dist-pt",
-        f"{lat!r}, {len(points)} base points",
-        checked,
-        fired,
-        "verified" if fired else "vacuous",
+    return ClaimReport.settled(
+        "lem-dist-pt", f"{lat!r}, {len(points)} base points", checked, fired
     )
 
 
@@ -463,13 +441,7 @@ def _degree2_sweep(g: Graph, values) -> ClaimReport:
                 g, fvals, k, "convex everywhere but not subharmonic everywhere"
             )
             return ClaimReport("lem-deg2", repr(g), checked, fired, "refuted", witness)
-    return ClaimReport(
-        "lem-deg2",
-        f"{g!r}, f in {values}^X",
-        checked,
-        fired,
-        "verified" if fired else "vacuous",
-    )
+    return ClaimReport.settled("lem-deg2", f"{g!r}, f in {values}^X", checked, fired)
 
 
 # -- exhaustive sweeps over small graphs ----------------------------------------
@@ -536,7 +508,7 @@ def exhaustive_small_graph_sweep(
                         g, fvals, k, "convex at z but not subharmonic at z"
                     )
                     return ClaimReport(claim, label, checked, fired, "refuted", witness)
-    return ClaimReport(claim, label, checked, fired, "verified" if fired else "vacuous")
+    return ClaimReport.settled(claim, label, checked, fired)
 
 
 def _prepare_unit(g: Graph):
@@ -706,7 +678,7 @@ class SearchWitness:
             "function": self.function,
             "vertex": format_vertex(self.vertex),
             "graph": format_graph(self.graph),
-            "values": {format_vertex(v): _num(x) for v, x in self.values.items()},
+            "values": {format_vertex(v): report_value(x) for v, x in self.values.items()},
             "detail": self.detail,
         }
 
@@ -757,20 +729,15 @@ def _evaluate_predicate(predicate, g, m, fun, z, tol) -> dict | None:
         if not is_convex_at(m, fun, z):
             return None
         cmp = is_subharmonic_at(g, fun, z, tol=tol)
-        if cmp:
-            return None
-        return {
-            "f_value": _num(cmp.f_value),
-            "neighborhood_mean": _num(cmp.neighborhood_mean),
-        }
+        return None if cmp else _mean_witness(cmp)
     verdict = is_convex_at(m, fun, z)
     if verdict:
         return None
     w = verdict.witness
     detail = {
         "pair": [format_vertex(w.x), format_vertex(w.y)],
-        "lhs": _num(w.lhs),
-        "rhs": _num(w.rhs),
+        "lhs": report_value(w.lhs),
+        "rhs": report_value(w.rhs),
     }
     if g.degree(z) > 0:
         detail["subharmonic"] = bool(is_subharmonic_at(g, fun, z, tol=tol))
@@ -821,8 +788,24 @@ def _sampler_functions(sampler, g, m, rng_key, params) -> Iterator[tuple[str, di
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def _num(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
+# -- witness dicts -------------------------------------------------------------------
+
+
+def _mean_witness(cmp, **lead) -> dict:
+    """``lead``, then f(x) and the neighborhood mean of a failed comparison."""
+    return {
+        **lead,
+        "f_value": report_value(cmp.f_value),
+        "neighborhood_mean": report_value(cmp.neighborhood_mean),
+    }
+
+
+def _midpoint_witness(w, **lead) -> dict:
+    """``lead``, then the offset z and both sides of a failed midpoint check."""
+    return {
+        **lead,
+        "z": format_vertex(w.z),
+        "lhs": report_value(w.lhs),
+        "rhs": report_value(w.rhs),
+    }
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from jsonschema import validate
 
 import graphconvex
-from graphconvex.cli import main
+from graphconvex.cli import build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
@@ -318,6 +319,93 @@ def test_search_classic_square_text(capsys):
     assert "function: d(.,0)" in out
     assert "vertex: 2" in out
     assert "detail.pair: [1, 3]" in out
+
+
+# ----------------------------------------------------------------------
+# golden text output: each text report, byte for byte
+# ----------------------------------------------------------------------
+
+GOLDEN_INPUTS = {
+    "c4.g": "v 0\nv 1\nv 2\nv 3\ne 0 1\ne 0 3\ne 1 2\ne 2 3\n",
+    # one betweenness step from {0, 5} reaches 1 and 4; the hull is everything
+    "g6.g": "".join(f"e {u} {v}\n" for u, v in (
+        (0, 1), (0, 2), (0, 4), (1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5))),
+    "iso.g": "v 0\nv 1\nv 2\nv 9\ne 0 1\ne 1 2\n",
+    "s05.txt": "0\n5\n",
+    "s012.txt": "0\n1\n2\n",
+    "gap.txt": "(-1)\n(1)\n",
+    "mixed.fn": "0 0\n1 inf\n2 1.5\n",
+    "fl.fn": "0 0.5\n1 2.0\n2 inf\n",
+    "iso.fn": "0 1\n1 0\n2 1\n9 4\n",
+}
+
+GOLDEN = [
+    (["hull", "--graph", "g6.g", "--set", "s05.txt"], 0,
+     "input: 0 5\nhull: 0 1 2 3 4 5\ngrew: yes\n"),
+    (["hull", "--graph", "g6.g", "--set", "s05.txt", "--one-step"], 0,
+     "input: 0 5\nclosure: 0 1 4 5\ngrew: yes\n"),
+    (["check", "set-convex", "--graph", "c4.g", "--set", "s012.txt"], 1,
+     "set: violated missing=[3]\nresult: fail (1/1 violated, 0 skipped)\n"),
+    (["check", "nn-property", "--lattice", "l1", "--window", "-2:2", "--set", "gap.txt"], 1,
+     "set: violated pair=[(-1), (1)] z=(0)\nresult: fail (1/1 violated, 0 skipped)\n"),
+    (["check", "fn-convex", "--graph", "c4.g", "--fn", "mixed.fn"], 1,
+     "0: ok\n1: violated pair=[0, 2] lhs=inf rhs=0.75\n2: ok\n3: skipped reason=no value\n"
+     "result: fail (1/4 violated, 1 skipped)\n"),
+    (["check", "subharmonic", "--graph", "c4.g", "--fn", "fl.fn"], 0,
+     "0: skipped reason=no value\n1: ok f_value=2 mean=inf\n2: skipped reason=no value\n"
+     "3: skipped reason=no value\nresult: pass (0/4 violated, 3 skipped)\n"),
+    (["check", "subharmonic", "--graph", "iso.g", "--fn", "iso.fn"], 1,
+     "0: violated f_value=1 mean=0\n1: ok f_value=0 mean=1\n2: violated f_value=1 mean=0\n"
+     "9: skipped reason=degree zero\nresult: fail (2/4 violated, 1 skipped)\n"),
+    (["verify", "prop-dist-cvx", "--lattice", "l1", "--window", "0:2,0:2"], 1,
+     "claim: prop-dist-cvx\n"
+     "instance: GroupLattice(l1 lattice r=1.0 window [0,2]x[0,2]), all nonempty F\n"
+     "checked: 4599\nhypothesis_fired: 117\nverdict: refuted\n"
+     "witness.vertex: (0,0)\nwitness.outside_set: True\n"),
+    (["search", "cycle", "--sampler", "distance", "--budget", "1"], 1,
+     "found: yes\ninstance: cycle(3)\nfunction: d(.,0)\nvertex: 1\n"
+     "detail.f_value: 1\ndetail.neighborhood_mean: 0.5\nvalues: 0=0 1=1 2=1\n"
+     "graph:\n  v 0\n  v 1\n  v 2\n  e 0 1\n  e 0 2\n  e 1 2\n"),
+    (["search", "path", "--sampler", "indicator", "--budget", "3",
+      "--predicate", "distance-fn-not-convex"], 1,
+     "found: yes\ninstance: path(3)\nfunction: indicator#11\nvertex: 1\n"
+     "detail.pair: [0, 2]\ndetail.lhs: inf\ndetail.rhs: 0\ndetail.subharmonic: False\n"
+     "values: 0=0 1=inf 2=0\ngraph:\n  v 0\n  v 1\n  v 2\n  e 0 1\n  e 1 2\n"),
+    (["search", "grid", "--sampler", "constant", "--budget", "2"], 0,
+     "found: no (budget 2)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN]
+)
+def test_golden_text_output(argv, code, expected, tmp_path, capsys):
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / tok) if tok in GOLDEN_INPUTS else tok for tok in argv]
+    assert run(capsys, *argv) == (code, expected)
+
+
+def test_build_parser_adds_only_the_chosen_subcommand():
+    parser = build_parser("hull")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert "set" in {a.dest for a in sub.choices["hull"]._actions}
+    assert "claim" not in {a.dest for a in sub.choices["verify"]._actions}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["gen"], ["hull"], ["check"], ["verify"], ["search"],
+     *(["gen", fam] for fam in ("cycle", "path", "grid", "king", "tri-tiling", "random",
+                                "lattice"))],
+    ids=lambda argv: " ".join(argv) or "top",
+)
+def test_help_exits_zero(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: graphconvex", *argv]))
 
 
 # ----------------------------------------------------------------------

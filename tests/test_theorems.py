@@ -174,6 +174,24 @@ def test_dist_convex_claim_on_lattice():
     assert verify_dist_convex_implies_set_convex(lat, gap).verdict == "vacuous"
 
 
+def test_dist_convex_claim_refuted_on_2d_windows():
+    # Set convexity here is betweenness on the lattice graph.  Under it the
+    # claim fails on 3x3 windows: d(., F) is midpoint convex, but a vertex
+    # between two members lies outside F.  l2 with radius 1.5 verifies.
+    square = ((0, 2), (0, 2))
+    for norm, members, vertex in (
+        ("l1", {(0, 1), (1, 0)}, "(0,0)"),
+        ("linf", {(0, 0), (0, 1), (0, 2)}, "(1,1)"),
+    ):
+        lat = build_lattice(LatticeSpec(2, norm, 1, square))
+        report = verify_dist_convex_implies_set_convex(lat, members)
+        assert (report.verdict, report.hypothesis_fired) == ("refuted", 1)
+        assert report.witness == {"vertex": vertex, "outside_set": True}
+    l2 = build_lattice(LatticeSpec(2, "l2", 1.5, square))
+    report = sweep_subsets_dist_convex(l2)
+    assert (report.verdict, report.checked, report.hypothesis_fired) == ("verified", 4599, 67)
+
+
 def test_nn_claim_on_lattice():
     lat = lattice_1d()
     report = verify_nn_implies_dist_midpoint_convex(lat, {(-1,), (0,), (1,)})
