@@ -70,6 +70,9 @@ SAMPLERS = ("distance", "random-int", "indicator", "constant")
 
 FAMILIES = ("cycle", "path", "grid", "random")
 
+# The most functions one exact sweep covers, one bit each: 500 KB per mask.
+SWEEP_CAP = 4_000_000
+
 
 @dataclass
 class ClaimReport:
@@ -380,7 +383,8 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
     ``test_criterion_9_pointwise_equivalence_on_cycles`` checks the
     pointwise relation on C_4..C_8.
 
-    The finished sweep is logged at INFO level on this module's logger.
+    At most 4,000,000 functions are swept (C_13 with three values).  The
+    finished sweep is logged at INFO level on this module's logger.
     """
     if not g.is_unit_weight:
         raise ValueError("degree-2 equivalence assumes unit weights")
@@ -393,7 +397,7 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
     if not all(isinstance(v, int) for v in values):
         raise ValueError("values must be ints for the exact sweep")
     n = g.vertex_count
-    if len(values) ** n > 250_000:
+    if len(values) ** n > SWEEP_CAP:
         raise ValueError("value sweep too large")
     start = time.perf_counter()
     report = _degree2_sweep(g, values)
@@ -402,46 +406,48 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
 
 
 def _degree2_sweep(g: Graph, values) -> ClaimReport:
-    """The value sweep of :func:`verify_degree2_equivalence` on a validated
-    graph."""
+    """The value sweep of :func:`verify_degree2_equivalence`, at every vertex
+    of g; g is not validated.
+
+    The functions are the tuples of ``itertools.product(values, repeat=n)``
+    in the vertex order of g, and bit b of each mask of
+    :func:`_sweep_masks` stands for the b-th of them.  Per function the
+    report counts n checked sites, one firing per convex site, and one more
+    when the function is subharmonic everywhere.  The first refutation is
+    the lowest refuting function.  Within it, the first vertex (in vertex
+    order) that is convex but not subharmonic wins; failing that, the
+    function is subharmonic everywhere and the first vertex where it is not
+    convex is the witness.  The counts stop at the refuting function: all
+    n of its sites count as checked, and its firings count only when it
+    refutes the global test.  "Convex everywhere but not subharmonic
+    everywhere" needs no test of its own: it makes some site convex but
+    not subharmonic, which the pointwise test reports first.
+    """
     n = g.vertex_count
-    between_pairs, nbrs_at = _prepare_unit(g)
-    pairs_at = [list(between_pairs(k, range(n))) for k in range(n)]
-    checked = fired = 0
-    for fvals in itertools.product(values, repeat=n):
-        conv = []
-        sub = []
-        for k in range(n):
-            fz = fvals[k]
-            ok = True
-            for i, j, dij, djz, diz in pairs_at[k]:
-                if dij * fz > djz * fvals[i] + diz * fvals[j]:
-                    ok = False
-                    break
-            conv.append(ok)
-            nlist, deg = nbrs_at[k]
-            sub.append(deg * fz <= sum(fvals[i] for i in nlist))
-            checked += 1
-        for k in range(n):
-            if conv[k] and not sub[k]:
-                witness = _sweep_witness(g, fvals, k, "convex at z but not subharmonic at z")
-                return ClaimReport("lem-deg2", repr(g), checked, fired, "refuted", witness)
-        fired += sum(conv)
-        if all(sub):
-            fired += 1
-            if not all(conv):
-                k = conv.index(False)
-                witness = _sweep_witness(
-                    g, fvals, k, "subharmonic everywhere but not convex everywhere"
-                )
-                return ClaimReport("lem-deg2", repr(g), checked, fired, "refuted", witness)
-        elif all(conv):
-            k = sub.index(False)
-            witness = _sweep_witness(
-                g, fvals, k, "convex everywhere but not subharmonic everywhere"
-            )
-            return ClaimReport("lem-deg2", repr(g), checked, fired, "refuted", witness)
-    return ClaimReport.settled("lem-deg2", f"{g!r}, f in {values}^X", checked, fired)
+    total, convex, not_sub = _sweep_masks(g, values, range(n))
+    sub_everywhere = convex_everywhere = (1 << total) - 1
+    pointwise = 0
+    for conv, bad in zip(convex, not_sub):
+        convex_everywhere &= conv
+        sub_everywhere &= ~bad
+        pointwise |= conv & bad
+    refuting = pointwise | (sub_everywhere & ~convex_everywhere)
+    if not refuting:
+        fired = sum(c.bit_count() for c in convex) + sub_everywhere.bit_count()
+        return ClaimReport.settled(
+            "lem-deg2", f"{g!r}, f in {values}^X", total * n, fired
+        )
+    b = _lowest_bit(refuting)
+    if pointwise >> b & 1:
+        k = next(k for k in range(n) if (convex[k] & not_sub[k]) >> b & 1)
+        reason, counted = "convex at z but not subharmonic at z", (1 << b) - 1
+    else:
+        k = next(k for k in range(n) if not convex[k] >> b & 1)
+        reason, counted = "subharmonic everywhere but not convex everywhere", (2 << b) - 1
+    fired = sum((c & counted).bit_count() for c in convex)
+    fired += (sub_everywhere & counted).bit_count()
+    witness = _sweep_witness(g, _function_at(values, n, b), k, reason)
+    return ClaimReport("lem-deg2", repr(g), (b + 1) * n, fired, "refuted", witness)
 
 
 # -- exhaustive sweeps over small graphs ----------------------------------------
@@ -461,6 +467,15 @@ def exhaustive_small_graph_sweep(
     also convex); a single refutation aborts the sweep with its witness.
     Progress goes to this module's logger at INFO level, one record each
     time the vertex count changes.
+
+    On each graph the functions are the tuples of
+    ``itertools.product(values, repeat=n)`` in the vertex order of the
+    graph, and bit b of each mask of :func:`_sweep_masks` stands for the
+    b-th of them, so at most 4,000,000 functions fit one graph.  The
+    witness is the lowest function that refutes at some site, at its first
+    such site in vertex order; the counts are those of a scan that visits
+    the functions in order, and the sites of each in vertex order, and
+    stops there.
     """
     log = _logger()
     claim, hyp = _graph_hypothesis(hypothesis)
@@ -480,35 +495,146 @@ def exhaustive_small_graph_sweep(
                 "%s sweep: n=%d after %d graphs, checked=%d fired=%d, %.2f s",
                 claim, last_n, swept, checked, fired, time.perf_counter() - start,
             )
-        if len(values) ** g.vertex_count > 4_000_000:
+        if len(values) ** g.vertex_count > SWEEP_CAP:
             raise ValueError(
                 f"value sweep over {g.vertex_count} vertices is too large"
             )
-        index = {v: i for i, v in enumerate(g.vertices)}
-        sites = [index[z] for z in g.vertices if hyp(g, z)]
+        sites = [k for k, z in enumerate(g.vertices) if hyp(g, z)]
         if not sites:
             continue
-        between_pairs, nbrs_at = _prepare_unit(g)
-        n = g.vertex_count
-        data = [(k, list(between_pairs(k, range(n))), nbrs_at[k]) for k in sites]
-        for fvals in itertools.product(values, repeat=n):
-            for k, plist, (nlist, deg) in data:
-                fz = fvals[k]
-                checked += 1
-                ok = True
-                for i, j, dij, djz, diz in plist:
-                    if dij * fz > djz * fvals[i] + diz * fvals[j]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                fired += 1
-                if deg * fz > sum(fvals[i] for i in nlist):
-                    witness = _sweep_witness(
-                        g, fvals, k, "convex at z but not subharmonic at z"
-                    )
-                    return ClaimReport(claim, label, checked, fired, "refuted", witness)
+        site_checked, site_fired, witness = _implication_sweep(g, values, sites)
+        checked += site_checked
+        fired += site_fired
+        if witness is not None:
+            return ClaimReport(claim, label, checked, fired, "refuted", witness)
     return ClaimReport.settled(claim, label, checked, fired)
+
+
+def _implication_sweep(g: Graph, values, sites) -> tuple[int, int, dict | None]:
+    """Checked sites, firings and the first witness of "convex at z implies
+    subharmonic at z" over every function into ``values``, at the vertex
+    indices ``sites`` (ascending) of g, in the order of
+    :func:`exhaustive_small_graph_sweep`."""
+    total, convex, not_sub = _sweep_masks(g, values, sites)
+    bad = [c & s for c, s in zip(convex, not_sub)]
+    if not any(bad):
+        return total * len(sites), sum(c.bit_count() for c in convex), None
+    b, p = min((_lowest_bit(m), p) for p, m in enumerate(bad) if m)
+    earlier = (1 << b) - 1
+    fired = sum((c & earlier).bit_count() for c in convex)
+    fired += sum(c >> b & 1 for c in convex[: p + 1])
+    witness = _sweep_witness(
+        g, _function_at(values, g.vertex_count, b), sites[p],
+        "convex at z but not subharmonic at z",
+    )
+    return b * len(sites) + p + 1, fired, witness
+
+
+# -- the bit-parallel sweep kernel ---------------------------------------------------
+
+
+def _sweep_masks(g: Graph, values, sites) -> tuple[int, list[int], list[int]]:
+    """Convexity and subharmonicity at each site of g for every function
+    into ``values`` at once, in exact ints (unit weights, plain means).
+
+    Bit b of a mask stands for the b-th tuple of
+    ``itertools.product(values, repeat=n)``, in the vertex order of g;
+    ``values`` keep the caller's order, duplicates included.  Returns the
+    number of functions and, per site, the mask of functions convex there
+    and the mask of functions not subharmonic there.
+    """
+    n, q = g.vertex_count, len(values)
+    total = q**n
+    full = (1 << total) - 1
+    between_pairs, nbrs_at = _prepare_unit(g)
+    xs = sorted(set(values))
+    # at[i][x]: the functions with f(i) = x.  Vertex i is digit i of b in
+    # base q, most significant first, so its pattern is a block of q**(n-1-i)
+    # bits per value index, repeated every q**(n-i) bits.
+    at = []
+    for i in range(n):
+        stride = q ** (n - 1 - i)
+        period: dict[int, int] = {}
+        for v, x in enumerate(values):
+            period[x] = period.get(x, 0) | ((1 << stride) - 1) << v * stride
+        at.append({x: _tile(p, q * stride, total) for x, p in period.items()})
+    rules: dict[tuple, list] = {}
+    convex, not_sub = [], []
+    for k in sites:
+        # broken[a]: functions where some pair (i, j) around k breaks
+        # d_ij f(k) <= d_jk f(i) + d_ik f(j) once f(k) = xs[a]
+        broken = [0] * len(xs)
+        # a pair with k as an end never breaks it, so k is no candidate
+        for i, j, dij, djk, dik in between_pairs(k, [v for v in range(n) if v != k]):
+            rule = rules.get((dij, djk, dik))
+            if rule is None:
+                rule = rules[dij, djk, dik] = _violation_rule(xs, dij, djk, dik)
+            at_i, at_j = at[i], at[j]
+            below = [0]
+            for x in xs:
+                below.append(below[-1] | at_j[x])
+            for a, terms in enumerate(rule):
+                for b, t in terms:
+                    broken[a] |= at_i[xs[b]] & below[t]
+        at_k = at[k]
+        bad = 0
+        for a, x in enumerate(xs):
+            bad |= at_k[x] & broken[a]
+        convex.append(full ^ bad)
+        # sums[s]: functions whose neighbours of k sum to s
+        nlist, deg = nbrs_at[k]
+        sums = {0: full}
+        for i in nlist:
+            nxt: dict[int, int] = {}
+            for s, m in sums.items():
+                for x in xs:
+                    nxt[s + x] = nxt.get(s + x, 0) | m & at[i][x]
+            sums = nxt
+        ordered = sorted(sums)
+        bad = low = t = 0
+        for x in xs:
+            while t < len(ordered) and ordered[t] < deg * x:
+                low |= sums[ordered[t]]
+                t += 1
+            bad |= at_k[x] & low
+        not_sub.append(bad)
+    return total, convex, not_sub
+
+
+def _violation_rule(xs, dij: int, djk: int, dik: int) -> list[list[tuple[int, int]]]:
+    """Per index a of f(k) = xs[a]: the (b, t) such that f(i) = xs[b] and f(j)
+    in xs[:t] break d_ij f(k) <= d_jk f(i) + d_ik f(j); xs ascending."""
+    rule = []
+    for a in xs:
+        terms = []
+        for b, y in enumerate(xs):
+            t = sum(1 for c in xs if dij * a > djk * y + dik * c)
+            if t:
+                terms.append((b, t))
+        rule.append(terms)
+    return rule
+
+
+def _tile(pattern: int, period: int, total: int) -> int:
+    """``pattern``, ``period`` bits long, repeated over ``total`` bits."""
+    while period < total:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << total) - 1)
+
+
+def _lowest_bit(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _function_at(values, n: int, b: int) -> list:
+    """The b-th tuple of ``itertools.product(values, repeat=n)``."""
+    fvals = []
+    for _ in range(n):
+        b, r = divmod(b, len(values))
+        fvals.append(values[r])
+    return fvals[::-1]
 
 
 def _prepare_unit(g: Graph):

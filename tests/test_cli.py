@@ -337,6 +337,8 @@ GOLDEN_INPUTS = {
     "mixed.fn": "0 0\n1 inf\n2 1.5\n",
     "fl.fn": "0 0.5\n1 2.0\n2 inf\n",
     "iso.fn": "0 1\n1 0\n2 1\n9 4\n",
+    "c13.g": "".join(f"e {i} {(i + 1) % 13}\n" for i in range(13)),
+    "c14.g": "".join(f"e {i} {(i + 1) % 14}\n" for i in range(14)),
 }
 
 GOLDEN = [
@@ -362,6 +364,9 @@ GOLDEN = [
      "instance: GroupLattice(l1 lattice r=1.0 window [0,2]x[0,2]), all nonempty F\n"
      "checked: 4599\nhypothesis_fired: 117\nverdict: refuted\n"
      "witness.vertex: (0,0)\nwitness.outside_set: True\n"),
+    (["verify", "lem-deg2", "--graph", "c13.g"], 0,
+     "claim: lem-deg2\ninstance: Graph(vertices=13, edges=13), f in (0, 1, 2)^X\n"
+     "checked: 20726199\nhypothesis_fired: 7204863\nverdict: verified\n"),
     (["search", "cycle", "--sampler", "distance", "--budget", "1"], 1,
      "found: yes\ninstance: cycle(3)\nfunction: d(.,0)\nvertex: 1\n"
      "detail.f_value: 1\ndetail.neighborhood_mean: 0.5\nvalues: 0=0 1=1 2=1\n"
@@ -384,6 +389,14 @@ def test_golden_text_output(argv, code, expected, tmp_path, capsys):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / tok) if tok in GOLDEN_INPUTS else tok for tok in argv]
     assert run(capsys, *argv) == (code, expected)
+
+
+def test_verify_lem_deg2_past_the_sweep_cap_exits_two(tmp_path, capsys):
+    (tmp_path / "c14.g").write_text(GOLDEN_INPUTS["c14.g"])
+    code = main(["verify", "lem-deg2", "--graph", str(tmp_path / "c14.g")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "too large" in captured.err
 
 
 def test_build_parser_adds_only_the_chosen_subcommand():

@@ -228,6 +228,16 @@ def test_degree2_equivalence_frozen_counts():
     assert (r6.verdict, r6.checked, r6.hypothesis_fired) == ("verified", 4374, 1929)
 
 
+def test_degree2_equivalence_counts_up_to_the_sweep_cap():
+    """C_13 is the longest cycle whose 3**n functions fit the sweep cap."""
+    counts = {11: (1_948_617, 702_012), 12: (6_377_292, 2_216_883),
+              13: (20_726_199, 7_204_863)}
+    for n, pinned in counts.items():
+        report = verify_degree2_equivalence(cycle(n))
+        assert report.verdict == "verified"
+        assert (report.checked, report.hypothesis_fired) == pinned
+
+
 def test_degree2_equivalence_validation():
     with pytest.raises(ValueError, match="triangle"):
         verify_degree2_equivalence(cycle(3))
@@ -241,7 +251,7 @@ def test_degree2_equivalence_validation():
     with pytest.raises(ValueError, match="ints"):
         verify_degree2_equivalence(cycle(4), values=(0.5, 1))
     with pytest.raises(ValueError, match="too large"):
-        verify_degree2_equivalence(cycle(13))
+        verify_degree2_equivalence(cycle(14))
 
 
 def test_pointwise_converse_fails_on_six_cycle():
