@@ -53,6 +53,7 @@ from .theorems import (
     FAMILIES,
     PREDICATES,
     SAMPLERS,
+    _convexity_witness,
     _midpoint_witness,
     search_counterexample,
     verify_degree2_equivalence,
@@ -328,14 +329,7 @@ def _check_row(kind, inst, fun, z, weighted, tol, parser) -> dict:
         verdict = is_convex_at(inst.metric, fun, z)
         if verdict:
             return {"vertex": name, "verdict": "ok"}
-        w = verdict.witness
-        return {
-            "vertex": name,
-            "verdict": "violated",
-            "pair": [format_vertex(w.x), format_vertex(w.y)],
-            "lhs": report_value(w.lhs),
-            "rhs": report_value(w.rhs),
-        }
+        return _convexity_witness(verdict.witness, vertex=name, verdict="violated")
     if kind == "midpoint":
         if inst.lattice is None:
             parser.error("midpoint needs a lattice instance")

@@ -72,9 +72,12 @@ class Betweenness:
     def between_pairs(self, k: int, candidates) -> Iterator[tuple]:
         """``(i, j, d_ij, d_kj, d_ik)`` for every i < j from the ascending
         ``candidates`` with k between them and 0 < d_ij < inf, in (i, j)
-        order.  Only the rows of k and of the candidates are filled."""
+        order.  Only the rows of k and of the candidates are filled.  k is
+        no candidate: as d(k, k) = 0, a pair with k as an end meets
+        d_ij f(k) <= d_kj f(i) + d_ik f(j) with equality (+inf too, as
+        0 * inf = 0), so it can never refute convexity at k."""
         rk, tol = self.row(k), self.tol
-        cands = list(candidates)
+        cands = [i for i in candidates if i != k]
         for a, i in enumerate(cands):
             ri = self.row(i)
             dik = ri[k]

@@ -48,14 +48,13 @@ def triangular_tiling(w: int, h: int) -> Graph:
     return _step_grid(w, h, ((1, 0), (0, 1), (1, 1)))
 
 
-def tiling_interior(w: int, h: int) -> frozenset:
-    """Vertices of triangular_tiling(w, h) with a full 6-neighborhood."""
-    return frozenset((i, j) for i in range(1, w - 1) for j in range(1, h - 1))
-
-
 def grid_interior(w: int, h: int) -> frozenset:
-    """Vertices of grid(w, h) with a full 4-neighborhood."""
+    """Vertices of grid(w, h) with a full 4-neighborhood; the same cells
+    have a full 6-neighborhood in triangular_tiling(w, h)."""
     return frozenset((i, j) for i in range(1, w - 1) for j in range(1, h - 1))
+
+
+tiling_interior = grid_interior
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -66,13 +65,13 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(edges, vertices=range(n))
 
 
-def random_connected_graph(n: int, p: float, rng: random.Random, max_tries: int = 1000) -> Graph:
-    """Resample G(n, p) until connected."""
-    for _ in range(max_tries):
+def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
+    """Resample G(n, p) until connected, at most 1000 times."""
+    for _ in range(1000):
         g = random_graph(n, p, rng)
         if g.is_connected:
             return g
-    raise RuntimeError(f"no connected G({n}, {p}) found in {max_tries} tries")
+    raise RuntimeError(f"no connected G({n}, {p}) found in 1000 tries")
 
 
 def _step_grid(w: int, h: int, steps) -> Graph:

@@ -73,6 +73,9 @@ FAMILIES = ("cycle", "path", "grid", "random")
 # The most functions one exact sweep covers, one bit each: 500 KB per mask.
 SWEEP_CAP = 4_000_000
 
+# The most points whose nonempty subsets one subset sweep covers: 4,095 sets.
+SUBSET_CAP = 12
+
 
 @dataclass
 class ClaimReport:
@@ -369,10 +372,12 @@ def verify_dist_to_point_midpoint_convex(
 def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
     """Claim lem-deg2 on a connected 2-regular triangle-free graph.
 
-    For every function into ``values`` this asserts, in exact ints:
-
-    * pointwise, convex at z implies subharmonic at z;
-    * globally, convex everywhere iff subharmonic everywhere.
+    For every function into ``values`` this asserts, in exact ints, that
+    convex at z implies subharmonic at z, so convex everywhere implies
+    subharmonic everywhere.  The reverse holds by the maximum principle: on
+    a connected graph a function subharmonic everywhere is constant, and
+    constants are convex.  The functions subharmonic everywhere still count
+    as firings, so pinned counts guard that set.
 
     The pointwise *converse* is deliberately not asserted: on cycles of
     length >= 6 a function can be subharmonic at a vertex while a longer
@@ -413,40 +418,32 @@ def _degree2_sweep(g: Graph, values) -> ClaimReport:
     in the vertex order of g, and bit b of each mask of
     :func:`_sweep_masks` stands for the b-th of them.  Per function the
     report counts n checked sites, one firing per convex site, and one more
-    when the function is subharmonic everywhere.  The first refutation is
-    the lowest refuting function.  Within it, the first vertex (in vertex
-    order) that is convex but not subharmonic wins; failing that, the
-    function is subharmonic everywhere and the first vertex where it is not
-    convex is the witness.  The counts stop at the refuting function: all
-    n of its sites count as checked, and its firings count only when it
-    refutes the global test.  "Convex everywhere but not subharmonic
-    everywhere" needs no test of its own: it makes some site convex but
-    not subharmonic, which the pointwise test reports first.
+    when the function is subharmonic everywhere.  The one refutation is a
+    site that is convex but not subharmonic: the witness is the lowest such
+    function at its first such vertex, all n of its sites count as checked
+    and none of its firings count.  Neither global direction needs a test
+    of its own.  Convex everywhere but not subharmonic everywhere makes
+    some site convex but not subharmonic.  Subharmonic everywhere makes the
+    function constant by the maximum principle (at a maximum, deg f(z) <=
+    the neighbour sum forces every neighbour to the maximum, and g is
+    connected), and constants are convex everywhere.
     """
     n = g.vertex_count
     total, convex, not_sub = _sweep_masks(g, values, range(n))
-    sub_everywhere = convex_everywhere = (1 << total) - 1
-    pointwise = 0
-    for conv, bad in zip(convex, not_sub):
-        convex_everywhere &= conv
+    sub_everywhere = (1 << total) - 1
+    for bad in not_sub:
         sub_everywhere &= ~bad
-        pointwise |= conv & bad
-    refuting = pointwise | (sub_everywhere & ~convex_everywhere)
-    if not refuting:
+    refutation = _first_refutation(convex, not_sub)
+    if refutation is None:
         fired = sum(c.bit_count() for c in convex) + sub_everywhere.bit_count()
         return ClaimReport.settled(
             "lem-deg2", f"{g!r}, f in {values}^X", total * n, fired
         )
-    b = _lowest_bit(refuting)
-    if pointwise >> b & 1:
-        k = next(k for k in range(n) if (convex[k] & not_sub[k]) >> b & 1)
-        reason, counted = "convex at z but not subharmonic at z", (1 << b) - 1
-    else:
-        k = next(k for k in range(n) if not convex[k] >> b & 1)
-        reason, counted = "subharmonic everywhere but not convex everywhere", (2 << b) - 1
-    fired = sum((c & counted).bit_count() for c in convex)
-    fired += (sub_everywhere & counted).bit_count()
-    witness = _sweep_witness(g, _function_at(values, n, b), k, reason)
+    b, k, fired = refutation
+    fired += (sub_everywhere & ((1 << b) - 1)).bit_count()
+    witness = _sweep_witness(
+        g, _function_at(values, n, b), k, "convex at z but not subharmonic at z"
+    )
     return ClaimReport("lem-deg2", repr(g), (b + 1) * n, fired, "refuted", witness)
 
 
@@ -516,18 +513,31 @@ def _implication_sweep(g: Graph, values, sites) -> tuple[int, int, dict | None]:
     indices ``sites`` (ascending) of g, in the order of
     :func:`exhaustive_small_graph_sweep`."""
     total, convex, not_sub = _sweep_masks(g, values, sites)
-    bad = [c & s for c, s in zip(convex, not_sub)]
-    if not any(bad):
+    refutation = _first_refutation(convex, not_sub)
+    if refutation is None:
         return total * len(sites), sum(c.bit_count() for c in convex), None
-    b, p = min((_lowest_bit(m), p) for p, m in enumerate(bad) if m)
-    earlier = (1 << b) - 1
-    fired = sum((c & earlier).bit_count() for c in convex)
+    b, p, fired = refutation
     fired += sum(c >> b & 1 for c in convex[: p + 1])
     witness = _sweep_witness(
         g, _function_at(values, g.vertex_count, b), sites[p],
         "convex at z but not subharmonic at z",
     )
     return b * len(sites) + p + 1, fired, witness
+
+
+def _first_refutation(convex, not_sub) -> tuple[int, int, int] | None:
+    """The lowest function b convex but not subharmonic at some site, the
+    first such site p, and the firings (convex sites) of the functions
+    before b; None when no function refutes."""
+    firsts = [
+        ((m & -m).bit_length() - 1, p)
+        for p, (c, s) in enumerate(zip(convex, not_sub))
+        if (m := c & s)
+    ]
+    if not firsts:
+        return None
+    b, p = min(firsts)
+    return b, p, sum((c & ((1 << b) - 1)).bit_count() for c in convex)
 
 
 # -- the bit-parallel sweep kernel ---------------------------------------------------
@@ -564,8 +574,7 @@ def _sweep_masks(g: Graph, values, sites) -> tuple[int, list[int], list[int]]:
         # broken[a]: functions where some pair (i, j) around k breaks
         # d_ij f(k) <= d_jk f(i) + d_ik f(j) once f(k) = xs[a]
         broken = [0] * len(xs)
-        # a pair with k as an end never breaks it, so k is no candidate
-        for i, j, dij, djk, dik in between_pairs(k, [v for v in range(n) if v != k]):
+        for i, j, dij, djk, dik in between_pairs(k, range(n)):
             rule = rules.get((dij, djk, dik))
             if rule is None:
                 rule = rules[dij, djk, dik] = _violation_rule(xs, dij, djk, dik)
@@ -623,11 +632,6 @@ def _tile(pattern: int, period: int, total: int) -> int:
     return pattern & ((1 << total) - 1)
 
 
-def _lowest_bit(mask: int) -> int:
-    """The index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
-
-
 def _function_at(values, n: int, b: int) -> list:
     """The b-th tuple of ``itertools.product(values, repeat=n)``."""
     fvals = []
@@ -675,37 +679,39 @@ def sweep_max_affine(
 
 
 def sweep_subsets_dist_convex(
-    instance: Graph | GroupLattice, tol: float = DEFAULT_TOL, max_universe: int = 12
+    instance: Graph | GroupLattice, tol: float = DEFAULT_TOL
 ) -> ClaimReport:
     """thm3 (graph) / prop-dist-cvx (lattice) over every nonempty subset,
     logged at INFO level when done."""
-    universe = instance.window if isinstance(instance, GroupLattice) else instance.vertices
-    claim = "prop-dist-cvx" if isinstance(instance, GroupLattice) else "thm3"
-    start = time.perf_counter()
-    m = instance.metric(tol)
-    reports = [
-        _dist_convex_report(instance, m, subset, None)
-        for subset in _nonempty_subsets(universe, max_universe)
-    ]
-    report = aggregate_reports(claim, f"{instance!r}, all nonempty F", reports)
-    _log_sweep(report, start)
-    return report
+    if isinstance(instance, GroupLattice):
+        return _sweep_subsets("prop-dist-cvx", instance, instance.window, _dist_convex_report, tol)
+    return _sweep_subsets("thm3", instance, instance.vertices, _dist_convex_report, tol)
 
 
-def sweep_subsets_nn(
-    lat: GroupLattice, tol: float = DEFAULT_TOL, max_universe: int = 12
-) -> ClaimReport:
+def sweep_subsets_nn(lat: GroupLattice, tol: float = DEFAULT_TOL) -> ClaimReport:
     """prop-nn over every nonempty subset of the window, logged at INFO
     level when done."""
+    return _sweep_subsets("prop-nn", lat, lat.window, _nn_report, tol)
+
+
+def _sweep_subsets(claim: str, instance, universe, report, tol: float) -> ClaimReport:
+    """``report(instance, m, F, None)`` on one metric m of ``instance`` for
+    every nonempty subset F of ``universe``, in mask order, folded into one
+    report and logged at INFO level; at most ``SUBSET_CAP`` points."""
     start = time.perf_counter()
-    m = lat.metric(tol)
-    reports = [
-        _nn_report(lat, m, subset, None)
-        for subset in _nonempty_subsets(lat.window, max_universe)
-    ]
-    report = aggregate_reports("prop-nn", f"{lat!r}, all nonempty F", reports)
-    _log_sweep(report, start)
-    return report
+    m = instance.metric(tol)
+    items = tuple(universe)
+    if len(items) > SUBSET_CAP:
+        raise ValueError(
+            f"subset sweep over {len(items)} vertices is too large (limit {SUBSET_CAP})"
+        )
+    reports = (
+        report(instance, m, frozenset(v for i, v in enumerate(items) if mask >> i & 1), None)
+        for mask in range(1, 1 << len(items))
+    )
+    result = aggregate_reports(claim, f"{instance!r}, all nonempty F", reports)
+    _log_sweep(result, start)
+    return result
 
 
 def _logger():
@@ -726,27 +732,16 @@ def _log_sweep(report: ClaimReport, start: float) -> None:
     )
 
 
-def _nonempty_subsets(universe, max_universe: int) -> Iterator[frozenset]:
-    items = tuple(universe)
-    if len(items) > max_universe:
-        raise ValueError(
-            f"subset sweep over {len(items)} vertices is too large "
-            f"(limit {max_universe})"
-        )
-    for mask in range(1, 1 << len(items)):
-        yield frozenset(v for i, v in enumerate(items) if mask >> i & 1)
-
-
 # -- function samplers -----------------------------------------------------------
 
 
 def integer_function_samples(
-    vertices, rng: random.Random, count: int = 20, lo: int = -3, hi: int = 3
+    vertices, rng: random.Random, count: int = 20
 ) -> Iterator[tuple[str, dict]]:
-    """Uniform random integer functions into [lo, hi]."""
+    """Uniform random integer functions into [-3, 3]."""
     vs = tuple(vertices)
     for k in range(count):
-        yield f"random-int#{k}", {v: rng.randint(lo, hi) for v in vs}
+        yield f"random-int#{k}", {v: rng.randint(-3, 3) for v in vs}
 
 
 def indicator_samples(
@@ -760,22 +755,16 @@ def indicator_samples(
         yield f"indicator#{k}", indicator(subset, vs)
 
 
-def max_affine_samples(
-    spec,
-    rng: random.Random,
-    count: int = 200,
-    max_terms: int = 4,
-    coeff_bound: int = 2,
-    offset_bound: int = 3,
-) -> Iterator[tuple[str, dict]]:
-    """Maxima of up to ``max_terms`` integer affine forms <c, v> + b on a
-    lattice window: midpoint convex by construction, in exact ints."""
+def max_affine_samples(spec, rng: random.Random, count: int = 200) -> Iterator[tuple[str, dict]]:
+    """Maxima of one to four integer affine forms <c, v> + b on a lattice
+    window, with each c_i in [-2, 2] and b in [-3, 3]: midpoint convex by
+    construction, in exact ints."""
     pts = tuple(spec.points())
     for k in range(count):
         terms = []
-        for _ in range(rng.randint(1, max_terms)):
-            c = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(spec.dimension))
-            b = rng.randint(-offset_bound, offset_bound)
+        for _ in range(rng.randint(1, 4)):
+            c = tuple(rng.randint(-2, 2) for _ in range(spec.dimension))
+            b = rng.randint(-3, 3)
             terms.append((c, b))
         fun = {
             v: max(sum(ci * vi for ci, vi in zip(c, v)) + b for c, b in terms)
@@ -859,12 +848,7 @@ def _evaluate_predicate(predicate, g, m, fun, z, tol) -> dict | None:
     verdict = is_convex_at(m, fun, z)
     if verdict:
         return None
-    w = verdict.witness
-    detail = {
-        "pair": [format_vertex(w.x), format_vertex(w.y)],
-        "lhs": report_value(w.lhs),
-        "rhs": report_value(w.rhs),
-    }
+    detail = _convexity_witness(verdict.witness)
     if g.degree(z) > 0:
         detail["subharmonic"] = bool(is_subharmonic_at(g, fun, z, tol=tol))
     return detail
@@ -878,8 +862,7 @@ def _family_instances(family: str, seed: int, params) -> Iterator[tuple[str, Gra
         sizes = params.get("sizes") or itertools.count(2)
         return ((f"path({n})", generators.path(n)) for n in sizes)
     if family == "grid":
-        dims = params.get("dims") or _grid_dims()
-        return ((f"grid({w}x{h})", generators.grid(w, h)) for w, h in dims)
+        return ((f"grid({w}x{h})", generators.grid(w, h)) for w, h in _grid_dims())
     if family == "random":
         return _random_instances(seed, params)
     raise ValueError(f"unknown family {family!r}")
@@ -923,6 +906,16 @@ def _mean_witness(cmp, **lead) -> dict:
         **lead,
         "f_value": report_value(cmp.f_value),
         "neighborhood_mean": report_value(cmp.neighborhood_mean),
+    }
+
+
+def _convexity_witness(w, **lead) -> dict:
+    """``lead``, then the pair and both sides of a failed two-point inequality."""
+    return {
+        **lead,
+        "pair": [format_vertex(w.x), format_vertex(w.y)],
+        "lhs": report_value(w.lhs),
+        "rhs": report_value(w.rhs),
     }
 
 

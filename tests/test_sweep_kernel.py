@@ -10,13 +10,14 @@ import itertools
 
 import pytest
 
-from graphconvex import cycle, pairing_hypothesis, path, triangle_free_hypothesis
+from graphconvex import cycle, grid, pairing_hypothesis, path, triangle_free_hypothesis
 from graphconvex.enumeration import connected_unit_graphs
 from graphconvex.theorems import (
     ClaimReport,
     _degree2_sweep,
     _implication_sweep,
     _prepare_unit,
+    _sweep_masks,
     _sweep_witness,
 )
 
@@ -133,3 +134,31 @@ def test_kernel_refutation_counts_on_an_edge():
 def test_kernel_matches_the_loops_on_cycles_six_and_seven():
     for n in (6, 7):
         assert _degree2_sweep(cycle(n), (0, 1, 2)) == degree2_oracle(cycle(n), (0, 1, 2))
+
+
+@pytest.mark.parametrize("values", VALUES, ids=repr)
+def test_subharmonic_everywhere_is_exactly_the_constants(values):
+    # the premises of the one refutation lem-deg2 keeps: by the maximum
+    # principle a function subharmonic at every vertex of a connected graph
+    # is constant, and constants are convex everywhere
+    for g in GRAPHS:
+        n = g.vertex_count
+        total, convex, not_sub = _sweep_masks(g, values, range(n))
+        sub_everywhere = (1 << total) - 1
+        for bad in not_sub:
+            sub_everywhere &= ~bad
+        constants = 0
+        for b, fvals in enumerate(itertools.product(values, repeat=n)):
+            if len(set(fvals)) == 1:
+                constants |= 1 << b
+        assert sub_everywhere == constants, g
+        assert all(c & constants == constants for c in convex), g
+
+
+def test_between_pairs_never_has_the_middle_as_an_end():
+    for g in [*GRAPHS, cycle(6), grid(3, 4)]:
+        between_pairs, _ = _prepare_unit(g)
+        n = g.vertex_count
+        for k in range(n):
+            pairs = list(between_pairs(k, range(n)))
+            assert all(k not in (i, j) for i, j, *_ in pairs), (g, k)

@@ -17,6 +17,7 @@ from graphconvex import (
     distance_function,
     exhaustive_small_graph_sweep,
     grid,
+    grid_interior,
     indicator_samples,
     integer_function_samples,
     is_convex_at,
@@ -26,6 +27,7 @@ from graphconvex import (
     max_affine_samples,
     pairing_hypothesis,
     path,
+    random_connected_graph,
     search_counterexample,
     sweep_max_affine,
     sweep_subsets_dist_convex,
@@ -39,6 +41,7 @@ from graphconvex import (
     verify_nn_implies_dist_midpoint_convex,
     verify_pointwise_implication,
 )
+from graphconvex.theorems import _family_instances
 
 
 def lattice_1d(lo=-3, hi=3):
@@ -400,6 +403,19 @@ def test_suite_sweeps():
         sweep_subsets_dist_convex(grid(4, 4))
 
 
+def test_subset_sweeps_cover_twelve_points_and_refuse_thirteen():
+    # checked counts sites per subset: every vertex of path(12) for thm3,
+    # the 10 interior points of the window 0:11 for prop-nn
+    for sweep, instance, sites, bigger in (
+        (sweep_subsets_dist_convex, path(12), 12, path(13)),
+        (sweep_subsets_nn, lattice_1d(0, 11), 10, lattice_1d(0, 12)),
+    ):
+        report = sweep(instance)
+        assert (report.verdict, report.checked) == ("verified", 4095 * sites)
+        with pytest.raises(ValueError, match=r"over 13 vertices is too large \(limit 12\)"):
+            sweep(bigger)
+
+
 def test_subset_sweeps_match_the_per_subset_verifiers():
     """A sweep shares one metric across subsets; its report must equal the
     fold of the public verifier called once per subset."""
@@ -454,6 +470,38 @@ def test_samplers_are_deterministic():
     ia = list(indicator_samples(vs, random.Random("k"), count=4))
     ib = list(indicator_samples(vs, random.Random("k"), count=4))
     assert ia == ib
+
+
+def test_sampler_and_generator_constants_are_pinned():
+    # the value ranges, term counts, coefficient and offset bounds, retry
+    # budget and grid order are fixed constants; these draws pin them
+    spec = LatticeSpec(2, "l1", 1, ((-1, 1), (-1, 1)))
+    pts = list(spec.points())
+    assert [
+        [f[v] for v in pts] for _, f in max_affine_samples(spec, random.Random("ma"), count=4)
+    ] == [
+        [2, 4, 6, 1, 3, 5, 0, 2, 4],
+        [7, 5, 3, 5, 3, 1, 3, 1, -1],
+        [7, 5, 3, 5, 3, 1, 3, 1, -1],
+        [-3, -4, -5, -1, -2, -3, 1, 0, -1],
+    ]
+    assert [
+        [f[v] for v in range(6)]
+        for _, f in integer_function_samples(range(6), random.Random("k"), count=3)
+    ] == [[-3, 3, 0, -2, 1, 2], [2, -3, 0, 1, -2, 3], [-3, 0, -2, 3, -1, 1]]
+    g = random_connected_graph(8, 0.3, random.Random("k"))
+    assert sorted(g.edges()) == [
+        (0, 1, 1), (1, 7, 1), (2, 6, 1), (2, 7, 1), (3, 4, 1),
+        (3, 6, 1), (3, 7, 1), (4, 5, 1), (4, 6, 1),
+    ]
+    with pytest.raises(RuntimeError, match=r"no connected G\(2, 0.0\) found in 1000 tries"):
+        random_connected_graph(2, 0.0, random.Random("k"))
+    grids = itertools.islice(_family_instances("grid", 0, {}), 6)
+    assert [label for label, _ in grids] == [
+        "grid(2x2)", "grid(2x3)", "grid(2x4)", "grid(3x3)", "grid(2x5)", "grid(2x6)",
+    ]
+    inner = {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)}
+    assert grid_interior(4, 5) == tiling_interior(4, 5) == inner
 
 
 def test_max_affine_samples_are_midpoint_convex():
