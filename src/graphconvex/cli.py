@@ -286,6 +286,8 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
     inst = _load_instance(args, parser)
     rows: list[dict] = []
     weighted = bool(args.weighted)
+    if kind in ("midpoint", "nn-property") and inst.lattice is None:
+        parser.error(f"{kind} needs a lattice instance")
     if kind == "set-convex":
         members = parse_vertex_set(_read_text(_need(args, parser, "set")), inst.universe)
         missing = betweenness_closure(inst.metric, members) - frozenset(members)
@@ -294,8 +296,6 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
             row["missing"] = [format_vertex(v) for v in sort_vertices(missing)]
         rows.append(row)
     elif kind == "nn-property":
-        if inst.lattice is None:
-            parser.error("nn-property needs a lattice instance")
         members = parse_vertex_set(_read_text(_need(args, parser, "set")), inst.universe)
         verdict = has_nearest_neighbor_property(inst.lattice, members, tol=tol)
         row = {"vertex": None, "verdict": "ok" if verdict else "violated"}
@@ -307,7 +307,7 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
     else:
         fun = parse_vertex_function(_read_text(_need(args, parser, "fn")), inst.universe)
         for z in inst.domain:
-            rows.append(_check_row(kind, inst, fun, z, weighted, tol, parser))
+            rows.append(_check_row(kind, inst, fun, z, weighted, tol))
     ok_all = all(r["verdict"] != "violated" for r in rows)
     payload = {
         "report": "check",
@@ -321,7 +321,7 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
     return payload, 0 if ok_all else 1
 
 
-def _check_row(kind, inst, fun, z, weighted, tol, parser) -> dict:
+def _check_row(kind, inst, fun, z, weighted, tol) -> dict:
     name = format_vertex(z)
     if z not in fun:
         return {"vertex": name, "verdict": "skipped", "reason": "no value"}
@@ -331,8 +331,6 @@ def _check_row(kind, inst, fun, z, weighted, tol, parser) -> dict:
             return {"vertex": name, "verdict": "ok"}
         return _convexity_witness(verdict.witness, vertex=name, verdict="violated")
     if kind == "midpoint":
-        if inst.lattice is None:
-            parser.error("midpoint needs a lattice instance")
         verdict = is_midpoint_convex_at(inst.lattice, fun, z, tol=tol)
         if verdict:
             return {"vertex": name, "verdict": "ok"}
@@ -396,9 +394,6 @@ def _cmd_verify(args, parser) -> tuple[dict, int]:
 
 
 def _cmd_search(args, parser) -> tuple[dict, int]:
-    params = {"count": args.count, "p": args.p}
-    if args.n:
-        params["n"] = args.n
     witness = search_counterexample(
         args.family,
         args.sampler,
@@ -406,7 +401,9 @@ def _cmd_search(args, parser) -> tuple[dict, int]:
         predicate=args.predicate,
         seed=args.seed,
         tol=args.tolerance,
-        **params,
+        count=args.count,
+        p=args.p,
+        n=args.n,
     )
     payload = {
         "report": "search",

@@ -98,9 +98,8 @@ def betweenness(m: Metric) -> Betweenness:
 
 def is_between(m: Metric, x, z, y) -> bool:
     """True iff d(x, y) = d(x, z) + d(z, y) with d(x, y) finite."""
-    _require_members(m, (x, z, y))
     e = betweenness(m)
-    ix, iz, iy = e.index[x], e.index[z], e.index[y]
+    ix, iz, iy = _indices(e, (x, z, y))
     rx, ry = e.row(ix), e.row(iy)
     return rx[iy] < INF and approx_eq(rx[iy], rx[iz] + ry[iz], m.tol)
 
@@ -108,9 +107,8 @@ def is_between(m: Metric, x, z, y) -> bool:
 def betweenness_closure(m: Metric, members) -> frozenset:
     """One closure step: members plus every vertex between two members."""
     a = frozenset(members)
-    _require_members(m, a)
     e = betweenness(m)
-    rows = [(i, e.row(i)) for i in sorted(e.index[v] for v in a)]
+    rows = [(i, e.row(i)) for i in sorted(_indices(e, a))]
     tol = m.tol
     pairs = [(rx, rx[j], ry) for (_, rx), (j, ry) in combinations(rows, 2) if rx[j] != INF]
     return a.union(
@@ -122,7 +120,6 @@ def betweenness_closure(m: Metric, members) -> frozenset:
 def convex_hull(m: Metric, members) -> frozenset:
     """Least convex superset: iterate the closure to its fixed point."""
     current = frozenset(members)
-    _require_members(m, current)
     for _ in range(len(m.vertices) + 1):
         nxt = betweenness_closure(m, current)
         if nxt == current:
@@ -215,11 +212,11 @@ def brute_force_convex_hull(m: Metric, members) -> frozenset:
     n = len(m.vertices)
     if n > 14:
         raise ValueError(f"brute-force hull is limited to 14 vertices, got {n}")
-    a = frozenset(members)
-    _require_members(m, a)
     index, convex_masks = _hull_tables(m)
     amask = 0
-    for v in a:
+    for v in frozenset(members):
+        if v not in index:
+            raise UnknownVertexError(v)
         amask |= 1 << index[v]
     result = (1 << n) - 1
     for bmask in convex_masks:
@@ -259,10 +256,3 @@ def _hull_tables(m: Metric):
         if closed == mask:
             convex_masks.append(mask)
     return index, tuple(convex_masks)
-
-
-def _require_members(m: Metric, members) -> None:
-    known = set(m.vertices)
-    for v in members:
-        if v not in known:
-            raise UnknownVertexError(v)

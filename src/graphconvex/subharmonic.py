@@ -49,7 +49,10 @@ class MeanComparison:
 def compare_to_neighborhood_mean(
     g: Graph, f: Mapping, x, weighted: bool = False, tol: float = DEFAULT_TOL
 ) -> MeanComparison:
-    """Build the MeanComparison at x; raises on vertices of degree zero."""
+    """Build the MeanComparison at x; raises on vertices of degree zero.
+
+    Also named :func:`is_subharmonic_at`: the comparison is truthy iff
+    f(x) <= the neighborhood mean."""
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"degree zero at vertex {x!r}: no neighborhood mean")
@@ -71,6 +74,9 @@ def compare_to_neighborhood_mean(
     return MeanComparison(x, fx, mean, total, verdict)
 
 
+is_subharmonic_at = compare_to_neighborhood_mean
+
+
 def laplacian(g: Graph, f: Mapping, x):
     """sum over y~x of e(x, y) * (f(y) - f(x)); +inf if any value involved
     is +inf.  Nonnegative exactly when f is weighted-subharmonic at x."""
@@ -82,13 +88,6 @@ def laplacian(g: Graph, f: Mapping, x):
     if math.isinf(fx) or any(math.isinf(v) for v in values):
         return INF
     return sum(w * (v - fx) for (_, w), v in zip(nbrs.items(), values))
-
-
-def is_subharmonic_at(
-    g: Graph, f: Mapping, x, weighted: bool = False, tol: float = DEFAULT_TOL
-) -> MeanComparison:
-    """Truthy iff f(x) <= neighborhood mean; carries the full comparison."""
-    return compare_to_neighborhood_mean(g, f, x, weighted=weighted, tol=tol)
 
 
 def is_harmonic_at(

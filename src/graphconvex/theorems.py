@@ -34,6 +34,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import generators
@@ -190,57 +191,42 @@ def verify_pointwise_implication(
 
     ``hypothesis`` is ``"triangle_free"`` or ``"pairing"`` on a unit-weight
     graph (plain means, claim thm1/thm2), or ``"midpoint"`` on a lattice
-    (weighted means at interior vertices, claim thm4-cvx-sub).
+    (weighted means at interior vertices, claim thm4-cvx-sub).  The witness
+    of a refutation names the first failing site, and on a lattice also
+    the total edge weight of its mean.
     """
     if hypothesis in ("triangle_free", "pairing"):
         if not isinstance(instance, Graph):
             raise ValueError(f"hypothesis {hypothesis!r} needs a Graph instance")
-        return _verify_on_graph(instance, f, hypothesis, tol, label)
-    if hypothesis == "midpoint":
+        if not instance.is_unit_weight:
+            raise ValueError("structural hypotheses assume unit edge weights")
+        claim, hyp = _graph_hypothesis(hypothesis)
+        g, weighted = instance, False
+        sites = [z for z in g.vertices if hyp(g, z)]
+        convex_at = partial(is_convex_at, g.metric(tol), f)
+    elif hypothesis == "midpoint":
         if not isinstance(instance, GroupLattice):
             raise ValueError("hypothesis 'midpoint' needs a GroupLattice instance")
-        return _verify_on_lattice(instance, f, tol, label)
-    raise ValueError(f"unknown hypothesis {hypothesis!r}")
-
-
-def _verify_on_graph(g: Graph, f, hypothesis, tol, label) -> ClaimReport:
-    if not g.is_unit_weight:
-        raise ValueError("structural hypotheses assume unit edge weights")
-    claim, hyp = _graph_hypothesis(hypothesis)
-    instance = label or repr(g)
-    m = g.metric(tol)
-    checked = fired = 0
-    for z in g.vertices:
-        if not hyp(g, z):
-            continue
-        checked += 1
-        if not is_convex_at(m, f, z):
+        claim, g, weighted = "thm4-cvx-sub", instance.graph, True
+        # radius below 1: no neighbors, no mean to compare
+        sites = [x for x in sorted(instance.interior) if g.degree(x)]
+        convex_at = partial(is_midpoint_convex_at, instance, f, tol=tol)
+    else:
+        raise ValueError(f"unknown hypothesis {hypothesis!r}")
+    name = label or repr(instance)
+    fired = 0
+    for checked, z in enumerate(sites, 1):
+        if not convex_at(z):
             continue
         fired += 1
-        cmp = is_subharmonic_at(g, f, z, weighted=False, tol=tol)
+        cmp = is_subharmonic_at(g, f, z, weighted=weighted, tol=tol)
         if not cmp:
-            witness = _mean_witness(cmp, vertex=format_vertex(z))
-            return ClaimReport(claim, instance, checked, fired, "refuted", witness)
-    return ClaimReport.settled(claim, instance, checked, fired)
-
-
-def _verify_on_lattice(lat: GroupLattice, f, tol, label) -> ClaimReport:
-    instance = label or repr(lat)
-    checked = fired = 0
-    for x in sorted(lat.interior):
-        if lat.graph.degree(x) == 0:
-            continue  # radius below 1: no neighbors, no mean to compare
-        checked += 1
-        if not is_midpoint_convex_at(lat, f, x, tol=tol):
-            continue
-        fired += 1
-        cmp = is_subharmonic_at(lat.graph, f, x, weighted=True, tol=tol)
-        if not cmp:
-            witness = _mean_witness(
-                cmp, vertex=format_vertex(x), total_weight=report_value(cmp.total_weight)
-            )
-            return ClaimReport("thm4-cvx-sub", instance, checked, fired, "refuted", witness)
-    return ClaimReport.settled("thm4-cvx-sub", instance, checked, fired)
+            lead = {"vertex": format_vertex(z)}
+            if weighted:
+                lead["total_weight"] = report_value(cmp.total_weight)
+            witness = _mean_witness(cmp, **lead)
+            return ClaimReport(claim, name, checked, fired, "refuted", witness)
+    return ClaimReport.settled(claim, name, len(sites), fired)
 
 
 # -- distance-function claims --------------------------------------------------
@@ -293,12 +279,11 @@ def verify_nn_implies_dist_midpoint_convex(
     lat: GroupLattice,
     members,
     tol: float = DEFAULT_TOL,
-    label: str | None = None,
 ) -> ClaimReport:
     """Claim prop-nn: a convex set with the nearest-neighbor property has a
     midpoint-convex (hence weighted-subharmonic) distance function at every
     interior vertex."""
-    return _nn_report(lat, lat.metric(tol), members, label)
+    return _nn_report(lat, lat.metric(tol), members, None)
 
 
 def _nn_report(lat: GroupLattice, m: Metric, members, label: str | None) -> ClaimReport:
@@ -805,10 +790,19 @@ def search_counterexample(
     predicate: str = "convex-not-subharmonic",
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    **params,
+    *,
+    sizes: Iterable[int] | None = None,
+    p: float = 0.5,
+    n: int | None = None,
+    count: int = 20,
 ) -> SearchWitness | None:
     """Scan ``budget`` instances of a graph family, sampling functions on
     each, for the first vertex where the predicate trips.
+
+    ``sizes`` lists the cycle or path lengths (default 3, 4, ... or 2, 3,
+    ...); the random family draws G(n, p) with n cycling through 4..8
+    unless ``n`` is given.  ``count`` functions are sampled per instance by
+    the ``random-int`` and ``indicator`` samplers.
 
     Predicates:
 
@@ -823,11 +817,11 @@ def search_counterexample(
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    instances = _family_instances(family, seed, params)
+    instances = _family_instances(family, seed, sizes, p, n)
     for idx, (label, g) in enumerate(itertools.islice(instances, budget)):
         m = g.metric(tol)
         rng_key = f"search:{seed}:{idx}"
-        for flabel, fun in _sampler_functions(sampler, g, m, rng_key, params):
+        for flabel, fun in _sampler_functions(sampler, g, m, rng_key, count):
             for z in g.vertices:
                 hit = _evaluate_predicate(predicate, g, m, fun, z, tol)
                 if hit is not None:
@@ -854,27 +848,21 @@ def _evaluate_predicate(predicate, g, m, fun, z, tol) -> dict | None:
     return detail
 
 
-def _family_instances(family: str, seed: int, params) -> Iterator[tuple[str, Graph]]:
+def _family_instances(family: str, seed: int, sizes, p, n) -> Iterator[tuple[str, Graph]]:
     if family == "cycle":
-        sizes = params.get("sizes") or itertools.count(3)
-        return ((f"cycle({n})", generators.cycle(n)) for n in sizes)
+        return ((f"cycle({k})", generators.cycle(k)) for k in sizes or itertools.count(3))
     if family == "path":
-        sizes = params.get("sizes") or itertools.count(2)
-        return ((f"path({n})", generators.path(n)) for n in sizes)
+        return ((f"path({k})", generators.path(k)) for k in sizes or itertools.count(2))
     if family == "grid":
         return ((f"grid({w}x{h})", generators.grid(w, h)) for w, h in _grid_dims())
     if family == "random":
-        return _random_instances(seed, params)
+        ns = (n or 4 + idx % 5 for idx in itertools.count())
+        return (
+            (f"random(n={k},p={p})#{idx}",
+             generators.random_graph(k, p, random.Random(f"family:{seed}:{idx}")))
+            for idx, k in enumerate(ns)
+        )
     raise ValueError(f"unknown family {family!r}")
-
-
-def _random_instances(seed: int, params) -> Iterator[tuple[str, Graph]]:
-    p = params.get("p", 0.5)
-    fixed_n = params.get("n")
-    for idx in itertools.count():
-        n = fixed_n if fixed_n else 4 + idx % 5
-        rng = random.Random(f"family:{seed}:{idx}")
-        yield f"random(n={n},p={p})#{idx}", generators.random_graph(n, p, rng)
 
 
 def _grid_dims() -> Iterator[tuple[int, int]]:
@@ -884,8 +872,7 @@ def _grid_dims() -> Iterator[tuple[int, int]]:
                 yield (w, area // w)
 
 
-def _sampler_functions(sampler, g, m, rng_key, params) -> Iterator[tuple[str, dict]]:
-    count = params.get("count", 20)
+def _sampler_functions(sampler, g, m, rng_key, count: int) -> Iterator[tuple[str, dict]]:
     if sampler == "distance":
         return ((f"d(.,{format_vertex(a)})", distance_function(m, a)) for a in m.vertices)
     if sampler == "random-int":

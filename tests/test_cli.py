@@ -212,6 +212,17 @@ def test_check_midpoint_and_nn_on_lattice(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("values", ["", "0 1\n"])
+def test_check_midpoint_on_a_graph_exits_two(values, square_file, tmp_path, capsys):
+    # an empty function skips every row, which must not turn the misuse into a pass
+    fn = tmp_path / "f.fn"
+    fn.write_text(values)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "midpoint", "--graph", square_file, "--fn", str(fn)])
+    assert exc.value.code == 2
+    assert "midpoint needs a lattice instance" in capsys.readouterr().err
+
+
 def test_check_interior_only_restricts_rows(tmp_path, capsys):
     fn = tmp_path / "sq.fn"
     fn.write_text("".join(f"({v}) {v * v}\n" for v in range(-2, 3)))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -5,7 +6,7 @@ import random
 
 import pytest
 
-from graphconvex import convexity
+from graphconvex import convexity, theorems
 from graphconvex import (
     ClaimReport,
     Graph,
@@ -118,6 +119,46 @@ def test_verifier_rejects_bad_instances():
         verify_pointwise_implication(cycle(4), {}, "midpoint")
     with pytest.raises(ValueError, match="hypothesis"):
         verify_pointwise_implication(cycle(4), {}, "nope")
+
+
+def test_refuted_pointwise_reports_are_pinned(monkeypatch, lettered_square):
+    # The claims hold, so the refuted report is reached by making the mean
+    # comparison fail at one chosen vertex.
+    real = theorems.is_subharmonic_at
+
+    def fail_at(bad):
+        def fake(g, f, x, **kw):
+            cmp = real(g, f, x, **kw)
+            return dataclasses.replace(cmp, verdict="neither") if x == bad else cmp
+
+        return fake
+
+    monkeypatch.setattr(theorems, "is_subharmonic_at", fail_at("z"))
+    f = distance_function(lettered_square.metric(), "a")
+    report = verify_pointwise_implication(lettered_square, f, "triangle_free").as_dict()
+    assert report == {
+        "claim": "thm1",
+        "instance": "Graph(vertices=4, edges=4)",
+        "checked": 4,
+        "hypothesis_fired": 3,  # a, x and z; d(., a) is not convex at y
+        "verdict": "refuted",
+        "witness": {"vertex": "z", "f_value": 1, "neighborhood_mean": 1},
+    }
+    assert list(report["witness"]) == ["vertex", "f_value", "neighborhood_mean"]
+
+    monkeypatch.setattr(theorems, "is_subharmonic_at", fail_at((0,)))
+    lat = lattice_1d()
+    report = verify_pointwise_implication(lat, {v: 2 * v[0] + 1 for v in lat.window}, "midpoint")
+    report = report.as_dict()
+    assert report == {
+        "claim": "thm4-cvx-sub",
+        "instance": "GroupLattice(l1 lattice r=1 window [-3,3])",
+        "checked": 3,  # the interior vertices -2, -1 and 0
+        "hypothesis_fired": 3,
+        "verdict": "refuted",
+        "witness": {"vertex": "(0)", "total_weight": 2, "f_value": 1, "neighborhood_mean": 1},
+    }
+    assert list(report["witness"]) == ["vertex", "total_weight", "f_value", "neighborhood_mean"]
 
 
 def test_midpoint_verifier_on_affine_function():
@@ -496,7 +537,7 @@ def test_sampler_and_generator_constants_are_pinned():
     ]
     with pytest.raises(RuntimeError, match=r"no connected G\(2, 0.0\) found in 1000 tries"):
         random_connected_graph(2, 0.0, random.Random("k"))
-    grids = itertools.islice(_family_instances("grid", 0, {}), 6)
+    grids = itertools.islice(_family_instances("grid", 0, None, 0.5, None), 6)
     assert [label for label, _ in grids] == [
         "grid(2x2)", "grid(2x3)", "grid(2x4)", "grid(3x3)", "grid(2x5)", "grid(2x6)",
     ]
@@ -560,3 +601,10 @@ def test_search_rejects_unknown_names():
         search_counterexample("nope", "distance", budget=1)
     with pytest.raises(ValueError, match="sampler"):
         search_counterexample("cycle", "nope", budget=1)
+
+
+def test_search_rejects_unknown_keywords():
+    with pytest.raises(TypeError, match="foo"):
+        search_counterexample(
+            "grid", "distance", budget=1, predicate="distance-fn-not-convex", foo=1
+        )
