@@ -19,9 +19,11 @@ denominators cleared, so unit-weight graphs are checked in exact ints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, repeat
+from operator import or_
 from typing import Any, Iterator, Mapping
 
 from .extreal import INF, approx_eq, approx_le, check_values, exact_div, scaled
@@ -54,20 +56,73 @@ class Betweenness:
     """Index-based distance rows of one metric and the betweenness relation.
 
     Row i is ``[d(v_i, v) for v in m.vertices]``, filled the first time it
-    is read.  Distances are compared with ``approx_eq(., ., m.tol)``, which
-    is exact unless a float is involved.
+    is read: from one ``m.distances_from(v_i)`` mapping when the metric has
+    one (missing = +inf), else by calling ``m.dist`` per entry.  Distances
+    are compared with ``approx_eq(., ., m.tol)``, which is exact unless a
+    float is involved.  On rows of plain ints the engine also keeps each
+    vertex's distance shells, ``{r: bitmask of the vertices at distance r}``,
+    built on first use and kept as long as the row.
     """
 
     def __init__(self, m: Metric):
         self.vertices, self.dist, self.tol = m.vertices, m.dist, m.tol
+        self.distances_from = m.distances_from
         self.index = {v: i for i, v in enumerate(m.vertices)}
         self.rows: list = [None] * len(m.vertices)
+        self._shells: dict = {}
+        self._bases: dict = {}
 
     def row(self, i: int) -> list:
         r = self.rows[i]
         if r is None:
-            r = self.rows[i] = [self.dist(self.vertices[i], v) for v in self.vertices]
+            v, verts = self.vertices[i], self.vertices
+            if self.distances_from is None:
+                r = [self.dist(v, u) for u in verts]
+            else:
+                r = list(map(self.distances_from(v).get, verts, repeat(INF)))
+            self.rows[i] = r
         return r
+
+    def shells(self, i: int) -> dict | None:
+        """``{r: bitmask of the j with d(v_i, v_j) = r}`` over the finite
+        entries of row i, or None when one of them is not a plain int."""
+        try:
+            return self._shells[i]
+        except KeyError:
+            pass
+        shells: dict | None = {}
+        for j, d in enumerate(self.row(i)):
+            if type(d) is int:
+                shells[d] = shells.get(d, 0) | 1 << j
+            elif d != INF:
+                shells = None
+                break
+        self._shells[i] = shells
+        return shells
+
+    def int_basis(self, k: int, dom: list) -> tuple | None:
+        """``(cands, dists, scales)`` for the i != k of the ascending ``dom``
+        with d(v_k, v_i) finite: those i, their distances from v_k and
+        lcm(dists) // dist.  None unless every i != k in ``dom`` has
+        d(v_i, v_k) = d(v_k, v_i), the rows of k and of the candidates
+        hold only plain ints and +inf, and every candidate distance is
+        positive.  Kept at k for the last ``dom`` asked."""
+        key = tuple(dom)
+        last = self._bases.get(k)
+        if last is not None and last[0] == key:
+            return last[1]
+        rk, basis = self.row(k), None
+        others = [i for i in dom if i != k]
+        if self.shells(k) is not None and [self.row(i)[k] for i in others] == [
+            rk[i] for i in others
+        ]:
+            cands = [i for i in others if rk[i] != INF]
+            dists = [rk[i] for i in cands]
+            if not cands or (min(dists) > 0 and None not in map(self.shells, cands)):
+                scale = math.lcm(*dists)
+                basis = cands, dists, [scale // d for d in dists]
+        self._bases[k] = key, basis
+        return basis
 
     def between_pairs(self, k: int, candidates) -> Iterator[tuple]:
         """``(i, j, d_ij, d_kj, d_ik)`` for every i < j from the ascending
@@ -138,7 +193,10 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
 
     Pairs are scanned in the metric's vertex order, so a failure reports
     the first violating pair.  Vertices without a value are skipped; if z
-    itself has none there is nothing to check and the verdict is ok.
+    itself has none there is nothing to check and the verdict is ok.  When
+    every value is a plain int and the distances allow it
+    (:meth:`Betweenness.int_basis`), that pair is found exactly on bitmasks
+    (:func:`_int_violation`); otherwise every between-pair is scanned.
     """
     e = betweenness(m)
     if z not in e.index:
@@ -146,17 +204,62 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     check_values(f.values())
     if z not in f:
         return ConvexityVerdict(True, z)
-    verts, tol = m.vertices, m.tol
+    verts, tol, k = m.vertices, m.tol, e.index[z]
     fz = f[z]
     dom = [i for i, v in enumerate(verts) if v in f]
-    for i, j, dij, dkj, dik in e.between_pairs(e.index[z], dom):
+    pairs = _int_violation(e, k, dom, f) if {int}.issuperset(map(type, f.values())) else None
+    for i, j, dij, dkj, dik in e.between_pairs(k, dom) if pairs is None else pairs:
         x, y = verts[i], verts[j]
         lhs = scaled(dij, fz)
         rhs = scaled(dkj, f[x]) + scaled(dik, f[y])
         if not approx_le(lhs, rhs, tol):
-            combo = INF if math.isinf(rhs) else exact_div(rhs, dij)
+            combo = INF if rhs == INF else exact_div(rhs, dij)
             return ConvexityVerdict(False, z, ConvexityWitness(x, y, fz, combo))
     return ConvexityVerdict(True, z)
+
+
+def _int_violation(e: Betweenness, k: int, dom: list, f: VertexFunction) -> list | None:
+    """The first violating between-pair at k, in the form and order of
+    ``e.between_pairs(k, dom)``, as a list of at most one tuple; None when
+    the distances do not allow the exact decision (:meth:`Betweenness.int_basis`).
+
+    With slopes a(i) = (f(k) - f(i)) / d(i, k), a between-pair (i, j)
+    violates the inequality exactly when a(i) + a(j) > 0.  The slopes are
+    scaled to ints by the lcm of the distances and sorted once, so the j
+    with a(j) > -a(i) form one suffix mask of that order.  Those j > i are
+    tested for k between i and j lowest first, after keeping only the OR
+    over r of shell_k[r] & shell_i[d(i, k) + r] when there are more of them
+    than shells.
+    """
+    basis = e.int_basis(k, dom)
+    if basis is None:
+        return None
+    cands, dists, scales = basis
+    verts = e.vertices
+    fz = f[verts[k]]
+    slopes = [(fz - f[verts[i]]) * c for i, c in zip(cands, scales)]
+    ranked = sorted(zip(slopes, cands))
+    if len(ranked) < 2 or ranked[-1][0] + ranked[-2][0] <= 0:
+        return []
+    keys = [s for s, _ in ranked]
+    above = [0] * (len(ranked) + 1)  # above[p]: the candidates at sorted positions >= p
+    for p in range(len(ranked) - 1, -1, -1):
+        above[p] = above[p + 1] | 1 << ranked[p][1]
+    rk, shell_k = e.row(k), e.shells(k)
+    for i, d, s in zip(cands, dists, slopes):
+        later = above[bisect_right(keys, -s)] >> i + 1 << i + 1
+        if not later:
+            continue
+        if later.bit_count() > len(shell_k):  # cheaper to keep only the j between
+            shell_i = e.shells(i)
+            later &= reduce(or_, [layer & shell_i.get(d + r, 0) for r, layer in shell_k.items()])
+        ri = e.row(i)
+        while later:  # the lowest j first
+            j = (later & -later).bit_length() - 1
+            if ri[j] == d + rk[j]:
+                return [(i, j, ri[j], rk[j], ri[k])]
+            later &= later - 1
+    return []
 
 
 def distance_to_set(m: Metric, x, members):

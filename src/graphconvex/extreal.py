@@ -11,7 +11,7 @@ magnitude.
 from __future__ import annotations
 
 import math
-from numbers import Real
+from numbers import Rational, Real
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
@@ -60,15 +60,26 @@ def scaled(c, v):
 
 
 def report_value(x):
-    """x as reports carry it: +inf becomes the string ``"inf"``, which JSON
+    """x as reports carry it: +inf becomes the string ``"inf"`` and a
+    ``Fraction`` (any non-int rational) the string ``"p/q"``, which JSON
     can hold and text output prints unchanged."""
     if isinstance(x, float) and math.isinf(x):
         return "inf"
+    if not isinstance(x, int) and isinstance(x, Rational):
+        return f"{x.numerator}/{x.denominator}"
     return x
 
 
 def exact_div(a, b):
-    """a / b, staying an int when both are ints and the division is exact."""
-    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-        return a // b
+    """a / b, staying an int when both are ints and the division is exact,
+    and a ``Fraction`` when the quotient of two ints overflows a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        if a % b == 0:
+            return a // b
+        try:
+            return a / b
+        except OverflowError:
+            from fractions import Fraction  # rare; keeps the import off start-up
+
+            return Fraction(a, b)
     return a / b

@@ -39,15 +39,22 @@ class Metric:
 
     ``kind`` is ``"shortest-path"`` for graph metrics and ``"norm-induced"``
     for lattice norms.  ``tol`` is the relative tolerance used by every
-    comparison downstream of this metric.  ``_betweenness`` holds the
-    metric's engine from :mod:`graphconvex.convexity`, built on first use,
-    so its distance rows live exactly as long as the metric does.
+    comparison downstream of this metric.  ``distances_from``, when set,
+    maps a vertex x to a mapping of the finite distances from x (missing =
+    +inf); the engine then fills a whole distance row from one such mapping
+    instead of calling ``dist`` once per entry.  It takes no part in
+    equality.  ``_betweenness`` holds the metric's engine from
+    :mod:`graphconvex.convexity`, built on first use, so its distance rows
+    live exactly as long as the metric does.
     """
 
     kind: str
     vertices: tuple
     dist: Callable[[Any, Any], Weight]
     tol: float = DEFAULT_TOL
+    distances_from: Callable[[Any], Mapping] | None = field(
+        default=None, compare=False, repr=False
+    )
     _betweenness: Any = field(default=None, init=False, compare=False, repr=False)
 
 
@@ -167,7 +174,7 @@ class Graph:
         return self._row(x)
 
     def metric(self, tol: float = DEFAULT_TOL) -> Metric:
-        return Metric("shortest-path", self._order, self.distance, tol)
+        return Metric("shortest-path", self._order, self.distance, tol, self.distances_from)
 
     def _require(self, v) -> None:
         if v not in self._adj:

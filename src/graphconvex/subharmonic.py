@@ -15,7 +15,6 @@ sides count as equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -63,7 +62,7 @@ def compare_to_neighborhood_mean(
         c = w if weighted else 1
         total += c
         acc += c * _value(f, y)  # c > 0, so no 0*inf can arise
-    mean = INF if math.isinf(acc) else exact_div(acc, total)
+    mean = INF if acc == INF else exact_div(acc, total)
     lhs = total * fx
     if approx_eq(lhs, acc, tol):
         verdict = "harmonic"
@@ -85,7 +84,7 @@ def laplacian(g: Graph, f: Mapping, x):
         raise ValueError(f"degree zero at vertex {x!r}: laplacian undefined")
     fx = _value(f, x)
     values = [_value(f, y) for y in nbrs]
-    if math.isinf(fx) or any(math.isinf(v) for v in values):
+    if fx == INF or INF in values:
         return INF
     return sum(w * (v - fx) for (_, w), v in zip(nbrs.items(), values))
 

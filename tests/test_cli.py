@@ -234,6 +234,54 @@ def test_check_interior_only_restricts_rows(tmp_path, capsys):
     assert [r["vertex"] for r in payload["rows"]] == ["(-1)", "(0)", "(1)"]
 
 
+BIG = 10**400  # far beyond float range
+
+
+@pytest.fixture()
+def huge_path(tmp_path):
+    """Path 0-1-2 and a function file whose int values overflow a float."""
+    g = tmp_path / "p3.g"
+    g.write_text("e 0 1\ne 1 2\n")
+    fn = tmp_path / "huge.fn"
+    fn.write_text(f"0 {BIG}\n1 {10 * BIG}\n2 {BIG + 1}\n")
+    return str(g), str(fn)
+
+
+def test_check_fn_convex_with_huge_ints(huge_path, capsys):
+    g, fn = huge_path
+    code, payload = run_json(capsys, "check", "fn-convex", "--graph", g, "--fn", fn)
+    assert code == 1
+    assert payload["rows"] == [
+        {"vertex": "0", "verdict": "ok"},
+        {"vertex": "1", "verdict": "violated", "pair": ["0", "2"], "lhs": 10 * BIG,
+         "rhs": f"{2 * BIG + 1}/2"},
+        {"vertex": "2", "verdict": "ok"},
+    ]
+    code, out = run(capsys, "check", "fn-convex", "--graph", g, "--fn", fn)
+    assert code == 1
+    assert f"1: violated pair=[0, 2] lhs={10 * BIG} rhs={2 * BIG + 1}/2\n" in out
+
+
+def test_check_subharmonic_with_huge_ints(huge_path, capsys):
+    g, fn = huge_path
+    code, payload = run_json(capsys, "check", "subharmonic", "--graph", g, "--fn", fn)
+    assert code == 1
+    assert payload["rows"] == [
+        {"vertex": "0", "verdict": "ok", "f_value": BIG, "mean": 10 * BIG},
+        {"vertex": "1", "verdict": "violated", "f_value": 10 * BIG, "mean": f"{2 * BIG + 1}/2"},
+        {"vertex": "2", "verdict": "ok", "f_value": BIG + 1, "mean": 10 * BIG},
+    ]
+
+
+def test_verify_thm1_with_huge_ints(huge_path, capsys):
+    g, fn = huge_path
+    code, out = run(capsys, "verify", "thm1", "--graph", g, "--fn", fn)
+    assert code == 1  # not convex at the middle vertex, so nothing fires
+    assert out == (
+        f"claim: thm1\ninstance: {g}\nchecked: 1\nhypothesis_fired: 0\nverdict: vacuous\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

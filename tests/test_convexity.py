@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,7 @@ from graphconvex import (
     random_connected_graph,
     set_distance_function,
 )
+from graphconvex.convexity import Betweenness
 
 INF = math.inf
 
@@ -323,6 +325,52 @@ def test_is_convex_at_reads_only_rows_of_the_domain():
     assert (verdict.witness.x, verdict.witness.y) == (0, 299)
     assert sources <= {0, 150, 299}
     sources.clear()
-    linear = {0: 0, 150: 150, 299: 299}  # convex, so every pair is scanned
+    linear = {0: 0, 150: 150, 299: 299}
     assert is_convex_at(Metric("shortest-path", g.vertices, dist), linear, 150)
+    assert sources <= {0, 150, 299}
+    sources.clear()
+    # float values take the pair scan, which reads every row of the domain
+    linear_float = {v: float(fv) for v, fv in linear.items()}
+    assert is_convex_at(Metric("shortest-path", g.vertices, dist), linear_float, 150)
     assert sources == {0, 150, 299}
+
+
+def test_int_data_never_takes_the_pair_scan(monkeypatch):
+    # int distances with int values are decided on bitmasks; a float
+    # distance or value, a Fraction or +inf still takes the pair scan
+    real_scan = Betweenness.between_pairs
+
+    def no_scan(self, k, candidates):
+        raise AssertionError("int data reached the pair scan")
+
+    monkeypatch.setattr(Betweenness, "between_pairs", no_scan)
+    rng = random.Random(7)
+    disconnected = Graph([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], vertices=range(7))
+    weighted = Graph([(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 0, 4), (1, 3, 2)])
+    violations = 0
+    for g in (grid(4, 4), cycle(9), disconnected, weighted):
+        m = g.metric()
+        for f in (
+            {v: rng.randint(-3, 3) for v in g.vertices},
+            {v: rng.choice((10**30, -(10**30), 2**53 + 1)) for v in g.vertices[::2]},
+        ):
+            violations += sum(not is_convex_at(m, f, z) for z in g.vertices)
+    assert violations > 0
+
+    scanned = []
+
+    def counting_scan(self, k, candidates):
+        scanned.append(k)
+        return real_scan(self, k, candidates)
+
+    monkeypatch.setattr(Betweenness, "between_pairs", counting_scan)
+    cases = [
+        (Graph([(0, 1, 1.5), (1, 2, 1), (2, 3, 0.5)]).metric(), {0: 0, 1: 1, 2: 2, 3: 0}),
+        (path(4).metric(), {0: 0, 1: 1.0, 2: 2, 3: 0}),
+        (path(4).metric(), {0: 0, 1: Fraction(1, 3), 2: 2, 3: 0}),
+        (path(4).metric(), {0: 0, 1: INF, 2: 2, 3: 0}),
+    ]
+    for m, f in cases:
+        scanned.clear()
+        is_convex_at(m, f, 2)
+        assert scanned == [2]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphconvex import INF, approx_eq, approx_le, exact_div, scaled
-from graphconvex.extreal import check_value, check_values
+from graphconvex.extreal import check_value, check_values, report_value
 
 
 def test_approx_eq_is_exact_on_ints():
@@ -91,3 +91,18 @@ def test_exact_div_stays_integer_when_possible():
     assert exact_div(1, 3) == 1 / 3
     assert exact_div(3.0, 2) == 1.5
     assert math.isclose(exact_div(7, 2), 3.5)
+
+
+def test_exact_div_keeps_quotients_beyond_float_range_exact():
+    big = 10**400
+    q = exact_div(2 * big + 1, 2)
+    assert q == Fraction(2 * big + 1, 2) and isinstance(q, Fraction)
+    assert exact_div(2 * big, 2) == big  # exact division stays an int
+    assert exact_div(big + 1, big) == 1.0  # a quotient in float range stays a float
+
+
+def test_report_value_spells_inf_and_fractions_as_strings():
+    assert report_value(INF) == "inf"
+    assert report_value(Fraction(-7, 2)) == "-7/2"
+    assert report_value(Fraction(4, 1)) == "4/1"
+    assert report_value(3) == 3 and report_value(1.5) == 1.5

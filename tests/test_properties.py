@@ -5,7 +5,8 @@ Distances for the graph oracles come from networkx, never from the library.
 Weights are drawn from {1, 2, 0.5, 1.5}: graphs that draw only 1s and 2s
 keep exact int distances, the others exercise the tolerant float path.
 All sums of these weights are exact binary fractions, so the oracles can
-compare distances with ``==``.
+compare distances with ``==``.  The tests of the exact int path draw
+weights from {1, 2, 3} and compare witnesses exactly, value types included.
 
 The lattice oracles scan the whole window, while the library visits
 only the vectors that can matter; verdicts, first witnesses and set
@@ -14,7 +15,9 @@ distances must agree exactly, value types included.
 
 import itertools
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +31,7 @@ from graphconvex import (  # noqa: E402
     NORMS,
     Graph,
     LatticeSpec,
+    Metric,
     approx_le,
     betweenness_closure,
     brute_force_convex_hull,
@@ -120,6 +124,86 @@ def test_convex_at_matches_pair_scan(graph, data):
             assert not verdict.ok
             assert (w.x, w.y, w.lhs) == expected[:3]
             assert math.isclose(w.rhs, expected[3])
+
+
+# int values that a float cannot hold exactly, or at all in a float sum
+EXACT_VALUES = st.one_of(
+    st.none(), st.integers(-3, 3), st.sampled_from((2**53 + 1, -(2**53 + 1), 10**30, -(10**30)))
+)
+
+
+def typed_witness(verdict):
+    w = verdict.witness
+    return None if w is None else (w.x, w.y, w.lhs, type(w.lhs), w.rhs, type(w.rhs))
+
+
+def exact_scan(d, f, z):
+    """The first violating pair at z in vertex order, with its exact
+    quotient (an int when it divides), as :func:`typed_witness` gives it."""
+    if z not in f:
+        return None
+    for x, y in itertools.combinations(sorted(f), 2):
+        if d(x, y) > 0 and between(d, x, z, y):
+            rhs = d(z, y) * f[x] + d(x, z) * f[y]
+            if d(x, y) * f[z] > rhs:
+                q = Fraction(rhs, d(x, y))
+                q = int(q) if q.denominator == 1 else float(q)
+                return (x, y, f[z], int, q, type(q))
+    return None
+
+
+@PROPERTY
+@given(weighted_graphs(connected=False, weights=(1, 2, 3)), st.data())
+def test_exact_convex_at_matches_pair_scan(graph, data):
+    # int weights and int values are decided on bitmasks: the witness must be
+    # the scan's first pair, with the exact quotient
+    n, edges = graph
+    g, d = build(n, edges)
+    values = data.draw(st.lists(EXACT_VALUES, min_size=n, max_size=n))
+    f = {v: fv for v, fv in enumerate(values) if fv is not None}
+    m = g.metric()
+    for z in range(n):
+        assert typed_witness(is_convex_at(m, f, z)) == exact_scan(d, f, z)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_convex_at_matches_pair_scan_on_larger_graphs(seed):
+    # 20-30 vertices: a vertex then often has more violators than distance
+    # shells, so the exact path also filters them with whole shells
+    rng = random.Random(seed)
+    n = rng.randint(20, 30)
+    edges = {(rng.randrange(v), v): rng.choice((1, 1, 2, 3)) for v in range(1, n)}
+    for _ in range(n // 2):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.setdefault((u, v), 1)
+    g, d = build(n, [(u, v, w) for (u, v), w in edges.items()])
+    m = g.metric()
+    for values in ((-1, 0, 1), (-3, 3, 2**53 + 1), (0, 1, 1, 1, 10**30)):
+        f = {v: rng.choice(values) for v in range(n) if rng.random() < 0.9}
+        for z in range(n):
+            assert typed_witness(is_convex_at(m, f, z)) == exact_scan(d, f, z)
+
+
+@PROPERTY
+@given(st.data())
+def test_exact_convex_at_matches_pair_scan_on_int_tables(data):
+    # a hand-built int distance table need not be symmetric away from z:
+    # pairs x < y are still read from x's row, as the scan reads them
+    n = data.draw(st.integers(2, 7))
+    z = data.draw(st.integers(0, n - 1))
+    table = [[0 if x == y else data.draw(st.integers(1, 4)) for y in range(n)] for x in range(n)]
+    for x in range(n):
+        table[x][z] = table[z][x]
+    f = {x: data.draw(st.integers(-3, 3)) for x in range(n)}
+    expected = None
+    for x, y in itertools.combinations([v for v in range(n) if v != z], 2):
+        dxy, dxz, dzy = table[x][y], table[x][z], table[z][y]
+        if dxy == dxz + dzy and dxy * f[z] > dzy * f[x] + dxz * f[y]:
+            expected = (x, y)
+            break
+    m = Metric("table", tuple(range(n)), lambda x, y: table[x][y])
+    w = is_convex_at(m, f, z).witness
+    assert (None if w is None else (w.x, w.y)) == expected
 
 
 # ----------------------------------------------------------------------

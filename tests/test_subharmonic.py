@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,15 @@ def test_laplacian_frozen_values(lettered_square):
     assert laplacian(lettered_square, f, "y") == -2
     assert laplacian(lettered_square, f, "x") == 0
     assert laplacian(lettered_square, f, "z") == 0
+
+
+def test_means_and_laplacian_stay_exact_beyond_float_range():
+    big = 10**400
+    g = path(3)
+    cmp = compare_to_neighborhood_mean(g, {0: big, 1: 0, 2: big + 1}, 1)
+    assert cmp.neighborhood_mean == Fraction(2 * big + 1, 2)
+    assert cmp.verdict == "subharmonic"
+    assert laplacian(g, {0: big, 1: 0, 2: big}, 1) == 2 * big
 
 
 def test_weighted_mean_and_laplacian():
