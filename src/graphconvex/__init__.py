@@ -30,11 +30,7 @@ from .convexity import (
     is_convex_set,
     set_distance_function,
 )
-from .enumeration import (
-    connected_unit_graphs,
-    count_connected_graphs,
-    count_labeled_connected_graphs,
-)
+from .enumeration import connected_unit_graphs, count_connected_graphs
 from .extreal import DEFAULT_TOL, INF, approx_eq, approx_le, exact_div, scaled
 from .generators import (
     cycle,
@@ -108,7 +104,6 @@ __all__ = [
     "distance_to_set", "indicator", "is_between", "is_convex_at",
     "is_convex_set", "set_distance_function",
     "connected_unit_graphs", "count_connected_graphs",
-    "count_labeled_connected_graphs",
     "DEFAULT_TOL", "INF", "approx_eq", "approx_le", "exact_div", "scaled",
     "cycle", "grid", "grid_interior", "int_path", "king_grid", "path",
     "random_connected_graph", "random_graph", "tiling_interior",

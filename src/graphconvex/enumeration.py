@@ -36,12 +36,6 @@ def count_connected_graphs(n: int) -> int:
     return len(_canonical_masks(n))
 
 
-def count_labeled_connected_graphs(n: int) -> int:
-    """Connected graphs on labeled vertices 0..n-1 (no de-duplication)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    return sum(1 for mask in range(1 << len(pairs)) if _connected(n, mask, pairs))
-
-
 @lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     """The vertex pairs of 0..n-1; bit k of an edge mask is pair k."""
@@ -92,19 +86,6 @@ def _neighbors(n: int, mask: int, pairs) -> list[list[int]]:
             nbrs[i].append(j)
             nbrs[j].append(i)
     return nbrs
-
-
-def _connected(n: int, mask: int, pairs) -> bool:
-    nbrs = _neighbors(n, mask, pairs)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
 
 
 def _refine(n: int, nbrs) -> list[int]:

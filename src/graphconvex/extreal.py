@@ -38,13 +38,22 @@ def check_values(values) -> None:
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Equality up to relative tolerance: |a-b| <= tol * max(1, |a|, |b|).
 
-    Exact unless a side is a float; +inf is equal only to +inf.
+    Exact unless a side is a float; +inf is equal only to +inf.  An int
+    (or ``Fraction``) beyond float range against a float is decided
+    exactly, in fractions.
     """
     if a == b:
         return True
-    if not (isinstance(a, float) or isinstance(b, float)) or math.isinf(a) or math.isinf(b):
+    # == INF, not math.isinf: the other side may be an int no float can hold
+    if not (isinstance(a, float) or isinstance(b, float)) or a == INF or b == INF:
         return False
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    try:
+        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    except OverflowError:
+        from fractions import Fraction  # rare; keeps the import off start-up
+
+        a, b = Fraction(a), Fraction(b)
+        return abs(a - b) <= Fraction(tol) * max(1, abs(a), abs(b))
 
 
 def approx_le(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -35,10 +35,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
+from operator import add, itemgetter, le, mul, sub
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import generators
 from .convexity import (
+    Betweenness,
     betweenness,
     betweenness_closure,
     distance_function,
@@ -48,10 +51,17 @@ from .convexity import (
     set_distance_function,
 )
 from .enumeration import connected_unit_graphs
-from .extreal import DEFAULT_TOL, report_value
-from .graph import Graph, Metric
+from .extreal import DEFAULT_TOL, approx_le, report_value
+from .graph import Graph
 from .io import format_graph, format_vertex
-from .lattice import GroupLattice, _sub, has_nearest_neighbor_property, is_midpoint_convex_at
+from .lattice import (
+    GroupLattice,
+    _half_box,
+    _reach,
+    _sub,
+    has_nearest_neighbor_property,
+    is_midpoint_convex_at,
+)
 from .subharmonic import is_subharmonic_at
 
 CLAIM_IDS = (
@@ -243,14 +253,7 @@ def verify_dist_convex_implies_set_convex(
 
     Claim thm3 on graphs, prop-dist-cvx on lattices.  F must be nonempty.
     """
-    return _dist_convex_report(instance, instance.metric(tol), members, label)
-
-
-def _dist_convex_report(
-    instance: Graph | GroupLattice, m: Metric, members, label: str | None
-) -> ClaimReport:
-    """:func:`verify_dist_convex_implies_set_convex` on the metric ``m`` of
-    ``instance``, so a sweep over many sets builds one metric."""
+    m = instance.metric(tol)
     f_set = frozenset(members)
     if not f_set:
         raise ValueError("F must be nonempty")
@@ -271,8 +274,7 @@ def _dist_convex_report(
     extra = betweenness_closure(m, f_set) - f_set
     if not extra:
         return ClaimReport(claim, name, checked, 1, "verified")
-    witness = {"vertex": format_vertex(min(extra, key=format_vertex)), "outside_set": True}
-    return ClaimReport(claim, name, checked, 1, "refuted", witness)
+    return ClaimReport(claim, name, checked, 1, "refuted", _outside_witness(extra))
 
 
 def verify_nn_implies_dist_midpoint_convex(
@@ -283,21 +285,24 @@ def verify_nn_implies_dist_midpoint_convex(
     """Claim prop-nn: a convex set with the nearest-neighbor property has a
     midpoint-convex (hence weighted-subharmonic) distance function at every
     interior vertex."""
-    return _nn_report(lat, lat.metric(tol), members, None)
-
-
-def _nn_report(lat: GroupLattice, m: Metric, members, label: str | None) -> ClaimReport:
-    """:func:`verify_nn_implies_dist_midpoint_convex` on the metric ``m`` of
-    ``lat``, so a sweep over many sets builds one metric."""
+    m = lat.metric(tol)
     f_set = frozenset(members)
     if not f_set:
         raise ValueError("F must be nonempty")
-    name = label or f"{lat!r}, |F|={len(f_set)}"
-    tol = m.tol
+    name = f"{lat!r}, |F|={len(f_set)}"
     checked = len(lat.interior)
     if not is_convex_set(m, f_set) or not has_nearest_neighbor_property(lat, f_set, tol=tol):
         return ClaimReport("prop-nn", name, checked, 0, "vacuous")
-    fun = set_distance_function(m, f_set)
+    fired, witness = _nn_conclusion(lat, set_distance_function(m, f_set), tol)
+    if witness is not None:
+        return ClaimReport("prop-nn", name, checked, fired, "refuted", witness)
+    return ClaimReport.settled("prop-nn", name, checked, fired)
+
+
+def _nn_conclusion(lat: GroupLattice, fun: Mapping, tol: float) -> tuple[int, dict | None]:
+    """The interior vertices of nonzero degree asserted, in order, and the
+    witness of the first one where d(., F) = ``fun`` is not midpoint convex
+    or not weighted-subharmonic (None when there is none)."""
     fired = 0
     for x in sorted(lat.interior):
         if lat.graph.degree(x) == 0:
@@ -305,13 +310,16 @@ def _nn_report(lat: GroupLattice, m: Metric, members, label: str | None) -> Clai
         fired += 1
         mp = is_midpoint_convex_at(lat, fun, x, tol=tol)
         if not mp:
-            witness = _midpoint_witness(mp.witness, vertex=format_vertex(x))
-            return ClaimReport("prop-nn", name, checked, fired, "refuted", witness)
+            return fired, _midpoint_witness(mp.witness, vertex=format_vertex(x))
         cmp = is_subharmonic_at(lat.graph, fun, x, weighted=True, tol=tol)
         if not cmp:
-            witness = _mean_witness(cmp, vertex=format_vertex(x))
-            return ClaimReport("prop-nn", name, checked, fired, "refuted", witness)
-    return ClaimReport.settled("prop-nn", name, checked, fired)
+            return fired, _mean_witness(cmp, vertex=format_vertex(x))
+    return fired, None
+
+
+def _outside_witness(extra) -> dict:
+    """The witness of a set F whose closure adds the vertices ``extra``."""
+    return {"vertex": format_vertex(min(extra, key=format_vertex)), "outside_set": True}
 
 
 def verify_dist_to_point_midpoint_convex(
@@ -668,35 +676,197 @@ def sweep_subsets_dist_convex(
 ) -> ClaimReport:
     """thm3 (graph) / prop-dist-cvx (lattice) over every nonempty subset,
     logged at INFO level when done."""
-    if isinstance(instance, GroupLattice):
-        return _sweep_subsets("prop-dist-cvx", instance, instance.window, _dist_convex_report, tol)
-    return _sweep_subsets("thm3", instance, instance.vertices, _dist_convex_report, tol)
+    claim = "prop-dist-cvx" if isinstance(instance, GroupLattice) else "thm3"
+    return _sweep_subsets(claim, instance, tol)
 
 
 def sweep_subsets_nn(lat: GroupLattice, tol: float = DEFAULT_TOL) -> ClaimReport:
     """prop-nn over every nonempty subset of the window, logged at INFO
     level when done."""
-    return _sweep_subsets("prop-nn", lat, lat.window, _nn_report, tol)
+    return _sweep_subsets("prop-nn", lat, tol)
 
 
-def _sweep_subsets(claim: str, instance, universe, report, tol: float) -> ClaimReport:
-    """``report(instance, m, F, None)`` on one metric m of ``instance`` for
-    every nonempty subset F of ``universe``, in mask order, folded into one
-    report and logged at INFO level; at most ``SUBSET_CAP`` points."""
+# -- the incremental subset-sweep kernel --------------------------------------------
+
+
+def _sweep_subsets(claim: str, instance, tol: float) -> ClaimReport:
+    """The claim on every nonempty subset F of the vertices of one metric of
+    ``instance``, in mask order (bit i for the i-th vertex), folded into one
+    report and logged at INFO level; at most ``SUBSET_CAP`` points.
+
+    The report is the fold of :func:`verify_dist_convex_implies_set_convex`
+    (thm3, prop-dist-cvx) or :func:`verify_nn_implies_dist_midpoint_convex`
+    (prop-nn) over the subsets, but each F = F' + {v}, v its highest bit,
+    is built from the F' visited before it:
+
+    * d(., F) is the pointwise min of d(., F') and the row of v;
+    * span(F), the vertices between two members, is span(F') or'ed with the
+      intervals I(v, y), y in F', which come from the engine's
+      ``between_pairs``; F is convex exactly when span(F) lies in F, and
+      span(F) - F is ``betweenness_closure(F) - F``, the witness.
+
+    The antecedents are decided on these vectors (:func:`_antecedent_test`,
+    and for prop-nn F convex and :func:`_nearest_neighbor_test`).  prop-nn
+    asserts its conclusion with the library checks on d(., F) at the
+    interior vertices, only for the F where the antecedent holds.
+    """
     start = time.perf_counter()
     m = instance.metric(tol)
-    items = tuple(universe)
-    if len(items) > SUBSET_CAP:
+    verts = m.vertices
+    n = len(verts)
+    if n > SUBSET_CAP:
         raise ValueError(
-            f"subset sweep over {len(items)} vertices is too large (limit {SUBSET_CAP})"
+            f"subset sweep over {n} vertices is too large (limit {SUBSET_CAP})"
         )
-    reports = (
-        report(instance, m, frozenset(v for i, v in enumerate(items) if mask >> i & 1), None)
-        for mask in range(1, 1 << len(items))
-    )
-    result = aggregate_reports(claim, f"{instance!r}, all nonempty F", reports)
+    e = betweenness(m)
+    rows = [e.row(i) for i in range(n)]
+    pairs = [list(e.between_pairs(k, range(n))) for k in range(n)]
+    interval = [[0] * n for _ in range(n)]  # interval[i][j]: the k between v_i and v_j
+    for k, ps in enumerate(pairs):
+        for i, j, *_ in ps:
+            interval[i][j] = interval[j][i] = interval[i][j] | 1 << k
+    nn = claim == "prop-nn"
+    if nn:
+        nearest = _nearest_neighbor_test(instance, m.tol)
+    else:
+        antecedent = _antecedent_test(claim, instance, e, pairs)
+    per_set = len(instance.interior) if nn else n
+    fired, witness = 0, None
+    # d(., F) and span(F) of the F that are some later F', those below the top bit
+    dists, spans, half = [None], [0], 1 << (n - 1)
+    for v in range(n):
+        bit, row, through = 1 << v, rows[v], interval[v]
+        reach = [0]  # reach[s]: OR of I(v, y) over the y in s, for every s < bit
+        for rest in range(bit):
+            if rest:
+                top = rest.bit_length() - 1
+                reach.append(reach[rest ^ 1 << top] | through[top])
+                dist = list(map(min, dists[rest], row))
+            else:
+                dist = row
+            mask = rest | bit
+            span = spans[rest] | reach[rest]
+            if mask < half:
+                dists.append(dist)
+                spans.append(span)
+            outside = span & ~mask
+            if nn:
+                if outside or not nearest(dist, mask):
+                    continue
+                hits, refuted = _nn_conclusion(instance, dict(zip(verts, dist)), m.tol)
+                fired += hits
+                if witness is None:
+                    witness = refuted
+            elif antecedent(dist, mask, outside):
+                fired += 1
+                if outside and witness is None:
+                    witness = _outside_witness([verts[k] for k in _bit_indices(outside)])
+    name, checked = f"{instance!r}, all nonempty F", per_set * ((1 << n) - 1)
+    if witness is not None:
+        result = ClaimReport(claim, name, checked, fired, "refuted", witness)
+    else:
+        result = ClaimReport.settled(claim, name, checked, fired)
     _log_sweep(result, start)
     return result
+
+
+def _antecedent_test(claim: str, instance, e: Betweenness, pairs):
+    """``test(dist, mask, first)``: whether d(., F) is convex at every vertex
+    (thm3) or midpoint convex at every window point (prop-dist-cvx), for
+    the set F with bits ``mask`` and distance vector ``dist``; the vertices
+    in ``first`` are tried first.  ``pairs[k]`` is
+    ``e.between_pairs(k, range(n))``.
+
+    Each vertex is accepted at once when plain ``<=`` holds on all of its
+    inequalities, else decided one inequality at a time with ``approx_le``,
+    as the single-set checks do, so floats, +inf and the tolerance keep
+    their verdicts.  Members of F need no test: there d(., F) is 0 and every
+    right-hand side is at least 0.
+    """
+    tol = e.tol
+    if claim == "thm3":
+        # (i, j, d_ij, d_kj, d_ik) with k between: d_ij f(k) <= d_kj f(i) + d_ik f(j),
+        # every coefficient positive, so the product never meets 0 * inf
+        sites = {}
+        for k, ps in enumerate(pairs):
+            if ps:
+                ii, jj, dij, dkj, dik = zip(*ps)
+                sites[k] = (_picker(ii), _picker(jj), dij, dkj, dik)
+
+        def sides(dist, k):
+            fi, fj, dij, dkj, dik = sites[k]
+            return (map(mul, dij, repeat(dist[k])),
+                    map(add, map(mul, dkj, fi(dist)), map(mul, dik, fj(dist))))
+    else:
+        # 2 f(x) <= f(x + z) + f(x - z) over the offsets of is_midpoint_convex_at
+        spec, index = instance.spec, e.index
+        sites = {}
+        for k, x in enumerate(e.vertices):
+            box = _half_box(_reach(spec, x))
+            if box:
+                plus = [index[tuple(map(add, x, z))] for z in box]
+                minus = [index[tuple(map(sub, x, z))] for z in box]
+                sites[k] = (_picker(plus), _picker(minus))
+
+        def sides(dist, k):
+            fp, fq = sites[k]
+            return repeat(2 * dist[k]), map(add, fp(dist), fq(dist))
+
+    def holds_at(dist, k):
+        return all(map(le, *sides(dist, k))) or all(map(approx_le, *sides(dist, k), repeat(tol)))
+
+    full = sum(1 << k for k in sites)
+
+    def test(dist, mask, first):
+        first &= full
+        return all(holds_at(dist, k) for k in _bit_indices(first)) and all(
+            holds_at(dist, k) for k in _bit_indices(full & ~mask & ~first)
+        )
+
+    return test
+
+
+def _nearest_neighbor_test(lat: GroupLattice, tol: float):
+    """``test(dist, mask)``: the nearest-neighbor property of the set F with
+    bits ``mask`` and distance vector ``dist``, as
+    :func:`has_nearest_neighbor_property` decides it: for members y1, y2
+    and every window point z, 2 d(z, F) <= ||y1 + y2 - 2 z||.  The right
+    side depends on y1 + y2 only, so there is one row of bounds per sum;
+    plain ``<=`` comes first, as in :func:`_antecedent_test`."""
+    spec, window = lat.spec, lat.window
+    doubled = [tuple(2 * c for c in z) for z in window]
+    pair_sum = {}  # (i, j) -> y_i + y_j
+    bounds = {}  # y1 + y2 -> ||y1 + y2 - 2 z|| over the window points z
+    for i, y1 in enumerate(window):
+        for j in range(i, len(window)):
+            s = pair_sum[i, j] = tuple(map(add, y1, window[j]))
+            if s not in bounds:
+                bounds[s] = tuple(spec.norm_value(_sub(s, z2)) for z2 in doubled)
+
+    def test(dist, mask):
+        members = list(_bit_indices(mask))
+        twice = [2 * d for d in dist]
+        for s in {pair_sum[i, j] for a, i in enumerate(members) for j in members[a:]}:
+            bound = bounds[s]
+            if not (all(map(le, twice, bound)) or all(map(approx_le, twice, bound, repeat(tol)))):
+                return False
+        return True
+
+    return test
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _picker(indices):
+    """``seq -> tuple(seq[i] for i in indices)``, done in C."""
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda seq: (get(seq),)
 
 
 def _logger():

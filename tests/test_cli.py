@@ -273,6 +273,26 @@ def test_check_subharmonic_with_huge_ints(huge_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("middle", ["0.5", "inf"])
+def test_check_subharmonic_with_huge_ints_beside_floats(huge_path, middle, capsys):
+    g, fn = huge_path
+    Path(fn).write_text(f"0 {BIG}\n1 {middle}\n2 1\n")
+    code, payload = run_json(capsys, "check", "subharmonic", "--graph", g, "--fn", fn)
+    assert code == 1
+    if middle == "0.5":
+        assert payload["rows"] == [
+            {"vertex": "0", "verdict": "violated", "f_value": BIG, "mean": 0.5},
+            {"vertex": "1", "verdict": "ok", "f_value": 0.5, "mean": f"{BIG + 1}/2"},
+            {"vertex": "2", "verdict": "violated", "f_value": 1, "mean": 0.5},
+        ]
+    else:
+        assert payload["rows"] == [
+            {"vertex": "0", "verdict": "ok", "f_value": BIG, "mean": "inf"},
+            {"vertex": "1", "verdict": "violated", "f_value": "inf", "mean": f"{BIG + 1}/2"},
+            {"vertex": "2", "verdict": "ok", "f_value": 1, "mean": "inf"},
+        ]
+
+
 def test_verify_thm1_with_huge_ints(huge_path, capsys):
     g, fn = huge_path
     code, out = run(capsys, "verify", "thm1", "--graph", g, "--fn", fn)

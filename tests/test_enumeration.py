@@ -4,7 +4,7 @@ The isomorphism-class counts are pinned two ways: against the known
 sequence 1, 1, 2, 6, 21, 112 and against an orbit-stabilizer recount
 of the labeled totals (sum of n!/|Aut(G)| over class representatives
 must equal the number of labeled connected graphs, which
-``count_labeled_connected_graphs`` computes by direct bitmask
+``count_labeled_connected_graphs`` below computes by direct bitmask
 enumeration, a completely separate code path).
 """
 
@@ -13,15 +13,36 @@ from math import factorial
 
 import pytest
 
-from graphconvex import (
-    connected_unit_graphs,
-    count_connected_graphs,
-    count_labeled_connected_graphs,
-)
+from graphconvex import connected_unit_graphs, count_connected_graphs
 from graphconvex.enumeration import _canonical_form, _canonical_masks, _pairs
 
 ISO_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
 LABELED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+
+
+def count_labeled_connected_graphs(n):
+    """Connected graphs on labeled vertices 0..n-1 (no de-duplication), one
+    edge mask over ``combinations(range(n), 2)`` at a time."""
+    pairs = list(combinations(range(n), 2))
+    return sum(1 for mask in range(1 << len(pairs)) if connected(n, mask, pairs))
+
+
+def connected(n, mask, pairs):
+    """Depth-first search from vertex 0 over the edges of ``mask``."""
+    nbrs = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        if mask >> k & 1:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in nbrs[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
 
 
 def automorphism_count(g):

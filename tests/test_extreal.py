@@ -36,6 +36,20 @@ def test_approx_eq_infinities():
     assert not approx_eq(1.0, INF)
 
 
+def test_approx_eq_decides_ints_beyond_float_range_exactly():
+    import sys
+
+    big, top = 10**400, sys.float_info.max
+    assert not approx_eq(big, 0.5) and not approx_eq(0.5, big)
+    assert not approx_eq(big, INF) and not approx_eq(INF, big)
+    # 2**1024 is one float spacing above the largest float: inside the band
+    assert approx_eq(2**1024, top) and approx_eq(top, 2**1024)
+    assert not approx_eq(2**1024, top, tol=1e-17)
+    assert not approx_eq(Fraction(big, 3), 1e300)
+    assert approx_le(0.5, big) and not approx_le(big, 0.5)
+    assert approx_le(big, INF) and not approx_le(INF, big)
+
+
 def test_approx_le():
     assert approx_le(1, 2)
     assert approx_le(2, 2)

@@ -44,6 +44,8 @@ from graphconvex import (
 )
 from graphconvex.theorems import _family_instances
 
+from subset_oracle import kernel_and_fold
+
 
 def lattice_1d(lo=-3, hi=3):
     return build_lattice(LatticeSpec(1, "l1", 1, ((lo, hi),)))
@@ -458,24 +460,12 @@ def test_subset_sweeps_cover_twelve_points_and_refuse_thirteen():
 
 
 def test_subset_sweeps_match_the_per_subset_verifiers():
-    """A sweep shares one metric across subsets; its report must equal the
-    fold of the public verifier called once per subset."""
+    """A sweep builds each set from a smaller one; its report must equal
+    the fold of the public verifier called once per subset."""
     line = lattice_1d(-2, 2)
-    for instance, sweep, verify, claim in (
-        (path(5), sweep_subsets_dist_convex, verify_dist_convex_implies_set_convex, "thm3"),
-        (line, sweep_subsets_dist_convex, verify_dist_convex_implies_set_convex,
-         "prop-dist-cvx"),
-        (line, sweep_subsets_nn, verify_nn_implies_dist_midpoint_convex, "prop-nn"),
-    ):
-        universe = instance.window if instance is line else instance.vertices
-        subsets = [
-            [v for i, v in enumerate(universe) if mask >> i & 1]
-            for mask in range(1, 1 << len(universe))
-        ]
-        expected = aggregate_reports(
-            claim, f"{instance!r}, all nonempty F", (verify(instance, s) for s in subsets)
-        )
-        assert sweep(instance) == expected
+    for claim, instance in (("thm3", path(5)), ("prop-dist-cvx", line), ("prop-nn", line)):
+        kernel, fold = kernel_and_fold(claim, instance)
+        assert kernel == fold
 
 
 def test_subset_sweeps_build_one_betweenness_engine(monkeypatch):
