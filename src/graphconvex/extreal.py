@@ -11,7 +11,9 @@ magnitude.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from numbers import Rational, Real
+from operator import gt
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
@@ -28,11 +30,15 @@ def check_value(v):
 
 def check_values(values) -> None:
     """:func:`check_value` on every item of the collection ``values``."""
-    # plain ints need no check; one set test over their types is cheaper
-    # than a call per value
-    if not {int}.issuperset(map(type, values)):
-        for v in values:
-            check_value(v)
+    # plain ints need no check and plain floats only NaN and -inf checks:
+    # a set test over the types and one C-level comparison pass are cheaper
+    # than a call per value, which is left to find the first bad one
+    if {int}.issuperset(map(type, values)) or (
+        {int, float}.issuperset(map(type, values)) and all(map(gt, values, repeat(-INF)))
+    ):
+        return
+    for v in values:
+        check_value(v)
 
 
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -25,6 +25,13 @@ order of z, which is the order of the points x + z in the window, so the
 first witness is the one a scan over the whole window would report.  The
 same reach decides interiority: x is interior when reach_i is at least
 the largest |z_i| over the radius ball.
+
+The window is stored in row-major order (the last axis varies fastest),
+so with x at index i the translates x + z and x - z sit at i + s and
+i - s, where s = sum_k z_k * stride_k; inside the half-box neither wraps
+across an axis.  Each check first runs the plain inequalities over these
+flat offsets in one C-level pass and only rescans, with the tolerance and
+in box order, when that pass does not settle it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
+from itertools import repeat
+from operator import add, le, mul, sub
 from typing import Any, Iterator, Mapping
 
 from .extreal import DEFAULT_TOL, approx_le, check_values
@@ -134,6 +142,10 @@ class GroupLattice:
             if all(r >= s for r, s in zip(_reach(spec, x), span))
         )
         self._tol = tol
+        # row-major strides of the window: the last axis varies fastest
+        sizes = [hi - lo + 1 for lo, hi in spec.window]
+        self._strides = tuple(math.prod(sizes[k + 1:]) for k in range(spec.dimension))
+        self._offset_table: dict = {}  # x -> (i, half-box of x, flat shifts)
 
     def __repr__(self) -> str:
         return f"GroupLattice({self.spec.describe()})"
@@ -148,6 +160,18 @@ class GroupLattice:
     def _require(self, x) -> None:
         if x not in self.graph:
             raise UnknownVertexError(x)
+
+    def _offsets(self, x) -> tuple:
+        """(i, box, shifts) for the window point x: its index in
+        ``window``, its half-box of offsets z and, per z, the shift s with
+        ``window[i + s] == x + z`` and ``window[i - s] == x - z``."""
+        found = self._offset_table.get(x)
+        if found is None:
+            spec = self.spec
+            i = sum(map(mul, map(sub, x, (lo for lo, _ in spec.window)), self._strides))
+            reach = _reach(spec, x)
+            found = self._offset_table[x] = (i, _half_box(reach), _shifts(reach, self._strides))
+        return found
 
 
 def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> GroupLattice:
@@ -197,9 +221,20 @@ def is_midpoint_convex_at(
     if x not in f:
         return MidpointVerdict(True, x)
     fx2 = 2 * f[x]
-    for z in _half_box(_reach(lat.spec, x)):
-        fp = f.get(tuple(map(add, x, z)))
-        fq = f.get(tuple(map(sub, x, z)))
+    i, box, shifts = lat._offsets(x)
+    at, get = lat.window.__getitem__, f.get
+    try:
+        # plain <= implies approx_le, so a pass is final
+        if all(map(le, repeat(fx2), map(
+            add,
+            map(get, map(at, map(add, repeat(i), shifts))),
+            map(get, map(at, map(sub, repeat(i), shifts))),
+        ))):
+            return MidpointVerdict(True, x)
+    except TypeError:  # a translate without a value: None + ...
+        pass
+    for z, s in zip(box, shifts):
+        fp, fq = get(at(i + s)), get(at(i - s))
         if fp is None or fq is None:
             continue
         rhs = fp + fq
@@ -219,6 +254,12 @@ def _half_box(reach: tuple) -> tuple:
     positive, in lexicographic order."""
     axes = [range(-r, r + 1) for r in reach]
     return tuple(z for z in itertools.product(*axes) if _positive(z))
+
+
+@lru_cache(maxsize=256)
+def _shifts(reach: tuple, strides: tuple) -> tuple:
+    """Per z of ``_half_box(reach)``, its flat shift sum_k z_k * stride_k."""
+    return tuple(sum(map(mul, z, strides)) for z in _half_box(reach))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from operator import add, itemgetter, le, mul, sub
+from operator import add, itemgetter, le, mul
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import generators
@@ -56,8 +56,6 @@ from .graph import Graph
 from .io import format_graph, format_vertex
 from .lattice import (
     GroupLattice,
-    _half_box,
-    _reach,
     _sub,
     has_nearest_neighbor_property,
     is_midpoint_convex_at,
@@ -798,15 +796,13 @@ def _antecedent_test(claim: str, instance, e: Betweenness, pairs):
             return (map(mul, dij, repeat(dist[k])),
                     map(add, map(mul, dkj, fi(dist)), map(mul, dik, fj(dist))))
     else:
-        # 2 f(x) <= f(x + z) + f(x - z) over the offsets of is_midpoint_convex_at
-        spec, index = instance.spec, e.index
+        # 2 f(x) <= f(x + z) + f(x - z) over the flat offsets of
+        # is_midpoint_convex_at: the engine's vertices are the lattice window
         sites = {}
         for k, x in enumerate(e.vertices):
-            box = _half_box(_reach(spec, x))
-            if box:
-                plus = [index[tuple(map(add, x, z))] for z in box]
-                minus = [index[tuple(map(sub, x, z))] for z in box]
-                sites[k] = (_picker(plus), _picker(minus))
+            i, _, shifts = instance._offsets(x)
+            if shifts:
+                sites[k] = (_picker([i + s for s in shifts]), _picker([i - s for s in shifts]))
 
         def sides(dist, k):
             fp, fq = sites[k]
@@ -921,10 +917,7 @@ def max_affine_samples(spec, rng: random.Random, count: int = 200) -> Iterator[t
             c = tuple(rng.randint(-2, 2) for _ in range(spec.dimension))
             b = rng.randint(-3, 3)
             terms.append((c, b))
-        fun = {
-            v: max(sum(ci * vi for ci, vi in zip(c, v)) + b for c, b in terms)
-            for v in pts
-        }
+        fun = {v: max([sum(map(mul, c, v)) + b for c, b in terms]) for v in pts}
         yield f"max-affine#{k}", fun
 
 

@@ -80,6 +80,31 @@ def test_check_values_accepts_reals_and_plus_inf():
     check_values([])
 
 
+def test_check_values_accepts_mixed_ints_and_floats():
+    check_values([1, 0.5, -2, INF, 2.5e300])
+    check_values([10**400, 0.1, -(10**400), INF])  # compared with -inf exactly
+    check_values({"a": True, "b": 0.5, "c": Fraction(1, 3)}.values())
+
+
+@pytest.mark.parametrize(
+    "values, first_bad",
+    [
+        ([1, 0.5, math.nan, -INF], math.nan),
+        ([0.5, 2, -INF, "1"], -INF),
+        ([1, 10**400, 0.25, "1", None], "1"),
+        ([2.5, None, math.nan], None),
+        ([Fraction(1, 3), 1.5, -INF, math.nan], -INF),
+    ],
+    ids=repr,
+)
+def test_check_values_names_the_first_bad_value(values, first_bad):
+    with pytest.raises(ValueError) as expected:
+        check_value(first_bad)
+    with pytest.raises(ValueError) as got:
+        check_values(values)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -INF, "1", None, 1j])
 def test_check_values_rejects_a_bad_value_among_ints(bad):
     for position in (0, 2, 4):

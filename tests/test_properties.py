@@ -211,8 +211,13 @@ def test_exact_convex_at_matches_pair_scan_on_int_tables(data):
 # ----------------------------------------------------------------------
 
 # 0.1 + 0.2 != 0.3 in floats, so sums of these land inside the tolerance band
-VALUES = st.one_of(
+FLOAT_RANGE_VALUES = st.one_of(
     st.none(), st.integers(-3, 3), st.sampled_from((0.1, 0.2, 0.3, -0.7, 1.5, math.inf))
+)
+# ints no float holds exactly, or at all, and a Fraction: exact in sums with
+# ints; 10**400 plus a float overflows, in the oracle and the library alike
+VALUES = st.one_of(
+    FLOAT_RANGE_VALUES, st.sampled_from((2**53 + 1, 10**30, 10**400, Fraction(1, 3)))
 )
 
 
@@ -232,13 +237,13 @@ def lattices(draw):
         return build_lattice(spec)
 
 
-def partial_function(data, lat):
+def partial_function(data, lat, values=VALUES):
     """Values on a box one wider than the window on every side, so a check
     that read points outside the window would change its verdicts."""
     axes = [range(lo - 1, hi + 2) for lo, hi in lat.spec.window]
     f = {}
     for v in itertools.product(*axes):
-        value = data.draw(VALUES)
+        value = data.draw(values)
         if value is not None:
             f[v] = value
     return f
@@ -294,17 +299,57 @@ def typed(values):
     return [(type(v), v) for v in values]
 
 
+def outcome(check, *args):
+    """What ``check(*args)`` returns, or OverflowError if it raises that."""
+    try:
+        return check(*args)
+    except OverflowError:
+        return OverflowError
+
+
+def assert_midpoint_matches_oracle(lat, f, x):
+    verdict = outcome(is_midpoint_convex_at, lat, f, x)
+    expected = outcome(midpoint_oracle, lat, f, x)
+    if OverflowError in (verdict, expected):
+        assert verdict == expected
+        return
+    assert verdict.ok == (expected is None)
+    if expected is not None:
+        w = verdict.witness
+        assert typed((w.z, w.lhs, w.rhs)) == typed(expected)
+
+
 @PROPERTY
 @given(lattices(), st.data())
 def test_midpoint_matches_window_scan(lat, data):
     f = partial_function(data, lat)
     for x in lat.window:
-        verdict = is_midpoint_convex_at(lat, f, x)
-        expected = midpoint_oracle(lat, f, x)
-        assert verdict.ok == (expected is None)
-        if expected is not None:
-            w = verdict.witness
-            assert typed((w.z, w.lhs, w.rhs)) == typed(expected)
+        assert_midpoint_matches_oracle(lat, f, x)
+
+
+def test_midpoint_witness_after_a_translate_without_value():
+    """The first z in box order has no value at x + z and a later z fails,
+    so the first pass stops on the missing value and the scan finds z."""
+    lat = build_lattice(LatticeSpec(2, "l1", 1, ((0, 2), (0, 2))))
+    f = {v: 0 for v in lat.window}
+    f[(1, 1)] = 1
+    del f[(1, 2)]  # x + z for z = (0, 1), the first offset of (1, 1)
+    verdict = is_midpoint_convex_at(lat, f, (1, 1))
+    assert not verdict
+    assert verdict.witness.z == (1, -1)
+    for x in lat.window:
+        assert_midpoint_matches_oracle(lat, f, x)
+
+
+def test_midpoint_on_3d_window_with_negative_corner():
+    lat = build_lattice(LatticeSpec(3, "linf", 1, ((-2, 1), (-1, 1), (-3, 0))))
+    f = {v: (v[0] * v[1] - v[2]) ** 2 % 5 - 2 for v in lat.window}
+    f[(-1, 0, -2)] = 0.5
+    del f[(0, 1, -1)]
+    verdicts = [is_midpoint_convex_at(lat, f, x).ok for x in lat.window]
+    assert any(verdicts) and not all(verdicts)
+    for x in lat.window:
+        assert_midpoint_matches_oracle(lat, f, x)
 
 
 @PROPERTY
@@ -312,7 +357,7 @@ def test_midpoint_matches_window_scan(lat, data):
 def test_norm_metric_convexity_implies_midpoint_convexity(lat, data):
     """x lies between x + z and x - z with weights 1/2, so the two-point
     inequality of the norm metric contains the midpoint inequality."""
-    f = partial_function(data, lat)
+    f = partial_function(data, lat, FLOAT_RANGE_VALUES)
     m = lat.metric()
     for x in lat.window:
         if is_convex_at(m, f, x):
