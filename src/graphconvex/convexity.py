@@ -22,11 +22,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import or_
 from typing import Any, Iterator, Mapping
 
-from .extreal import INF, approx_eq, approx_le, check_values, exact_div, scaled
+from .extreal import INF, approx_eq, approx_le, check_values, exact_add, exact_div, scaled
 from .graph import Metric, UnknownVertexError
 
 VertexFunction = Mapping[Any, float]
@@ -56,30 +56,36 @@ class Betweenness:
     """Index-based distance rows of one metric and the betweenness relation.
 
     Row i is ``[d(v_i, v) for v in m.vertices]``, filled the first time it
-    is read: from one ``m.distances_from(v_i)`` mapping when the metric has
-    one (missing = +inf), else by calling ``m.dist`` per entry.  Distances
-    are compared with ``approx_eq(., ., m.tol)``, which is exact unless a
-    float is involved.  On rows of plain ints the engine also keeps each
-    vertex's distance shells, ``{r: bitmask of the vertices at distance r}``,
-    built on first use and kept as long as the row.
+    is read: from ``m.row_source(i)`` when the metric has one, else by
+    calling ``m.dist`` per entry.  Distances are compared with
+    ``approx_eq(., ., m.tol)``, which is exact unless a float is involved.
+    On rows of plain ints the engine also keeps each vertex's distance
+    shells, ``{r: bitmask of the vertices at distance r}``, for as long as
+    the row: taken with the row from ``row_source`` when it gives them,
+    which makes the metric ``certified`` (every row symmetric, plain int
+    and positive off the diagonal), else built on first use.
     """
 
     def __init__(self, m: Metric):
         self.vertices, self.dist, self.tol = m.vertices, m.dist, m.tol
-        self.distances_from = m.distances_from
+        self.row_source = m.row_source
         self.index = {v: i for i, v in enumerate(m.vertices)}
         self.rows: list = [None] * len(m.vertices)
+        self.certified = False
         self._shells: dict = {}
         self._bases: dict = {}
 
     def row(self, i: int) -> list:
         r = self.rows[i]
         if r is None:
-            v, verts = self.vertices[i], self.vertices
-            if self.distances_from is None:
-                r = [self.dist(v, u) for u in verts]
+            if self.row_source is None:
+                v = self.vertices[i]
+                r = [self.dist(v, u) for u in self.vertices]
             else:
-                r = list(map(self.distances_from(v).get, verts, repeat(INF)))
+                r, shells = self.row_source(i)
+                if shells is not None:
+                    self._shells[i] = shells
+                    self.certified = True
             self.rows[i] = r
         return r
 
@@ -90,8 +96,11 @@ class Betweenness:
             return self._shells[i]
         except KeyError:
             pass
+        row = self.row(i)  # a certified row brings its shells along
+        if self.certified:
+            return self._shells[i]
         shells: dict | None = {}
-        for j, d in enumerate(self.row(i)):
+        for j, d in enumerate(row):
             if type(d) is int:
                 shells[d] = shells.get(d, 0) | 1 << j
             elif d != INF:
@@ -106,21 +115,24 @@ class Betweenness:
         lcm(dists) // dist.  None unless every i != k in ``dom`` has
         d(v_i, v_k) = d(v_k, v_i), the rows of k and of the candidates
         hold only plain ints and +inf, and every candidate distance is
-        positive.  Kept at k for the last ``dom`` asked."""
+        positive; on a certified metric that holds by construction and is
+        not checked.  Kept at k for the last ``dom`` asked."""
         key = tuple(dom)
         last = self._bases.get(k)
         if last is not None and last[0] == key:
             return last[1]
-        rk, basis = self.row(k), None
+        rk = self.row(k)
         others = [i for i in dom if i != k]
-        if self.shells(k) is not None and [self.row(i)[k] for i in others] == [
-            rk[i] for i in others
-        ]:
-            cands = [i for i in others if rk[i] != INF]
-            dists = [rk[i] for i in cands]
-            if not cands or (min(dists) > 0 and None not in map(self.shells, cands)):
-                scale = math.lcm(*dists)
-                basis = cands, dists, [scale // d for d in dists]
+        cands = [i for i in others if rk[i] != INF]
+        dists = [rk[i] for i in cands]
+        basis = None
+        if self.certified or (
+            self.shells(k) is not None
+            and [self.row(i)[k] for i in others] == [rk[i] for i in others]
+            and (not cands or (min(dists) > 0 and None not in map(self.shells, cands)))
+        ):
+            scale = math.lcm(*dists)
+            basis = cands, dists, [scale // d for d in dists]
         self._bases[k] = key, basis
         return basis
 
@@ -211,7 +223,7 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     for i, j, dij, dkj, dik in e.between_pairs(k, dom) if pairs is None else pairs:
         x, y = verts[i], verts[j]
         lhs = scaled(dij, fz)
-        rhs = scaled(dkj, f[x]) + scaled(dik, f[y])
+        rhs = exact_add(scaled(dkj, f[x]), scaled(dik, f[y]))
         if not approx_le(lhs, rhs, tol):
             combo = INF if rhs == INF else exact_div(rhs, dij)
             return ConvexityVerdict(False, z, ConvexityWitness(x, y, fz, combo))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from numbers import Rational, Real
-from operator import gt
+from operator import add, gt, mul, truediv
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
@@ -68,10 +68,36 @@ def approx_le(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 
 def scaled(c, v):
-    """c * v for c >= 0 under the convention 0 * inf = 0."""
+    """c * v for c >= 0 under the convention 0 * inf = 0, exact (see
+    :func:`exact_add`) when an int beyond float range meets a float."""
     if c == 0:
         return 0
-    return c * v
+    try:
+        return c * v
+    except OverflowError:
+        return _overflowed(mul, c, v)
+
+
+def exact_add(a, b):
+    """a + b for values above -inf.  An int (or ``Fraction``) beyond float
+    range plus a float is summed exactly, in fractions, instead of raising
+    ``OverflowError``; plus +inf it is +inf."""
+    try:
+        return a + b
+    except OverflowError:
+        return _overflowed(add, a, b)
+
+
+def _overflowed(op, a, b):
+    """op(a, b) after converting an int beyond float range to a float
+    overflowed.  +inf on either side gives +inf, which holds for the sums
+    of values and their products with or quotients by a positive finite
+    distance done here; anything else is done exactly in fractions."""
+    if a == INF or b == INF:
+        return INF
+    from fractions import Fraction  # rare; keeps the import off start-up
+
+    return op(Fraction(a), Fraction(b))
 
 
 def report_value(x):
@@ -86,15 +112,11 @@ def report_value(x):
 
 
 def exact_div(a, b):
-    """a / b, staying an int when both are ints and the division is exact,
-    and a ``Fraction`` when the quotient of two ints overflows a float."""
-    if isinstance(a, int) and isinstance(b, int):
-        if a % b == 0:
-            return a // b
-        try:
-            return a / b
-        except OverflowError:
-            from fractions import Fraction  # rare; keeps the import off start-up
-
-            return Fraction(a, b)
-    return a / b
+    """a / b for b > 0, staying an int when both are ints and the division
+    is exact, and a ``Fraction`` when the quotient overflows a float."""
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    try:
+        return a / b
+    except OverflowError:
+        return _overflowed(truediv, a, b)

@@ -45,7 +45,7 @@ from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Any, Iterator, Mapping
 
-from .extreal import DEFAULT_TOL, approx_le, check_values
+from .extreal import DEFAULT_TOL, approx_le, check_values, exact_add
 from .graph import Graph, Metric, UnknownVertexError
 
 NORMS = ("l1", "l2", "linf")
@@ -231,13 +231,15 @@ def is_midpoint_convex_at(
             map(get, map(at, map(sub, repeat(i), shifts))),
         ))):
             return MidpointVerdict(True, x)
-    except TypeError:  # a translate without a value: None + ...
+    except (TypeError, OverflowError):
+        # a translate without a value (None + ...), or an int beyond float
+        # range plus a float: the scan below decides
         pass
     for z, s in zip(box, shifts):
         fp, fq = get(at(i + s)), get(at(i - s))
         if fp is None or fq is None:
             continue
-        rhs = fp + fq
+        rhs = exact_add(fp, fq)
         if not approx_le(fx2, rhs, tol):
             return MidpointVerdict(False, x, MidpointWitness(z, fx2, rhs))
     return MidpointVerdict(True, x)

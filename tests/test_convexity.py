@@ -299,6 +299,17 @@ def test_is_convex_at_is_exact_on_large_ints():
     assert (w.x, w.y, w.lhs, w.rhs) == (0, 2, 10**10, 9999999999)
 
 
+def test_is_convex_at_is_exact_beyond_float_range_on_float_distances():
+    # l2 distances are floats; the ints below overflow any float product
+    m = build_lattice(LatticeSpec(1, "l2", 1, ((0, 4),))).metric()
+    f = dict(zip(m.vertices, (0, 10**400, 0.5, 1, 2)))
+    assert [is_convex_at(m, f, x).ok for x in m.vertices] == [True, False, True, True, True]
+    f = dict(zip(m.vertices, (-(10**400), 0, 0.5, 1, 2)))
+    w = is_convex_at(m, f, (1,)).witness
+    assert (w.x, w.y, w.lhs) == ((0,), (2,), 0)
+    assert w.rhs == Fraction(-2 * 10**400 + 1, 4) and isinstance(w.rhs, Fraction)
+
+
 def test_is_convex_at_rejects_nan_and_minus_inf():
     m = path(3).metric()
     with pytest.raises(ValueError):

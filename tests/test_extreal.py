@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphconvex import INF, approx_eq, approx_le, exact_div, scaled
-from graphconvex.extreal import check_value, check_values, report_value
+from graphconvex.extreal import check_value, check_values, exact_add, report_value
 
 
 def test_approx_eq_is_exact_on_ints():
@@ -138,6 +138,22 @@ def test_exact_div_keeps_quotients_beyond_float_range_exact():
     assert q == Fraction(2 * big + 1, 2) and isinstance(q, Fraction)
     assert exact_div(2 * big, 2) == big  # exact division stays an int
     assert exact_div(big + 1, big) == 1.0  # a quotient in float range stays a float
+
+
+def test_arithmetic_with_floats_stays_exact_beyond_float_range():
+    # float arithmetic would raise OverflowError on each of these
+    big = 10**400
+    total = exact_add(big, 0.5)
+    assert total == Fraction(2 * big + 1, 2) and isinstance(total, Fraction)
+    assert exact_add(-big, 0.25) == Fraction(-4 * big + 1, 4)
+    assert exact_add(total, 1.5) == big + 2  # a Fraction plus a float, also exact
+    assert exact_add(big, INF) == INF and exact_add(INF, -big) == INF
+    assert exact_add(1, 0.5) == 1.5 and exact_add(2, 3) == 5
+    product = scaled(1.5, big)
+    assert product == Fraction(3 * big, 2) and isinstance(product, Fraction)
+    assert scaled(big, INF) == INF
+    assert exact_div(big, 0.5) == 2 * big
+    assert exact_div(Fraction(3 * big, 2), 1.5) == big
 
 
 def test_report_value_spells_inf_and_fractions_as_strings():

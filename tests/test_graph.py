@@ -98,6 +98,20 @@ def test_unit_weight_flag():
     assert Graph([(0, 1, 1.0)]).is_unit_weight  # 1.0 == 1
 
 
+def test_only_int_unit_weights_take_the_bfs():
+    # 1.0 counts as a unit weight, but its rows come from the heap as
+    # floats and without shells; the int 1 gives int rows with shells
+    floats = Graph([(0, 1, 1.0)])
+    assert floats.is_unit_weight
+    row, shells = floats.metric().row_source(0)
+    assert shells is None and row == [0, 1.0] and type(row[1]) is float
+    assert type(floats.distance(0, 1)) is float
+    ints = Graph([(0, 1, 1)], vertices=[2])
+    assert ints.metric().row_source(0) == ([0, 1, math.inf], {0: 0b1, 1: 0b10})
+    assert type(ints.distance(0, 1)) is int
+    assert not Graph([(0, 1, True)]).metric().row_source(0)[1]
+
+
 def test_is_connected():
     assert cycle(6).is_connected
     assert not Graph([(0, 1), (2, 3)]).is_connected

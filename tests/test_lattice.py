@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +151,18 @@ def test_midpoint_rejects_nan():
     del f[(0,)]  # rejected even where x has no value
     with pytest.raises(ValueError):
         is_midpoint_convex_at(lat, f, (0,))
+
+
+def test_midpoint_is_exact_beyond_float_range_next_to_floats():
+    lat = build_lattice(LatticeSpec(1, "l2", 1, ((0, 4),)))
+    f = dict(zip(lat.window, (0, 10**400, 3, 0.5, 2)))
+    # z = (1,) gives 10**400 + 0.5, which no float holds; z = (2,) fails
+    verdict = is_midpoint_convex_at(lat, f, (2,))
+    assert (verdict.witness.z, verdict.witness.lhs, verdict.witness.rhs) == ((2,), 6, 2)
+    lat = build_lattice(LatticeSpec(1, "l2", 1, ((0, 2),)))
+    f = dict(zip(lat.window, (0.5, 10**401, 10**400)))
+    w = is_midpoint_convex_at(lat, f, (1,)).witness
+    assert w.rhs == Fraction(2 * 10**400 + 1, 2) and isinstance(w.rhs, Fraction)
 
 
 def test_midpoint_skips_half_space_and_window_edges():
