@@ -3,9 +3,10 @@
 Everything here is relative to a :class:`~graphconvex.graph.Metric`.  A
 vertex z lies between x and y when d(x, y) = d(x, z) + d(z, y) with
 d(x, y) finite.  One engine, :class:`Betweenness`, decides that relation
-for every caller, exactly on integer distances.  A set is convex when it
-is fixed by the one-step betweenness closure; the convex hull is the least
-such fixed point.
+for every caller, exactly on integer distances; the intervals I(x, y) of
+the closure and of the subset sweeps are its :meth:`Betweenness.interval`
+bitmasks.  A set is convex when it is fixed by the one-step betweenness
+closure; the convex hull is the least such fixed point.
 
 A function f is convex at z when for every pair x, y with z between them,
 
@@ -63,7 +64,8 @@ class Betweenness:
     shells, ``{r: bitmask of the vertices at distance r}``, for as long as
     the row: taken with the row from ``row_source`` when it gives them,
     which makes the metric ``certified`` (every row symmetric, plain int
-    and positive off the diagonal), else built on first use.
+    and positive off the diagonal), else built on first use.  Intervals
+    I(v_i, v_j) come from :meth:`interval` alone, and are not kept.
     """
 
     def __init__(self, m: Metric):
@@ -74,6 +76,7 @@ class Betweenness:
         self.certified = False
         self._shells: dict = {}
         self._bases: dict = {}
+        self._last_closure = 0, 0  # betweenness_closure's last input and output, as masks
 
     def row(self, i: int) -> list:
         r = self.rows[i]
@@ -136,6 +139,27 @@ class Betweenness:
         self._bases[k] = key, basis
         return basis
 
+    def interval(self, i: int, j: int, among: int = -1) -> int:
+        """Bitmask of the k with d(v_i, v_j) = d(v_i, v_k) + d(v_j, v_k) on
+        rows i and j (i and j among them on a symmetric metric), kept to the
+        bits of ``among`` (all by default); 0 when d(v_i, v_j) is +inf.  When
+        both rows hold only plain ints it is the OR over r of
+        shell_i[r] & shell_j[d - r], with no ``approx_eq``; any other rows
+        are scanned with it, over ``among``."""
+        d = self.row(i)[j]
+        if d == INF:
+            return 0
+        si, sj = self.shells(i), self.shells(j)
+        if si is not None and sj is not None:
+            return among & reduce(or_, [layer & sj.get(d - r, 0) for r, layer in si.items()], 0)
+        ri, rj, tol = self.rows[i], self.rows[j], self.tol
+        # approx_eq(d, s, tol) implies s - d <= tol / (1 - tol) * max(1, |d|), so for
+        # 0 <= tol <= 1/4 every such s is at most hi (1e-12 covers float rounding)
+        bounded = 0 <= tol <= 0.25 and abs(d) < 1e300
+        hi = max(d, d + (2 * tol + 1e-12) * max(1, abs(d))) if bounded else INF
+        ks = _bit_indices(among & (1 << len(ri)) - 1)
+        return sum(1 << k for k in ks if (s := ri[k] + rj[k]) <= hi and approx_eq(d, s, tol))
+
     def between_pairs(self, k: int, candidates) -> Iterator[tuple]:
         """``(i, j, d_ij, d_kj, d_ik)`` for every i < j from the ascending
         ``candidates`` with k between them and 0 < d_ij < inf, in (i, j)
@@ -172,16 +196,23 @@ def is_between(m: Metric, x, z, y) -> bool:
 
 
 def betweenness_closure(m: Metric, members) -> frozenset:
-    """One closure step: members plus every vertex between two members."""
+    """One closure step: members plus every vertex between two members,
+    from the members' intervals, each asked only for the vertices not yet
+    reached.  The engine keeps the last set asked and its closure; when
+    that set lies in ``members``, its pairs are skipped."""
     a = frozenset(members)
     e = betweenness(m)
-    rows = [(i, e.row(i)) for i in sorted(_indices(e, a))]
-    tol = m.tol
-    pairs = [(rx, rx[j], ry) for (_, rx), (j, ry) in combinations(rows, 2) if rx[j] != INF]
-    return a.union(
-        z for k, z in enumerate(m.vertices)
-        if z not in a and any(approx_eq(dxy, rx[k] + ry[k], tol) for rx, dxy, ry in pairs)
-    )
+    idx = sorted(_indices(e, a))
+    mask, full = sum(1 << i for i in idx), (1 << len(m.vertices)) - 1
+    last, closed = e._last_closure if e._last_closure[0] & ~mask == 0 else (0, 0)
+    rest = full & ~(closed | mask)  # the vertices not reached yet
+    for i, j in combinations(idx, 2):
+        if not rest:
+            break
+        if not last >> i & last >> j & 1:
+            rest &= ~e.interval(i, j, rest)
+    e._last_closure = mask, full & ~rest
+    return a.union(map(m.vertices.__getitem__, _bit_indices(full & ~rest)))
 
 
 def convex_hull(m: Metric, members) -> frozenset:
@@ -314,6 +345,14 @@ def _indices(e: Betweenness, vertices) -> list:
         return [e.index[v] for v in vertices]
     except KeyError as err:
         raise UnknownVertexError(err.args[0]) from None
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def brute_force_convex_hull(m: Metric, members) -> frozenset:

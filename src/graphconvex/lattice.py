@@ -146,6 +146,7 @@ class GroupLattice:
         sizes = [hi - lo + 1 for lo, hi in spec.window]
         self._strides = tuple(math.prod(sizes[k + 1:]) for k in range(spec.dimension))
         self._offset_table: dict = {}  # x -> (i, half-box of x, flat shifts)
+        self._metrics: dict = {}  # tol -> the norm metric
 
     def __repr__(self) -> str:
         return f"GroupLattice({self.spec.describe()})"
@@ -155,7 +156,13 @@ class GroupLattice:
         return x in self.interior
 
     def metric(self, tol: float | None = None) -> Metric:
-        return group_metric(self.spec, self._tol if tol is None else tol)
+        """The norm metric of the window, built once per tol and kept here,
+        so its betweenness engine and distance rows are shared."""
+        tol = self._tol if tol is None else tol
+        m = self._metrics.get(tol)
+        if m is None:
+            m = self._metrics[tol] = group_metric(self.spec, tol)
+        return m
 
     def _require(self, x) -> None:
         if x not in self.graph:

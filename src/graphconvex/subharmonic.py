@@ -16,9 +16,10 @@ sides count as equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Mapping
 
-from .extreal import DEFAULT_TOL, INF, approx_eq, check_value, exact_div
+from .extreal import DEFAULT_TOL, INF, approx_eq, check_value, exact_add, exact_div, scaled
 from .graph import Graph
 
 
@@ -56,14 +57,20 @@ def compare_to_neighborhood_mean(
     if not nbrs:
         raise ValueError(f"degree zero at vertex {x!r}: no neighborhood mean")
     fx = _value(f, x)
-    total = 0
-    acc = 0
-    for y, w in nbrs.items():
-        c = w if weighted else 1
-        total += c
-        acc += c * _value(f, y)  # c > 0, so no 0*inf can arise
+    total = acc = 0
+    try:
+        for y, w in nbrs.items():
+            c = w if weighted else 1
+            total += c
+            acc += c * _value(f, y)  # c > 0, so no 0*inf can arise
+        lhs = total * fx
+    except OverflowError:  # an int beyond float range met a float: sum exactly
+        total = acc = 0
+        for y, w in nbrs.items():
+            c = w if weighted else 1
+            total, acc = exact_add(total, c), exact_add(acc, scaled(c, _value(f, y)))
+        lhs = scaled(total, fx)
     mean = INF if acc == INF else exact_div(acc, total)
-    lhs = total * fx
     if approx_eq(lhs, acc, tol):
         verdict = "harmonic"
     elif lhs < acc:
@@ -86,7 +93,11 @@ def laplacian(g: Graph, f: Mapping, x):
     values = [_value(f, y) for y in nbrs]
     if fx == INF or INF in values:
         return INF
-    return sum(w * (v - fx) for (_, w), v in zip(nbrs.items(), values))
+    try:
+        return sum(w * (v - fx) for w, v in zip(nbrs.values(), values))
+    except OverflowError:  # an int beyond float range met a float: sum exactly
+        terms = (scaled(w, exact_add(v, -fx)) for w, v in zip(nbrs.values(), values))
+        return reduce(exact_add, terms, 0)
 
 
 def is_harmonic_at(

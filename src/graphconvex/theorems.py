@@ -42,6 +42,7 @@ from typing import Any, Iterable, Iterator, Mapping
 from . import generators
 from .convexity import (
     Betweenness,
+    _bit_indices,
     betweenness,
     betweenness_closure,
     distance_function,
@@ -699,9 +700,9 @@ def _sweep_subsets(claim: str, instance, tol: float) -> ClaimReport:
 
     * d(., F) is the pointwise min of d(., F') and the row of v;
     * span(F), the vertices between two members, is span(F') or'ed with the
-      intervals I(v, y), y in F', which come from the engine's
-      ``between_pairs``; F is convex exactly when span(F) lies in F, and
-      span(F) - F is ``betweenness_closure(F) - F``, the witness.
+      intervals I(v, y), y in F', the engine's :meth:`Betweenness.interval`
+      bitmasks, as in the closure; F is convex exactly when span(F) lies
+      in F, and span(F) - F is ``betweenness_closure(F) - F``, the witness.
 
     The antecedents are decided on these vectors (:func:`_antecedent_test`,
     and for prop-nn F convex and :func:`_nearest_neighbor_test`).  prop-nn
@@ -718,22 +719,17 @@ def _sweep_subsets(claim: str, instance, tol: float) -> ClaimReport:
         )
     e = betweenness(m)
     rows = [e.row(i) for i in range(n)]
-    pairs = [list(e.between_pairs(k, range(n))) for k in range(n)]
-    interval = [[0] * n for _ in range(n)]  # interval[i][j]: the k between v_i and v_j
-    for k, ps in enumerate(pairs):
-        for i, j, *_ in ps:
-            interval[i][j] = interval[j][i] = interval[i][j] | 1 << k
     nn = claim == "prop-nn"
     if nn:
         nearest = _nearest_neighbor_test(instance, m.tol)
     else:
-        antecedent = _antecedent_test(claim, instance, e, pairs)
+        antecedent = _antecedent_test(claim, instance, e)
     per_set = len(instance.interior) if nn else n
     fired, witness = 0, None
     # d(., F) and span(F) of the F that are some later F', those below the top bit
     dists, spans, half = [None], [0], 1 << (n - 1)
     for v in range(n):
-        bit, row, through = 1 << v, rows[v], interval[v]
+        bit, row, through = 1 << v, rows[v], [e.interval(y, v) for y in range(v)]
         reach = [0]  # reach[s]: OR of I(v, y) over the y in s, for every s < bit
         for rest in range(bit):
             if rest:
@@ -768,12 +764,11 @@ def _sweep_subsets(claim: str, instance, tol: float) -> ClaimReport:
     return result
 
 
-def _antecedent_test(claim: str, instance, e: Betweenness, pairs):
+def _antecedent_test(claim: str, instance, e: Betweenness):
     """``test(dist, mask, first)``: whether d(., F) is convex at every vertex
-    (thm3) or midpoint convex at every window point (prop-dist-cvx), for
-    the set F with bits ``mask`` and distance vector ``dist``; the vertices
-    in ``first`` are tried first.  ``pairs[k]`` is
-    ``e.between_pairs(k, range(n))``.
+    (thm3, over ``e.between_pairs``) or midpoint convex at every window
+    point (prop-dist-cvx), for the set F with bits ``mask`` and distance
+    vector ``dist``; the vertices in ``first`` are tried first.
 
     Each vertex is accepted at once when plain ``<=`` holds on all of its
     inequalities, else decided one inequality at a time with ``approx_le``,
@@ -786,7 +781,8 @@ def _antecedent_test(claim: str, instance, e: Betweenness, pairs):
         # (i, j, d_ij, d_kj, d_ik) with k between: d_ij f(k) <= d_kj f(i) + d_ik f(j),
         # every coefficient positive, so the product never meets 0 * inf
         sites = {}
-        for k, ps in enumerate(pairs):
+        for k in range(len(e.vertices)):
+            ps = list(e.between_pairs(k, range(len(e.vertices))))
             if ps:
                 ii, jj, dij, dkj, dik = zip(*ps)
                 sites[k] = (_picker(ii), _picker(jj), dij, dkj, dik)
@@ -849,14 +845,6 @@ def _nearest_neighbor_test(lat: GroupLattice, tol: float):
         return True
 
     return test
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _picker(indices):

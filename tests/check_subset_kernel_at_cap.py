@@ -6,7 +6,7 @@ Compares the reports of ``sweep_subsets_dist_convex`` and
 ``sweep_subsets_nn`` with those of the single-set verifiers called once
 per subset (4,095 sets each) on the 3x4 windows in l1, linf and l2, on
 path 12 and on four random weighted 12-vertex graphs.  Too slow for the
-tier-1 suite (about ten seconds), so pytest does not collect it; exits 1
+tier-1 suite (about five seconds), so pytest does not collect it; exits 1
 on the first mismatch.
 """
 

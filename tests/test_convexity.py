@@ -26,6 +26,7 @@ from graphconvex import (
     random_connected_graph,
     set_distance_function,
 )
+from graphconvex import convexity
 from graphconvex.convexity import Betweenness
 
 INF = math.inf
@@ -94,6 +95,22 @@ def test_hull_on_path_is_the_interval():
     m = path(7).metric()
     assert convex_hull(m, {1, 5}) == {1, 2, 3, 4, 5}
     assert convex_hull(m, {0, 2, 3}) == {0, 1, 2, 3}
+
+
+def test_closure_on_unit_graphs_needs_no_approx_eq(monkeypatch):
+    # unit-weight rows are plain ints: intervals come from the distance shells
+    def refuse(*args):
+        raise AssertionError("approx_eq called")
+
+    m = grid(4, 5).metric()
+    monkeypatch.setattr(convexity, "approx_eq", refuse)
+    corners = {(0, 0), (3, 4)}
+    assert betweenness_closure(m, corners) == set(m.vertices)
+    assert betweenness_closure(m, {(0, 0), (0, 3)}) == {(0, j) for j in range(4)}
+    assert convex_hull(m, {(1, 1), (2, 3)}) == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
+    square = Graph([("a", "x"), ("x", "y"), ("y", "z"), ("z", "a")]).metric()
+    assert betweenness_closure(square, {"a", "y"}) == {"a", "x", "y", "z"}
+    assert convex_hull(square, {"a", "x"}) == {"a", "x"}
 
 
 def test_hull_on_grid_is_the_bounding_box():

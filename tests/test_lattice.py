@@ -106,6 +106,16 @@ def test_no_interior_warns():
         build_lattice(LatticeSpec(1, "l1", 3, ((0, 2),)))
 
 
+def test_lattice_keeps_one_norm_metric_per_tolerance():
+    lat = build_lattice(LatticeSpec(2, "l2", 1.5, ((0, 2), (0, 2))))
+    m = lat.metric()
+    assert lat.metric() is m
+    assert lat.metric(lat.metric().tol) is m
+    other = lat.metric(1e-6)
+    assert other is not m and other.tol == 1e-6
+    assert lat.metric(1e-6) is other
+
+
 def test_group_metric_axioms_sampled():
     rng = random.Random("norm-metric")
     for norm in ("l1", "l2", "linf"):

@@ -10,7 +10,8 @@ weights from {1, 2, 3} and compare witnesses exactly, value types included.
 
 The lattice oracles scan the whole window, while the library visits
 only the vectors that can matter; verdicts, first witnesses and set
-distances must agree exactly, value types included.
+distances must agree exactly, value types included.  Neighbourhood means
+and the laplacian are checked against sums in fractions.
 """
 
 import itertools
@@ -36,12 +37,15 @@ from graphconvex import (  # noqa: E402
     betweenness_closure,
     brute_force_convex_hull,
     build_lattice,
+    compare_to_neighborhood_mean,
     convex_hull,
     has_nearest_neighbor_property,
     is_convex_at,
     is_midpoint_convex_at,
+    laplacian,
     set_distance_function,
 )
+from graphconvex.convexity import betweenness  # noqa: E402
 
 WEIGHTS = (1, 2, 0.5, 1.5)
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -136,6 +140,33 @@ def test_closure_matches_interval_definition(graph, data):
         if between(d, x, z, y)
     }
     assert betweenness_closure(g.metric(), members) == expected
+
+
+def assert_intervals_match(m, between, data, pairs=None):
+    """``interval(i, j)`` and ``interval(i, j, among)`` against the k with
+    ``between(x, k, y)``, on every pair or on ``pairs`` drawn ones."""
+    e, verts = betweenness(m), m.vertices
+    n = len(verts)
+    if pairs is None:
+        ends = list(itertools.product(range(n), repeat=2))
+    else:
+        ends = [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+                for _ in range(pairs)]
+    for i, j in ends:
+        expected = sum(1 << k for k in range(n) if between(verts[i], verts[k], verts[j]))
+        assert e.interval(i, j) == expected
+        among = data.draw(st.integers(0, (1 << n) - 1))
+        assert e.interval(i, j, among) == expected & among
+
+
+# certified unit rows, int rows from the heap, float rows, unreachable pairs
+@PROPERTY
+@given(st.sampled_from(((1,), (1, 2), WEIGHTS)).flatmap(
+    lambda w: weighted_graphs(connected=False, weights=w)), st.data())
+def test_interval_matches_distance_definition(graph, data):
+    n, edges = graph
+    g, d = build(n, edges)
+    assert_intervals_match(g.metric(), lambda x, z, y: between(d, x, z, y), data)
 
 
 @PROPERTY
@@ -443,3 +474,81 @@ def test_graph_set_distance_matches_row_minimum(graph, data):
     got, expected = set_distance_function(m, members), set_distance_oracle(m, members)
     assert list(got) == list(expected)
     assert typed(got.values()) == typed(expected.values())
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_interval_matches_norm_definition_on_lattices(lat, data):
+    norm = {"l1": lambda v: sum(map(abs, v)), "linf": lambda v: max(map(abs, v)),
+            "l2": lambda v: math.sqrt(sum(c * c for c in v))}[lat.spec.norm]
+
+    def d(x, y):
+        return norm([a - b for a, b in zip(x, y)])
+
+    def on_segment(x, z, y):
+        return math.isclose(d(x, z) + d(z, y), d(x, y), rel_tol=1e-9, abs_tol=1e-9)
+
+    assert_intervals_match(lat.metric(), on_segment, data, pairs=8)
+
+# ----------------------------------------------------------------------
+# neighborhood means and the laplacian: an exact Fraction oracle
+# ----------------------------------------------------------------------
+
+
+def mean_oracle(g, f, x, weighted):
+    """(the verdicts allowed, the exact mean, the exact total weight) of f
+    at x.  Within twice the tolerance band of equality, float rounding may
+    make the library call a float case harmonic."""
+    total, acc, infinite = Fraction(0), Fraction(0), False
+    floats = isinstance(f[x], float)
+    for y, w in g.neighbors(x).items():
+        c = w if weighted else 1
+        floats |= isinstance(c, float) or isinstance(f[y], float) and f[y] != math.inf
+        total += Fraction(c)
+        if f[y] == math.inf:
+            infinite = True
+        else:
+            acc += Fraction(c) * Fraction(f[y])
+    if infinite:
+        return {"harmonic" if f[x] == math.inf else "subharmonic"}, math.inf, total
+    if f[x] == math.inf:
+        return {"neither"}, acc / total, total
+    lhs = total * Fraction(f[x])
+    exact = "harmonic" if lhs == acc else "subharmonic" if lhs < acc else "neither"
+    allowed = {exact}
+    if floats and abs(lhs - acc) <= Fraction(2e-9) * max(1, abs(lhs), abs(acc)):
+        allowed.add("harmonic")
+    return allowed, acc / total, total
+
+
+def close(got, exact, scale=1):
+    if exact == math.inf:
+        return got == math.inf
+    return abs(Fraction(got) - exact) <= Fraction(1e-9) * max(1, abs(exact), scale)
+
+
+@PROPERTY
+@given(weighted_graphs(connected=False), st.data())
+def test_means_and_laplacian_match_fraction_oracle(graph, data):
+    """Values include 10**400 next to floats, which float sums cannot hold."""
+    n, edges = graph
+    g = Graph(edges, vertices=range(n))
+    f = {v: data.draw(VALUES.filter(lambda value: value is not None)) for v in range(n)}
+    weighted = data.draw(st.booleans())
+    for x in range(n):
+        nbrs = g.neighbors(x)
+        if not nbrs:
+            continue
+        cmp = compare_to_neighborhood_mean(g, f, x, weighted=weighted)
+        allowed, mean, total = mean_oracle(g, f, x, weighted)
+        assert cmp.verdict in allowed
+        assert close(cmp.neighborhood_mean, mean)
+        assert Fraction(cmp.total_weight) == total
+        lap = laplacian(g, f, x)
+        if f[x] == math.inf or any(f[y] == math.inf for y in nbrs):
+            assert lap == math.inf
+        else:
+            terms = [Fraction(w) * (Fraction(f[y]) - Fraction(f[x])) for y, w in nbrs.items()]
+            scale = sum(Fraction(w) * (abs(Fraction(f[y])) + abs(Fraction(f[x])))
+                        for y, w in nbrs.items())
+            assert close(lap, sum(terms), scale)

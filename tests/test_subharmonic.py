@@ -5,6 +5,8 @@ import pytest
 
 from graphconvex import (
     Graph,
+    LatticeSpec,
+    build_lattice,
     compare_to_neighborhood_mean,
     cycle,
     distance_function,
@@ -66,6 +68,23 @@ def test_means_and_laplacian_stay_exact_beyond_float_range():
     assert cmp.neighborhood_mean == Fraction(2 * big + 1, 2)
     assert cmp.verdict == "subharmonic"
     assert laplacian(g, {0: big, 1: 0, 2: big}, 1) == 2 * big
+
+
+def test_means_and_laplacian_mixing_huge_ints_with_floats_are_exact():
+    # each of these raised OverflowError in float arithmetic
+    big = 10**400
+    g = path(3)
+    cmp = compare_to_neighborhood_mean(g, {0: big, 1: 0, 2: 0.5}, 1)
+    assert cmp.neighborhood_mean == Fraction(2 * big + 1, 4)
+    assert cmp.verdict == "subharmonic"
+    assert laplacian(g, {0: big, 1: 0.5, 2: 0}, 1) == big - 1
+    lat = build_lattice(LatticeSpec(1, "l2", 1.5, ((0, 4),)))  # weights 1.0
+    f = dict(zip(lat.window, (0, big, 3, 1, 2)))
+    cmp = compare_to_neighborhood_mean(lat.graph, f, (2,), weighted=True)
+    assert cmp.total_weight == 2.0
+    assert cmp.neighborhood_mean == Fraction(big + 1, 2)
+    assert cmp.verdict == "subharmonic"
+    assert not compare_to_neighborhood_mean(lat.graph, f, (1,), weighted=True)
 
 
 def test_weighted_mean_and_laplacian():

@@ -477,15 +477,19 @@ def test_subset_sweeps_build_one_betweenness_engine(monkeypatch):
         init(self, m)
 
     monkeypatch.setattr(convexity.Betweenness, "__init__", counting_init)
-    line = lattice_1d(-5, 5)
+    # a fresh lattice per sweep: a lattice keeps its metric, and so its engine
     for sweep, instance in (
         (sweep_subsets_dist_convex, path(11)),
-        (sweep_subsets_dist_convex, line),
-        (sweep_subsets_nn, line),
+        (sweep_subsets_dist_convex, lattice_1d(-5, 5)),
+        (sweep_subsets_nn, lattice_1d(-5, 5)),
     ):
         built.clear()
         assert sweep(instance).verdict == "verified"
         assert len(built) == 1
+    line = lattice_1d(-5, 5)
+    built.clear()
+    assert sweep_subsets_dist_convex(line).verdict == sweep_subsets_nn(line).verdict == "verified"
+    assert len(built) == 1
 
 
 # ----------------------------------------------------------------------
