@@ -61,6 +61,8 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """G(n, p) on vertices 0..n-1: each pair becomes an edge with probability p."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if not 0 <= p <= 1:  # NaN too
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph(edges, vertices=range(n))
 
@@ -71,7 +73,7 @@ def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
         g = random_graph(n, p, rng)
         if g.is_connected:
             return g
-    raise RuntimeError(f"no connected G({n}, {p}) found in 1000 tries")
+    raise ValueError(f"no connected G({n}, {p}) found in 1000 tries")
 
 
 def _step_grid(w: int, h: int, steps) -> Graph:

@@ -1,15 +1,18 @@
-"""Finite undirected graphs with positive edge weights and shortest-path distances."""
+"""Finite undirected graphs with positive edge weights and shortest-path
+distances, and the :class:`Metric` that decides betweenness: z lies between
+x and y when d(x, y) = d(x, z) + d(z, y) with d(x, y) finite."""
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
+from operator import or_
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
-from .extreal import DEFAULT_TOL, INF
+from .extreal import DEFAULT_TOL, INF, approx_eq
 
 Vertex = Hashable
 Weight = int | float
@@ -34,33 +37,144 @@ def sort_vertices(vertices: Iterable) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class Metric:
-    """Distance oracle over a fixed, deterministically ordered vertex universe.
+    """Distance oracle over a fixed, deterministically ordered vertex
+    universe, and the betweenness relation it induces.
 
-    ``kind`` is ``"shortest-path"`` for graph metrics and ``"norm-induced"``
-    for lattice norms.  ``tol`` is the relative tolerance used by every
-    comparison downstream of this metric.  ``row_source``, set only by
-    :meth:`Graph.metric`, maps a vertex index i to ``(row, shells)``: the
-    distances from ``vertices[i]`` as a list in vertex order (+inf when
-    unreachable), and ``{r: bitmask of the j at distance r}`` over its
-    finite entries when every row of the metric is symmetric, positive and
-    plain int off the diagonal (else None, for every row).  The engine
-    then takes whole rows and shells from it instead of calling ``dist``
-    once per entry and rebuilding the shells.  It takes no part in
-    equality.  ``_betweenness`` holds the metric's engine from
-    :mod:`graphconvex.convexity`, built on first use, so its distance rows
-    live exactly as long as the metric does.
+    ``tol`` is the relative tolerance used by every comparison downstream
+    of this metric.  Row i is ``[d(v_i, v) for v in vertices]``, filled the
+    first time it is read: from ``row_source(i)`` when the metric has one,
+    else by calling ``dist`` per entry.  ``row_source``, set only by
+    :meth:`Graph.metric`, maps i to ``(row, shells)``: the row as a list in
+    vertex order (+inf when unreachable), and ``{r: bitmask of the j at
+    distance r}`` over its finite entries when every row of the metric is
+    symmetric, positive and plain int off the diagonal (else None, for
+    every row); such shells make the metric ``certified``.  On any other
+    row of plain ints the shells are built on first use.  Distances are
+    compared with ``approx_eq(., ., tol)``, which is exact unless a float
+    is involved.  Intervals I(v_i, v_j) come from :meth:`interval` alone,
+    and are not kept.  Metrics compare and hash by identity.
     """
 
-    kind: str
-    vertices: tuple
-    dist: Callable[[Any, Any], Weight]
-    tol: float = DEFAULT_TOL
-    row_source: Callable[[int], tuple] | None = field(
-        default=None, compare=False, repr=False
-    )
-    _betweenness: Any = field(default=None, init=False, compare=False, repr=False)
+    def __init__(self, vertices, dist: Callable[[Any, Any], Weight],
+                 tol: float = DEFAULT_TOL, row_source: Callable[[int], tuple] | None = None):
+        self.vertices = tuple(vertices)
+        self.dist, self.tol, self.row_source = dist, tol, row_source
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.rows: list = [None] * len(self.vertices)
+        self.certified = False
+        self._shells: dict = {}
+        self._bases: dict = {}
+        self._last_closure = 0, 0  # betweenness_closure's last input and output, as masks
+
+    def row(self, i: int) -> list:
+        r = self.rows[i]
+        if r is None:
+            if self.row_source is None:
+                v = self.vertices[i]
+                r = [self.dist(v, u) for u in self.vertices]
+            else:
+                r, shells = self.row_source(i)
+                if shells is not None:
+                    self._shells[i] = shells
+                    self.certified = True
+            self.rows[i] = r
+        return r
+
+    def shells(self, i: int) -> dict | None:
+        """``{r: bitmask of the j with d(v_i, v_j) = r}`` over the finite
+        entries of row i, or None when one of them is not a plain int."""
+        try:
+            return self._shells[i]
+        except KeyError:
+            pass
+        row = self.row(i)  # a certified row brings its shells along
+        if self.certified:
+            return self._shells[i]
+        shells: dict | None = {}
+        for j, d in enumerate(row):
+            if type(d) is int:
+                shells[d] = shells.get(d, 0) | 1 << j
+            elif d != INF:
+                shells = None
+                break
+        self._shells[i] = shells
+        return shells
+
+    def int_basis(self, k: int, dom: list) -> tuple | None:
+        """``(cands, dists, scales)`` for the i != k of the ascending ``dom``
+        with d(v_k, v_i) finite: those i, their distances from v_k and
+        lcm(dists) // dist.  None unless every i != k in ``dom`` has
+        d(v_i, v_k) = d(v_k, v_i), the rows of k and of the candidates
+        hold only plain ints and +inf, and every candidate distance is
+        positive; on a certified metric that holds by construction and is
+        not checked.  Kept at k for the last ``dom`` asked."""
+        key = tuple(dom)
+        last = self._bases.get(k)
+        if last is not None and last[0] == key:
+            return last[1]
+        rk = self.row(k)
+        others = [i for i in dom if i != k]
+        cands = [i for i in others if rk[i] != INF]
+        dists = [rk[i] for i in cands]
+        basis = None
+        if self.certified or (
+            self.shells(k) is not None
+            and [self.row(i)[k] for i in others] == [rk[i] for i in others]
+            and (not cands or (min(dists) > 0 and None not in map(self.shells, cands)))
+        ):
+            scale = math.lcm(*dists)
+            basis = cands, dists, [scale // d for d in dists]
+        self._bases[k] = key, basis
+        return basis
+
+    def interval(self, i: int, j: int, among: int = -1) -> int:
+        """Bitmask of the k with d(v_i, v_j) = d(v_i, v_k) + d(v_j, v_k) on
+        rows i and j (i and j among them on a symmetric metric), kept to the
+        bits of ``among`` (all by default); 0 when d(v_i, v_j) is +inf.  When
+        both rows hold only plain ints it is the OR over r of
+        shell_i[r] & shell_j[d - r], with no ``approx_eq``; any other rows
+        are scanned with it, over ``among``."""
+        d = self.row(i)[j]
+        if d == INF:
+            return 0
+        si, sj = self.shells(i), self.shells(j)
+        if si is not None and sj is not None:
+            return among & reduce(or_, [layer & sj.get(d - r, 0) for r, layer in si.items()], 0)
+        ri, rj, tol = self.rows[i], self.rows[j], self.tol
+        # approx_eq(d, s, tol) implies s - d <= tol / (1 - tol) * max(1, |d|), so for
+        # 0 <= tol <= 1/4 every such s is at most hi (1e-12 covers float rounding)
+        bounded = 0 <= tol <= 0.25 and abs(d) < 1e300
+        hi = max(d, d + (2 * tol + 1e-12) * max(1, abs(d))) if bounded else INF
+        ks = _bit_indices(among & (1 << len(ri)) - 1)
+        return sum(1 << k for k in ks if (s := ri[k] + rj[k]) <= hi and approx_eq(d, s, tol))
+
+    def between_pairs(self, k: int, candidates) -> Iterator[tuple]:
+        """``(i, j, d_ij, d_kj, d_ik)`` for every i < j from the ascending
+        ``candidates`` with k between them and 0 < d_ij < inf, in (i, j)
+        order.  Only the rows of k and of the candidates are filled.  k is
+        no candidate: as d(k, k) = 0, a pair with k as an end meets
+        d_ij f(k) <= d_kj f(i) + d_ik f(j) with equality (+inf too, as
+        0 * inf = 0), so it can never refute convexity at k."""
+        rk, tol = self.row(k), self.tol
+        cands = [i for i in candidates if i != k]
+        for a, i in enumerate(cands):
+            ri = self.row(i)
+            dik = ri[k]
+            if dik == INF:
+                continue
+            for j in cands[a + 1 :]:
+                dij = ri[j]
+                if 0 < dij < INF and approx_eq(dij, dik + rk[j], tol):
+                    yield i, j, dij, rk[j], dik
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Graph:
@@ -197,7 +311,7 @@ class Graph:
         return view
 
     def metric(self, tol: float = DEFAULT_TOL) -> Metric:
-        return Metric("shortest-path", self._order, self.distance, tol, self._filled)
+        return Metric(self._order, self.distance, tol, self._filled)
 
     def _require(self, v) -> None:
         if v not in self._adj:

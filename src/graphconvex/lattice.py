@@ -157,7 +157,7 @@ class GroupLattice:
 
     def metric(self, tol: float | None = None) -> Metric:
         """The norm metric of the window, built once per tol and kept here,
-        so its betweenness engine and distance rows are shared."""
+        so its distance rows, shells and intervals are shared."""
         tol = self._tol if tol is None else tol
         m = self._metrics.get(tol)
         if m is None:
@@ -198,7 +198,7 @@ def group_metric(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> Metric:
     def dist(x, y):
         return spec.norm_value(_sub(x, y))
 
-    return Metric("norm-induced", tuple(spec.points()), dist, tol)
+    return Metric(spec.points(), dist, tol)
 
 
 @dataclass(frozen=True)

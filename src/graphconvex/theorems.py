@@ -41,9 +41,6 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from . import generators
 from .convexity import (
-    Betweenness,
-    _bit_indices,
-    betweenness,
     betweenness_closure,
     distance_function,
     indicator,
@@ -53,7 +50,7 @@ from .convexity import (
 )
 from .enumeration import connected_unit_graphs
 from .extreal import DEFAULT_TOL, approx_le, report_value
-from .graph import Graph
+from .graph import Graph, Metric, _bit_indices
 from .io import format_graph, format_vertex
 from .lattice import (
     GroupLattice,
@@ -332,6 +329,7 @@ def verify_dist_to_point_midpoint_convex(
     vertex, for each base point a (sampled near the window by default)."""
     spec = lat.spec
     if points is None:
+        _require_non_negative(count=count)
         rng = random.Random(f"dist-pt:{seed}")
         points = [
             tuple(rng.randint(lo - 2, hi + 2) for lo, hi in spec.window)
@@ -640,7 +638,7 @@ def _prepare_unit(g: Graph):
         raise ValueError("prepared sweeps require unit weights")
     index = {v: i for i, v in enumerate(g.vertices)}
     nbrs_at = [([index[u] for u in g.neighbors(v)], g.degree(v)) for v in g.vertices]
-    return betweenness(g.metric()).between_pairs, nbrs_at
+    return g.metric().between_pairs, nbrs_at
 
 
 def _sweep_witness(g: Graph, fvals, k: int, reason: str) -> dict:
@@ -660,6 +658,7 @@ def sweep_max_affine(
     lat: GroupLattice, count: int = 50, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> ClaimReport:
     """thm4-cvx-sub over ``count`` sampled max-of-affine functions."""
+    _require_non_negative(count=count)
     rng = random.Random(f"max-affine:{seed}")
     reports = [
         verify_pointwise_implication(lat, fun, "midpoint", tol=tol, label=name)
@@ -700,7 +699,7 @@ def _sweep_subsets(claim: str, instance, tol: float) -> ClaimReport:
 
     * d(., F) is the pointwise min of d(., F') and the row of v;
     * span(F), the vertices between two members, is span(F') or'ed with the
-      intervals I(v, y), y in F', the engine's :meth:`Betweenness.interval`
+      intervals I(v, y), y in F', the metric's :meth:`Metric.interval`
       bitmasks, as in the closure; F is convex exactly when span(F) lies
       in F, and span(F) - F is ``betweenness_closure(F) - F``, the witness.
 
@@ -717,19 +716,18 @@ def _sweep_subsets(claim: str, instance, tol: float) -> ClaimReport:
         raise ValueError(
             f"subset sweep over {n} vertices is too large (limit {SUBSET_CAP})"
         )
-    e = betweenness(m)
-    rows = [e.row(i) for i in range(n)]
+    rows = [m.row(i) for i in range(n)]
     nn = claim == "prop-nn"
     if nn:
         nearest = _nearest_neighbor_test(instance, m.tol)
     else:
-        antecedent = _antecedent_test(claim, instance, e)
+        antecedent = _antecedent_test(claim, instance, m)
     per_set = len(instance.interior) if nn else n
     fired, witness = 0, None
     # d(., F) and span(F) of the F that are some later F', those below the top bit
     dists, spans, half = [None], [0], 1 << (n - 1)
     for v in range(n):
-        bit, row, through = 1 << v, rows[v], [e.interval(y, v) for y in range(v)]
+        bit, row, through = 1 << v, rows[v], [m.interval(y, v) for y in range(v)]
         reach = [0]  # reach[s]: OR of I(v, y) over the y in s, for every s < bit
         for rest in range(bit):
             if rest:
@@ -764,9 +762,9 @@ def _sweep_subsets(claim: str, instance, tol: float) -> ClaimReport:
     return result
 
 
-def _antecedent_test(claim: str, instance, e: Betweenness):
+def _antecedent_test(claim: str, instance, m: Metric):
     """``test(dist, mask, first)``: whether d(., F) is convex at every vertex
-    (thm3, over ``e.between_pairs``) or midpoint convex at every window
+    (thm3, over ``m.between_pairs``) or midpoint convex at every window
     point (prop-dist-cvx), for the set F with bits ``mask`` and distance
     vector ``dist``; the vertices in ``first`` are tried first.
 
@@ -776,13 +774,13 @@ def _antecedent_test(claim: str, instance, e: Betweenness):
     their verdicts.  Members of F need no test: there d(., F) is 0 and every
     right-hand side is at least 0.
     """
-    tol = e.tol
+    tol = m.tol
     if claim == "thm3":
         # (i, j, d_ij, d_kj, d_ik) with k between: d_ij f(k) <= d_kj f(i) + d_ik f(j),
         # every coefficient positive, so the product never meets 0 * inf
         sites = {}
-        for k in range(len(e.vertices)):
-            ps = list(e.between_pairs(k, range(len(e.vertices))))
+        for k in range(len(m.vertices)):
+            ps = list(m.between_pairs(k, range(len(m.vertices))))
             if ps:
                 ii, jj, dij, dkj, dik = zip(*ps)
                 sites[k] = (_picker(ii), _picker(jj), dij, dkj, dik)
@@ -793,9 +791,9 @@ def _antecedent_test(claim: str, instance, e: Betweenness):
                     map(add, map(mul, dkj, fi(dist)), map(mul, dik, fj(dist))))
     else:
         # 2 f(x) <= f(x + z) + f(x - z) over the flat offsets of
-        # is_midpoint_convex_at: the engine's vertices are the lattice window
+        # is_midpoint_convex_at: the metric's vertices are the lattice window
         sites = {}
-        for k, x in enumerate(e.vertices):
+        for k, x in enumerate(m.vertices):
             i, _, shifts = instance._offsets(x)
             if shifts:
                 sites[k] = (_picker([i + s for s in shifts]), _picker([i - s for s in shifts]))
@@ -968,6 +966,7 @@ def search_counterexample(
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
+    _require_non_negative(budget=budget, count=count)
     instances = _family_instances(family, seed, sizes, p, n)
     for idx, (label, g) in enumerate(itertools.islice(instances, budget)):
         m = g.metric(tol)
@@ -999,15 +998,21 @@ def _evaluate_predicate(predicate, g, m, fun, z, tol) -> dict | None:
     return detail
 
 
+def _require_non_negative(**params) -> None:
+    for name, value in params.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def _family_instances(family: str, seed: int, sizes, p, n) -> Iterator[tuple[str, Graph]]:
-    if family == "cycle":
-        return ((f"cycle({k})", generators.cycle(k)) for k in sizes or itertools.count(3))
-    if family == "path":
-        return ((f"path({k})", generators.path(k)) for k in sizes or itertools.count(2))
+    if family in ("cycle", "path"):
+        make, smallest = {"cycle": (generators.cycle, 3), "path": (generators.path, 2)}[family]
+        ks = itertools.count(smallest) if sizes is None else sizes
+        return ((f"{family}({k})", make(k)) for k in ks)
     if family == "grid":
         return ((f"grid({w}x{h})", generators.grid(w, h)) for w, h in _grid_dims())
     if family == "random":
-        ns = (n or 4 + idx % 5 for idx in itertools.count())
+        ns = (4 + idx % 5 if n is None else n for idx in itertools.count())
         return (
             (f"random(n={k},p={p})#{idx}",
              generators.random_graph(k, p, random.Random(f"family:{seed}:{idx}")))

@@ -537,6 +537,27 @@ def test_verify_validation_error_exits_two(tmp_path, capsys):
     assert "2-regular" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "random", "5", "0", "--connected"], "no connected G(5, 0.0) found"),
+    (["gen", "random", "5", "nan"], "edge probability must lie in [0, 1], got nan"),
+    (["gen", "random", "5", "-1"], "edge probability must lie in [0, 1], got -1.0"),
+    (["search", "random", "--sampler", "constant", "--p", "1.5"], "got 1.5"),
+    (["search", "random", "--sampler", "constant", "--n", "0"], "at least one vertex"),
+    (["search", "cycle", "--sampler", "distance", "--budget", "-1"],
+     "budget must be non-negative, got -1"),
+    (["search", "cycle", "--sampler", "distance", "--count", "-1"],
+     "count must be non-negative, got -1"),
+    (["verify", "lem-dist-pt", "--lattice", "l1", "--window", "-2:2", "--count", "-1"],
+     "count must be non-negative, got -1"),
+    (["verify", "thm4-cvx-sub", "--lattice", "l1", "--window", "-2:2", "--count", "-1"],
+     "count must be non-negative, got -1"),
+])
+def test_bad_sampling_parameters_exit_two(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_bad_window_spec_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "lattice", "--window", "1:2,3:4", "--dim", "3"])

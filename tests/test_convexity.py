@@ -26,8 +26,7 @@ from graphconvex import (
     random_connected_graph,
     set_distance_function,
 )
-from graphconvex import convexity
-from graphconvex.convexity import Betweenness
+from graphconvex import graph
 
 INF = math.inf
 
@@ -98,12 +97,13 @@ def test_hull_on_path_is_the_interval():
 
 
 def test_closure_on_unit_graphs_needs_no_approx_eq(monkeypatch):
-    # unit-weight rows are plain ints: intervals come from the distance shells
+    # unit-weight rows are plain ints: the metric's intervals come from the
+    # distance shells
     def refuse(*args):
         raise AssertionError("approx_eq called")
 
     m = grid(4, 5).metric()
-    monkeypatch.setattr(convexity, "approx_eq", refuse)
+    monkeypatch.setattr(graph, "approx_eq", refuse)
     corners = {(0, 0), (3, 4)}
     assert betweenness_closure(m, corners) == set(m.vertices)
     assert betweenness_closure(m, {(0, 0), (0, 3)}) == {(0, j) for j in range(4)}
@@ -111,6 +111,15 @@ def test_closure_on_unit_graphs_needs_no_approx_eq(monkeypatch):
     square = Graph([("a", "x"), ("x", "y"), ("y", "z"), ("z", "a")]).metric()
     assert betweenness_closure(square, {"a", "y"}) == {"a", "x", "y", "z"}
     assert convex_hull(square, {"a", "x"}) == {"a", "x"}
+
+
+def test_closure_and_hull_apply_the_tolerance_to_float_sums():
+    # 0.1 + 0.2 != 0.3 in floats, yet 1 lies between 0 and 2 on this triangle
+    m = Graph([(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)]).metric()
+    assert m.row(0)[2] == 0.3 != m.row(0)[1] + m.row(1)[2]
+    assert is_between(m, 0, 1, 2)
+    assert betweenness_closure(m, {0, 2}) == convex_hull(m, {0, 2}) == {0, 1, 2}
+    assert brute_force_convex_hull(m, {0, 2}) == {0, 1, 2}
 
 
 def test_hull_on_grid_is_the_bounding_box():
@@ -349,29 +358,29 @@ def test_is_convex_at_reads_only_rows_of_the_domain():
         sources.add(x)
         return g.distance(x, y)
 
-    verdict = is_convex_at(Metric("shortest-path", g.vertices, dist), {0: 0, 150: 5, 299: 0}, 150)
+    verdict = is_convex_at(Metric(g.vertices, dist), {0: 0, 150: 5, 299: 0}, 150)
     assert (verdict.witness.x, verdict.witness.y) == (0, 299)
     assert sources <= {0, 150, 299}
     sources.clear()
     linear = {0: 0, 150: 150, 299: 299}
-    assert is_convex_at(Metric("shortest-path", g.vertices, dist), linear, 150)
+    assert is_convex_at(Metric(g.vertices, dist), linear, 150)
     assert sources <= {0, 150, 299}
     sources.clear()
     # float values take the pair scan, which reads every row of the domain
     linear_float = {v: float(fv) for v, fv in linear.items()}
-    assert is_convex_at(Metric("shortest-path", g.vertices, dist), linear_float, 150)
+    assert is_convex_at(Metric(g.vertices, dist), linear_float, 150)
     assert sources == {0, 150, 299}
 
 
 def test_int_data_never_takes_the_pair_scan(monkeypatch):
     # int distances with int values are decided on bitmasks; a float
     # distance or value, a Fraction or +inf still takes the pair scan
-    real_scan = Betweenness.between_pairs
+    real_scan = Metric.between_pairs
 
     def no_scan(self, k, candidates):
         raise AssertionError("int data reached the pair scan")
 
-    monkeypatch.setattr(Betweenness, "between_pairs", no_scan)
+    monkeypatch.setattr(Metric, "between_pairs", no_scan)
     rng = random.Random(7)
     disconnected = Graph([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], vertices=range(7))
     weighted = Graph([(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 0, 4), (1, 3, 2)])
@@ -391,7 +400,7 @@ def test_int_data_never_takes_the_pair_scan(monkeypatch):
         scanned.append(k)
         return real_scan(self, k, candidates)
 
-    monkeypatch.setattr(Betweenness, "between_pairs", counting_scan)
+    monkeypatch.setattr(Metric, "between_pairs", counting_scan)
     cases = [
         (Graph([(0, 1, 1.5), (1, 2, 1), (2, 3, 0.5)]).metric(), {0: 0, 1: 1, 2: 2, 3: 0}),
         (path(4).metric(), {0: 0, 1: 1.0, 2: 2, 3: 0}),

@@ -200,7 +200,6 @@ def test_parallel_distance_queries_agree_with_serial():
 def test_metric_wrapper():
     g = cycle(4)
     m = g.metric()
-    assert m.kind == "shortest-path"
     assert m.vertices == g.vertices
     assert m.dist(0, 2) == 2
     assert m.tol == 1e-9

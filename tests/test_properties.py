@@ -1,12 +1,15 @@
-"""Property tests: the betweenness engine and the lattice checks against
+"""Property tests: the metric's betweenness and the lattice checks against
 independent oracles.
 
 Distances for the graph oracles come from networkx, never from the library.
 Weights are drawn from {1, 2, 0.5, 1.5}: graphs that draw only 1s and 2s
 keep exact int distances, the others exercise the tolerant float path.
-All sums of these weights are exact binary fractions, so the oracles can
-compare distances with ``==``.  The tests of the exact int path draw
-weights from {1, 2, 3} and compare witnesses exactly, value types included.
+All sums of these weights are exact binary fractions.  The betweenness
+tests also draw from {0.1, 0.2, 0.3}, whose sums are not: two paths of
+equal length may differ in the last bits, so the oracle compares lengths
+with its own relative tolerance, and the library must apply its own.  The
+tests of the exact int path draw weights from {1, 2, 3} and compare
+witnesses exactly, value types included.
 
 The lattice oracles scan the whole window, while the library visits
 only the vectors that can matter; verdicts, first witnesses and set
@@ -40,14 +43,15 @@ from graphconvex import (  # noqa: E402
     compare_to_neighborhood_mean,
     convex_hull,
     has_nearest_neighbor_property,
+    is_between,
     is_convex_at,
     is_midpoint_convex_at,
     laplacian,
     set_distance_function,
 )
-from graphconvex.convexity import betweenness  # noqa: E402
 
 WEIGHTS = (1, 2, 0.5, 1.5)
+ROUNDING_WEIGHTS = (0.1, 0.2, 0.3)  # 0.1 + 0.2 != 0.3 in floats
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
@@ -77,7 +81,11 @@ def build(n, edges):
 
 
 def between(d, x, z, y):
-    return d(x, y) < math.inf and d(x, z) + d(z, y) == d(x, y)
+    """d(x, y) finite and equal to d(x, z) + d(z, y) up to a relative 1e-9:
+    on the weights drawn here, lengths equal in the reals differ by float
+    rounding alone, and unequal ones by at least 0.1."""
+    dxy = d(x, y)
+    return dxy < math.inf and abs(d(x, z) + d(z, y) - dxy) <= 1e-9 * max(1, dxy)
 
 
 @PROPERTY
@@ -119,8 +127,13 @@ def test_float_unit_weights_keep_float_distances(graph):
         assert [h.distance(x, y) for y in range(n)] == row
 
 
+def graphs_of_both_weight_sets(connected):
+    return st.sampled_from((WEIGHTS, ROUNDING_WEIGHTS)).flatmap(
+        lambda w: weighted_graphs(connected=connected, weights=w))
+
+
 @PROPERTY
-@given(weighted_graphs(), st.data())
+@given(graphs_of_both_weight_sets(connected=True), st.data())
 def test_hull_matches_brute_force(graph, data):
     n, edges = graph
     m = Graph(edges, vertices=range(n)).metric()
@@ -129,7 +142,7 @@ def test_hull_matches_brute_force(graph, data):
 
 
 @PROPERTY
-@given(weighted_graphs(connected=False), st.data())
+@given(graphs_of_both_weight_sets(connected=False), st.data())
 def test_closure_matches_interval_definition(graph, data):
     n, edges = graph
     g, d = build(n, edges)
@@ -143,9 +156,10 @@ def test_closure_matches_interval_definition(graph, data):
 
 
 def assert_intervals_match(m, between, data, pairs=None):
-    """``interval(i, j)`` and ``interval(i, j, among)`` against the k with
-    ``between(x, k, y)``, on every pair or on ``pairs`` drawn ones."""
-    e, verts = betweenness(m), m.vertices
+    """``m.interval(i, j)`` and ``m.interval(i, j, among)`` against the k
+    with ``between(x, k, y)``, on every pair or on ``pairs`` drawn ones, and
+    ``is_between`` on a drawn middle vertex of each pair."""
+    verts = m.vertices
     n = len(verts)
     if pairs is None:
         ends = list(itertools.product(range(n), repeat=2))
@@ -154,14 +168,17 @@ def assert_intervals_match(m, between, data, pairs=None):
                 for _ in range(pairs)]
     for i, j in ends:
         expected = sum(1 << k for k in range(n) if between(verts[i], verts[k], verts[j]))
-        assert e.interval(i, j) == expected
+        assert m.interval(i, j) == expected
         among = data.draw(st.integers(0, (1 << n) - 1))
-        assert e.interval(i, j, among) == expected & among
+        assert m.interval(i, j, among) == expected & among
+        x, z, y = verts[i], verts[data.draw(st.integers(0, n - 1))], verts[j]
+        assert is_between(m, x, z, y) == between(x, z, y)
 
 
-# certified unit rows, int rows from the heap, float rows, unreachable pairs
+# certified unit rows, int rows from the heap, float rows, rounded float
+# rows, unreachable pairs
 @PROPERTY
-@given(st.sampled_from(((1,), (1, 2), WEIGHTS)).flatmap(
+@given(st.sampled_from(((1,), (1, 2), WEIGHTS, ROUNDING_WEIGHTS)).flatmap(
     lambda w: weighted_graphs(connected=False, weights=w)), st.data())
 def test_interval_matches_distance_definition(graph, data):
     n, edges = graph
@@ -271,7 +288,7 @@ def test_exact_convex_at_matches_pair_scan_on_int_tables(data):
         if dxy == dxz + dzy and dxy * f[z] > dzy * f[x] + dxz * f[y]:
             expected = (x, y)
             break
-    m = Metric("table", tuple(range(n)), lambda x, y: table[x][y])
+    m = Metric(tuple(range(n)), lambda x, y: table[x][y])
     w = is_convex_at(m, f, z).witness
     assert (None if w is None else (w.x, w.y)) == expected
 

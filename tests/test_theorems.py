@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from graphconvex import convexity, theorems
+from graphconvex import theorems
 from graphconvex import (
     ClaimReport,
     Graph,
     LatticeSpec,
+    Metric,
     UnknownVertexError,
     aggregate_reports,
     build_lattice,
@@ -470,14 +471,14 @@ def test_subset_sweeps_match_the_per_subset_verifiers():
 
 def test_subset_sweeps_build_one_betweenness_engine(monkeypatch):
     built = []
-    init = convexity.Betweenness.__init__
+    init = Metric.__init__
 
-    def counting_init(self, m):
-        built.append(m)
-        init(self, m)
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(convexity.Betweenness, "__init__", counting_init)
-    # a fresh lattice per sweep: a lattice keeps its metric, and so its engine
+    monkeypatch.setattr(Metric, "__init__", counting_init)
+    # a fresh lattice per sweep: a lattice keeps its metric, and so its rows
     for sweep, instance in (
         (sweep_subsets_dist_convex, path(11)),
         (sweep_subsets_dist_convex, lattice_1d(-5, 5)),
@@ -529,7 +530,7 @@ def test_sampler_and_generator_constants_are_pinned():
         (0, 1, 1), (1, 7, 1), (2, 6, 1), (2, 7, 1), (3, 4, 1),
         (3, 6, 1), (3, 7, 1), (4, 5, 1), (4, 6, 1),
     ]
-    with pytest.raises(RuntimeError, match=r"no connected G\(2, 0.0\) found in 1000 tries"):
+    with pytest.raises(ValueError, match=r"no connected G\(2, 0.0\) found in 1000 tries"):
         random_connected_graph(2, 0.0, random.Random("k"))
     grids = itertools.islice(_family_instances("grid", 0, None, 0.5, None), 6)
     assert [label for label, _ in grids] == [
@@ -577,6 +578,8 @@ def test_search_convex_not_subharmonic_needs_a_triangle():
         "cycle", "random-int", budget=2, sizes=[4, 5], seed=11, count=40,
     )
     assert none is None  # triangle-free cycles cannot trip the predicate
+    # an empty size list means no instances, not the default sizes
+    assert search_counterexample("cycle", "distance", budget=5, sizes=()) is None
 
 
 def test_search_is_deterministic():
