@@ -3,33 +3,47 @@
 Graphs are represented as edge bitmasks over the pairs of 0..n-1, in
 ``itertools.combinations`` order.  The canonical form of a graph is the
 minimum bitmask over all vertex orderings consistent with an iterated color
-refinement (degrees, then multisets of neighbor colors).  Refinement cells
-are usually tiny, so the minimum is taken over few orderings; fully regular
-graphs fall back to all n!.
+refinement (degrees, then multisets of neighbor colors): the cells of equal
+color fill consecutive positions, in color order.
+
+Bit k of a mask is the k-th pair (a, b), and every pair with first index a
+lies above every pair with a smaller first index.  So the mask is fixed
+from the top by placing vertices at positions n - 1 down to 0: the vertex
+at position p sets the row of pairs (p, q), q > p, from its edges to the
+vertices already placed.  The minimum is found by keeping, at each
+position, only the partial orderings whose new row is minimal, with partial
+orderings that leave the same future merged.  A regular graph, whose
+refinement leaves a single cell, thus never tries all n! orderings.
 
 The classes on n vertices are generated by vertex augmentation from the
-classes on n - 1: each (n-1)-vertex representative gets a new vertex n - 1
-joined to every nonempty subset of the old vertices, and the results are
-canonicalized and de-duplicated.  This reaches every class because every
-connected graph has a non-cut vertex (a leaf of any spanning tree), and
-removing it leaves a connected graph on n - 1 vertices, whose class was
-generated one step earlier.  The work is |classes(n-1)| * (2^(n-1) - 1)
-canonical forms instead of one per labeled connected graph; see McKay,
-*Isomorph-Free Exhaustive Generation*, J. Algorithms 26 (1998).
+classes on n - 1: each (n-1)-vertex representative (the parent) gets a new
+vertex n - 1 joined to every nonempty subset of the old vertices.  A child
+is canonicalized only when no non-cut vertex has a smaller refined color
+than the new vertex; the forms are de-duplicated.  Colors are invariant
+under isomorphism, and deleting a non-cut vertex of least color from any
+connected graph leaves a connected graph on n - 1 vertices, whose class is
+one of the parents, so every class is still reached (canonical deletion:
+McKay, *Isomorph-Free Exhaustive Generation*, J. Algorithms 26 (1998)).
+Color order refines degree order, so a non-cut vertex of smaller degree
+rejects a child before refinement.  At n = 8 this canonicalizes 18,414 of
+the 108,331 children.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+import time
 from functools import lru_cache
+from typing import Iterator
 
-from .graph import Graph
+from .graph import Graph, _bit_indices
 
 
 def connected_unit_graphs(n: int) -> list[Graph]:
     """All connected unit-weight graphs on vertices 0..n-1, one per
     isomorphism class, in deterministic order."""
-    return [_from_mask(n, mask) for mask in _canonical_masks(n)]
+    return list(_iter_connected_unit_graphs(n))
 
 
 def count_connected_graphs(n: int) -> int:
@@ -43,34 +57,72 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """``bits[a][b] == bits[b][a]``: the edge-mask bit of the pair {a, b}."""
-    bits = [[0] * n for _ in range(n)]
-    for k, (a, b) in enumerate(_pairs(n)):
-        bits[a][b] = bits[b][a] = 1 << k
-    return tuple(map(tuple, bits))
-
-
-@lru_cache(maxsize=None)
 def _canonical_masks(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("need at least one vertex")
     if n == 1:
         return (0,)
-    bits = _pair_bits(n)
-    old_bits = [bits[i][j] for i, j in _pairs(n - 1)]
-    new_bits = bits[n - 1][: n - 1]
-    # neighbor sets of the new vertex n - 1, as masks over the n-vertex pairs
-    attach = [
-        sum(bit for i, bit in enumerate(new_bits) if subset >> i & 1)
-        for subset in range(1, 1 << (n - 1))
-    ]
+    parents = _canonical_masks(n - 1)
+    start = time.perf_counter()
     seen: set[int] = set()
-    for small in _canonical_masks(n - 1):
-        base = sum(bit for k, bit in enumerate(old_bits) if small >> k & 1)
-        for extra in attach:
-            seen.add(_canonical_form(n, base | extra))
+    forms = 0
+    for parent in parents:
+        for form in _child_forms(n, parent):
+            seen.add(form)
+            forms += 1
+    # Until something imports logging, no handler or level is set that could
+    # show an INFO record, so the record is dropped without paying the
+    # import (about 5 ms).
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(
+            "n=%d: %d classes from %d children, %d canonicalized, %.2f s",
+            n, len(seen), len(parents) * ((1 << n - 1) - 1), forms,
+            time.perf_counter() - start,
+        )
     return tuple(sorted(seen))
+
+
+def _child_forms(n: int, parent: int) -> Iterator[int]:
+    """The canonical forms of the children of ``parent``, a graph on n - 1
+    vertices, that pass the canonical-deletion filter: the new vertex n - 1
+    is joined to each nonempty subset of the old ones."""
+    top = n - 1
+    nbrs = _neighbors(top, parent)
+    degree = [len(vs) for vs in nbrs]
+    pieces = [_pieces_without(u, nbrs) for u in range(top)]
+    subsets = _subsets(top)
+    for subset in range(1, 1 << top):
+        new = subsets[subset]
+        d = len(new)
+        # A non-cut vertex u of smaller degree than the new vertex has a
+        # smaller color and rejects the child at once; one of equal degree
+        # (a tie) is compared after refinement.  u is a non-cut vertex when
+        # every component of the parent minus u meets the new neighbors.
+        ties = []
+        for u in range(top):
+            du = degree[u] + (subset >> u & 1)
+            if du <= d and all(piece & subset for piece in pieces[u]):
+                if du < d:
+                    break
+                ties.append(u)
+        else:
+            child = [vs + [top] if subset >> u & 1 else vs for u, vs in enumerate(nbrs)]
+            child.append(new)
+            colors = _refine(child)
+            if not ties or min(colors[u] for u in ties) >= colors[top]:
+                yield _least_mask(child, colors)
+
+
+def _canonical_form(n: int, mask: int) -> int:
+    """The canonical form of the graph on 0..n-1 with edge mask ``mask``."""
+    nbrs = _neighbors(n, mask)
+    return _least_mask(nbrs, _refine(nbrs))
+
+
+def _iter_connected_unit_graphs(n: int) -> Iterator[Graph]:
+    """The graphs of :func:`connected_unit_graphs`, built one at a time."""
+    return (_from_mask(n, mask) for mask in _canonical_masks(n))
 
 
 def _from_mask(n: int, mask: int) -> Graph:
@@ -79,51 +131,93 @@ def _from_mask(n: int, mask: int) -> Graph:
     return Graph(edges, vertices=range(n))
 
 
-def _neighbors(n: int, mask: int, pairs) -> list[list[int]]:
+def _neighbors(n: int, mask: int) -> list[list[int]]:
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(_pairs(n)):
         if mask >> k & 1:
             nbrs[i].append(j)
             nbrs[j].append(i)
     return nbrs
 
 
-def _refine(n: int, nbrs) -> list[int]:
-    """Iterated color refinement; the final coloring is isomorphism-invariant."""
-    colors = [len(nbrs[v]) for v in range(n)]
+@lru_cache(maxsize=None)
+def _subsets(m: int) -> tuple[list[int], ...]:
+    """The members of every subset of 0..m-1, indexed by its bitmask."""
+    return tuple(list(_bit_indices(subset)) for subset in range(1 << m))
+
+
+def _pieces_without(u: int, nbrs) -> list[int]:
+    """The components of the graph minus vertex u, as vertex bitmasks."""
+    rest = (1 << len(nbrs)) - 1 & ~(1 << u)
+    pieces = []
+    while rest:
+        piece = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in _bit_indices(frontier):
+                for w in nbrs[v]:
+                    reach |= 1 << w
+            frontier = reach & rest & ~piece
+            piece |= frontier
+        pieces.append(piece)
+        rest &= ~piece
+    return pieces
+
+
+def _refine(nbrs) -> list[int]:
+    """Iterated color refinement; the final coloring is isomorphism-invariant.
+
+    Each round ranks the keys (old color, sorted neighbor colors), so the
+    new color order refines the old one; the first round starts from the
+    degrees.  When a round splits no cell, its ranks are final."""
+    colors = [len(vs) for vs in nbrs]
+    count = len(set(colors))
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
-            for v in range(n)
-        ]
-        palette = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-        new = [palette[keys[v]] for v in range(n)]
-        if new == colors:
+        keys = [(c, tuple(sorted([colors[u] for u in vs]))) for c, vs in zip(colors, nbrs)]
+        ranked = sorted(set(keys))
+        palette = dict(zip(ranked, range(len(ranked))))
+        colors = [palette[key] for key in keys]
+        if len(ranked) == count:
             return colors
-        colors = new
+        count = len(ranked)
 
 
-def _canonical_form(n: int, mask: int) -> int:
-    pairs, bits = _pairs(n), _pair_bits(n)
-    nbrs = _neighbors(n, mask, pairs)
-    colors = _refine(n, nbrs)
+def _least_mask(nbrs, colors) -> int:
+    """The minimum edge mask over the orderings that put the cells of
+    ``colors`` at consecutive positions in color order, fixed row by row
+    from the top (see the module docstring)."""
+    n = len(nbrs)
+    cell_of = sorted(colors)
     cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    ordered_cells = [cells[c] for c in sorted(cells)]
-    edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-    best: int | None = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(cell) for cell in ordered_cells)
-    ):
-        order = [v for part in perm_parts for v in part]
-        pos = [0] * n
-        for position, v in enumerate(order):
-            pos[v] = position
-        candidate = 0
-        for i, j in edges:
-            candidate |= bits[pos[i]][pos[j]]
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    # a partial ordering, by what its future depends on: per vertex, -1 once
+    # placed (and -1 | bit == -1), else the bitmask of the positions of its
+    # placed neighbors
+    states = {(0,) * n}
+    mask = 0
+    for p in range(n - 1, -1, -1):
+        bit = 1 << p
+        best = -1
+        successors: set[tuple[int, ...]] = set()
+        for state in states:
+            for w in cells[cell_of[p]]:
+                row = state[w]
+                if row < 0 or best >= 0 and row > best:
+                    continue
+                if row != best:
+                    best = row
+                    successors = set()
+                placed = list(state)
+                placed[w] = -1
+                for x in nbrs[w]:
+                    placed[x] |= bit
+                successors.add(tuple(placed))
+        states = successors
+        mask |= best >> p + 1 << _row_start(n, p)
+    return mask
+
+
+def _row_start(n: int, p: int) -> int:
+    """The bit of the pair (p, p + 1): the lowest of the pairs (p, q)."""
+    return p * (2 * n - p - 1) // 2

@@ -48,7 +48,7 @@ from .convexity import (
     is_convex_set,
     set_distance_function,
 )
-from .enumeration import connected_unit_graphs
+from .enumeration import _iter_connected_unit_graphs, count_connected_graphs
 from .extreal import DEFAULT_TOL, approx_le, report_value
 from .graph import Graph, Metric, _bit_indices
 from .io import format_graph, format_vertex
@@ -453,7 +453,8 @@ def exhaustive_small_graph_sweep(
     hypothesis site scanned and every firing (site where the function was
     also convex); a single refutation aborts the sweep with its witness.
     Progress goes to this module's logger at INFO level, one record each
-    time the vertex count changes.
+    time the vertex count changes.  Without ``graphs``, each class is built
+    as a :class:`Graph` only when the sweep reaches it.
 
     On each graph the functions are the tuples of
     ``itertools.product(values, repeat=n)`` in the vertex order of the
@@ -469,10 +470,14 @@ def exhaustive_small_graph_sweep(
     if not all(isinstance(v, int) for v in values):
         raise ValueError("values must be ints for the exact sweep")
     if graphs is None:
-        graphs = [g for n in range(1, max_n + 1) for g in connected_unit_graphs(n)]
+        count = sum(count_connected_graphs(n) for n in range(1, max_n + 1))
+        graphs = (
+            g for n in range(1, max_n + 1) for g in _iter_connected_unit_graphs(n)
+        )
     else:
         graphs = list(graphs)
-    label = f"{len(graphs)} graphs, f in {values}^X"
+        count = len(graphs)
+    label = f"{count} graphs, f in {values}^X"
     checked = fired = 0
     start, last_n = time.perf_counter(), None
     for swept, g in enumerate(graphs):

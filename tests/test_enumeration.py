@@ -5,16 +5,32 @@ sequence 1, 1, 2, 6, 21, 112 and against an orbit-stabilizer recount
 of the labeled totals (sum of n!/|Aut(G)| over class representatives
 must equal the number of labeled connected graphs, which
 ``count_labeled_connected_graphs`` below computes by direct bitmask
-enumeration, a completely separate code path).
+enumeration, a completely separate code path).  The canonical forms and
+the class lists are compared with the permutation-loop oracle of
+``enumeration_oracle.py``; ``check_enumeration_n8.py`` does so at n = 8.
 """
 
+import logging
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 
+import enumeration_oracle as oracle
 import pytest
 
+import graphconvex
 from graphconvex import connected_unit_graphs, count_connected_graphs
-from graphconvex.enumeration import _canonical_form, _canonical_masks, _pairs
+from graphconvex.enumeration import (
+    _canonical_form,
+    _canonical_masks,
+    _child_forms,
+    _neighbors,
+    _pairs,
+    _refine,
+)
 
 ISO_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
 LABELED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -121,3 +137,83 @@ def test_enumeration_is_deterministic():
     first = [sorted(g.edges()) for g in connected_unit_graphs(5)]
     second = [sorted(g.edges()) for g in connected_unit_graphs(5)]
     assert first == second
+
+
+def test_masks_match_the_oracle_up_to_seven():
+    for n in range(1, 8):
+        assert _canonical_masks(n) == oracle.canonical_masks(n), n
+
+
+def test_form_matches_the_oracle_on_every_labeled_graph_up_to_five():
+    for n in range(1, 6):
+        for mask in range(1 << len(_pairs(n))):
+            assert _canonical_form(n, mask) == oracle.canonical_form(n, mask), (n, mask)
+
+
+def test_form_matches_the_oracle_on_random_graphs():
+    for n in range(6, 10):
+        for mask in oracle.random_masks(n, 250, 0):
+            assert _canonical_form(n, mask) == oracle.canonical_form(n, mask), (n, mask)
+
+
+def test_form_matches_the_oracle_on_one_cell_graphs():
+    """Refinement leaves a single cell, so the oracle tries all n!
+    orderings and the library's pruned search does the most merging."""
+    for name, n, mask in oracle.one_cell_graphs():
+        assert len(set(_refine(_neighbors(n, mask)))) == 1, name
+        expected = oracle.SLOW_FORMS.get(name)
+        if expected is None:
+            expected = oracle.canonical_form(n, mask)
+        assert _canonical_form(n, mask) == expected, name
+
+
+def deletion_parent(n, mask):
+    """The canonical form of G - u, relabeled to 0..n-2, for the first
+    non-cut vertex u of least refined color."""
+    colors = _refine(_neighbors(n, mask))
+    edges = [p for k, p in enumerate(_pairs(n)) if mask >> k & 1]
+
+    def minus(u):
+        keep = [v for v in range(n) if v != u]
+        label = {v: i for i, v in enumerate(keep)}
+        return oracle.mask_of(n - 1, [(label[a], label[b]) for a, b in edges if u not in (a, b)])
+
+    noncut = [u for u in range(n) if connected(n - 1, minus(u), _pairs(n - 1))]
+    return _canonical_form(n - 1, minus(min(noncut, key=colors.__getitem__)))
+
+
+def test_each_graph_is_a_child_of_its_canonical_deletion():
+    """The filter keeps the child made from the parent left by deleting a
+    non-cut vertex of least color, which is why every class is reached.
+    In the first graph, two K4s joined through vertex 8, every vertex of
+    least degree is a cut vertex, which takes at least 9 vertices."""
+    blocks = [(a, b) for block in (range(4), range(4, 8)) for a, b in combinations(block, 2)]
+    graphs = [(9, oracle.mask_of(9, blocks + [(0, 8), (4, 8)]))] + [
+        (n, mask) for n in range(2, 10) for mask in oracle.random_masks(n, 25, 1)
+        if connected(n, mask, _pairs(n))
+    ]
+    assert len(graphs) > 125
+    for n, mask in graphs:
+        assert _canonical_form(n, mask) in set(_child_forms(n, deletion_parent(n, mask))), (n, mask)
+
+
+def test_enumeration_logs_one_record_per_vertex_count(caplog):
+    _canonical_masks.cache_clear()
+    with caplog.at_level(logging.INFO, logger="graphconvex.enumeration"):
+        _canonical_masks(5)
+    messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.enumeration"]
+    assert [m.split(":")[0] for m in messages] == ["n=2", "n=3", "n=4", "n=5"]
+    assert messages[-1].startswith("n=5: 21 classes from 90 children, 47 canonicalized, ")
+    assert messages[-1].endswith(" s")
+
+
+def test_enumeration_leaves_logging_unimported():
+    """Before logging is imported nothing can show the progress record, so
+    enumerating in a fresh process does not import it."""
+    src = str(Path(graphconvex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, graphconvex; graphconvex.connected_unit_graphs(5); "
+            "print('logging' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -15,6 +15,7 @@ from graphconvex import (
     UnknownVertexError,
     aggregate_reports,
     build_lattice,
+    connected_unit_graphs,
     cycle,
     distance_function,
     exhaustive_small_graph_sweep,
@@ -373,6 +374,14 @@ def test_sweep_logs_progress_once_per_vertex_count(caplog):
     assert messages[0].startswith("thm1 sweep: n=1 after 0 graphs, checked=0 fired=0")
     assert messages[3].startswith("thm1 sweep: n=4 after 4 graphs")
     assert report.instance.startswith("10 graphs")
+
+
+def test_streamed_sweep_matches_the_sweep_over_a_list():
+    listed = [g for n in range(1, 6) for g in connected_unit_graphs(n)]
+    for hypothesis in ("triangle_free", "pairing"):
+        streamed = exhaustive_small_graph_sweep(hypothesis, max_n=5, values=(0, 1, 2))
+        assert streamed == exhaustive_small_graph_sweep(hypothesis, values=(0, 1, 2), graphs=listed)
+        assert streamed.instance.startswith("31 graphs")
 
 
 def test_sweeps_log_one_record_per_call(caplog):
