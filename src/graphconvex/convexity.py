@@ -5,9 +5,10 @@ vertex z lies between x and y when d(x, y) = d(x, z) + d(z, y) with
 d(x, y) finite.  The metric decides that relation for every caller,
 exactly on integer distances: :func:`is_between`, the closure and the
 subset sweeps read its :meth:`~graphconvex.graph.Metric.interval`
-bitmasks, and :func:`is_convex_at` its between-pairs and shells.  A set
-is convex when it is fixed by the one-step betweenness closure; the
-convex hull is the least such fixed point.
+bitmasks, and :func:`is_convex_at` its between-pairs or, on int data,
+its :meth:`~graphconvex.graph.Metric.through` masks.  A set is convex
+when it is fixed by the one-step betweenness closure; the convex hull is
+the least such fixed point.
 
 A function f is convex at z when for every pair x, y with z between them,
 
@@ -23,9 +24,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import combinations
-from operator import or_
+from functools import lru_cache
+from itertools import accumulate, combinations, compress, repeat
+from operator import is_not, or_
 from typing import Any, Mapping
 
 from .extreal import INF, approx_eq, approx_le, check_values, exact_add, exact_div, scaled
@@ -101,20 +102,21 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     Pairs are scanned in the metric's vertex order, so a failure reports
     the first violating pair.  Vertices without a value are skipped; if z
     itself has none there is nothing to check and the verdict is ok.  When
-    every value is a plain int and the distances allow it
-    (:meth:`Metric.int_basis`), that pair is found exactly on bitmasks
-    (:func:`_int_violation`); otherwise every between-pair is scanned.
+    every value is a plain int and the distances allow it, that pair is
+    found exactly on bitmasks (:func:`_int_violation`); otherwise every
+    between-pair is scanned.
     """
     if z not in m.index:
         raise UnknownVertexError(z)
-    check_values(f.values())
+    ints = check_values(f.values())
     if z not in f:
         return ConvexityVerdict(True, z)
     verts, tol, k = m.vertices, m.tol, m.index[z]
     fz = f[z]
-    dom = [i for i, v in enumerate(verts) if v in f]
-    pairs = _int_violation(m, k, dom, f) if {int}.issuperset(map(type, f.values())) else None
-    for i, j, dij, dkj, dik in m.between_pairs(k, dom) if pairs is None else pairs:
+    pairs = _int_violation(m, k, f) if ints else None
+    if pairs is None:
+        pairs = m.between_pairs(k, [i for i, v in enumerate(verts) if v in f])
+    for i, j, dij, dkj, dik in pairs:
         x, y = verts[i], verts[j]
         lhs = scaled(dij, fz)
         rhs = exact_add(scaled(dkj, f[x]), scaled(dik, f[y]))
@@ -124,48 +126,108 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     return ConvexityVerdict(True, z)
 
 
-def _int_violation(m: Metric, k: int, dom: list, f: VertexFunction) -> list | None:
-    """The first violating between-pair at k, in the form and order of
-    ``m.between_pairs(k, dom)``, as a list of at most one tuple; None when
-    the distances do not allow the exact decision (:meth:`Metric.int_basis`).
+def _int_violation(m: Metric, k: int, f: VertexFunction) -> list | None:
+    """The first violating between-pair at k of the plain-int function f,
+    in the form and order of :meth:`Metric.between_pairs`, as a list of at
+    most one tuple; None when the distances do not allow the exact
+    decision (:meth:`Metric.int_basis`).
+
+    On a certified metric, k is convex at once when no value of f is
+    smaller than f(k).  Otherwise the candidates i are probed in order: the
+    j > i with k between them are :meth:`Metric.through` (i, k), tested
+    lowest first with (d(i, k) + d(k, j)) f(k) > d(k, j) f(i) + d(i, k) f(j),
+    so the first hit is the first violating pair, found with no lcm and no
+    sort.  The probe charges its work in shell ANDs: 16 plus the shells of
+    k per i, and 3 per partner tested (as timed on a 2-core VM with
+    CPython 3.11).  Once the charge passes 16 plus the vertex count, about
+    what setting up the ranked pass costs, :func:`_ranked_violation` takes
+    over after the last i probed, with slopes scaled by lcm(1..ecc(k)).
+    Most violations fall to the probe within a few candidates, and a
+    convex k pays about one set-up more.  Any other metric takes the
+    ranked pass alone, scaled by :meth:`Metric.int_basis`.
+    """
+    rk, verts = m.row(k), m.vertices  # reading a certified row certifies the metric
+    if not m.certified:
+        basis = m.int_basis(k, [i for i, v in enumerate(verts) if v in f])
+        if basis is None:
+            return None
+        cands, scales = basis
+        fz = f[verts[k]]
+        slopes = [(fz - f[verts[i]]) * c for i, c in zip(cands, scales)]
+        return _ranked_violation(m, k, cands, slopes)
+    vals = list(map(f.get, verts))  # None off the domain
+    fz, vals[k] = vals[k], None
+    if fz <= min(f.values()):  # every slope is at most 0
+        return []
+    shell_k = m.shells(k)
+    work, budget, per_i = 0, len(vals) + 16, len(shell_k) + 16  # in shell ANDs
+    for i, fi in enumerate(vals):
+        dik = rk[i]
+        if fi is None or dik == INF:
+            continue
+        later = m.through(i, k) >> i + 1 << i + 1  # the j > i with k between i and j
+        work += per_i + 3 * later.bit_count()
+        while later:  # the lowest j first
+            low = later & -later
+            j = low.bit_length() - 1
+            fj = vals[j]
+            if fj is not None:
+                dkj = rk[j]
+                if (dik + dkj) * fz > dkj * fi + dik * fj:
+                    return [(i, j, dik + dkj, dkj, dik)]
+            later ^= low
+        if work > budget:
+            break
+    else:
+        return []
+    if sum(map(int.bit_count, shell_k.values())) < len(verts):  # some j out of reach
+        vals = [None if d == INF else v for v, d in zip(vals, rk)]
+    # every pair left has both ends after i
+    cands = list(compress(range(i + 1, len(vals)), map(is_not, vals[i + 1 :], repeat(None))))
+    scales = _shell_scales(len(shell_k) - 1)
+    return _ranked_violation(m, k, cands, [(fz - vals[j]) * scales[rk[j]] for j in cands])
+
+
+def _ranked_violation(m: Metric, k: int, cands: list, slopes: list) -> list:
+    """:func:`_int_violation` over the pairs of ``cands``.
 
     With slopes a(i) = (f(k) - f(i)) / d(i, k), a between-pair (i, j)
-    violates the inequality exactly when a(i) + a(j) > 0.  The slopes are
-    scaled to ints by the lcm of the distances and sorted once, so the j
-    with a(j) > -a(i) form one suffix mask of that order.  Those j > i are
-    tested for k between i and j lowest first, after keeping only the OR
-    over r of shell_k[r] & shell_i[d(i, k) + r] when there are more of them
+    violates the inequality exactly when a(i) + a(j) > 0.  ``slopes`` holds
+    them scaled to ints by one common multiple of the distances; sorted
+    once, the j with a(j) > -a(i) form one suffix mask of that order.
+    Those j > i are tested for k between i and j lowest first, after
+    keeping only :meth:`Metric.through` (i, k) when there are more of them
     than shells.
     """
-    basis = m.int_basis(k, dom)
-    if basis is None:
-        return None
-    cands, dists, scales = basis
-    verts = m.vertices
-    fz = f[verts[k]]
-    slopes = [(fz - f[verts[i]]) * c for i, c in zip(cands, scales)]
-    ranked = sorted(zip(slopes, cands))
-    if len(ranked) < 2 or ranked[-1][0] + ranked[-2][0] <= 0:
+    size = len(slopes)
+    order = sorted(range(size), key=slopes.__getitem__)
+    keys = list(map(slopes.__getitem__, order))
+    if size < 2 or keys[-1] + keys[-2] <= 0:
         return []
-    keys = [s for s, _ in ranked]
-    above = [0] * (len(ranked) + 1)  # above[p]: the candidates at sorted positions >= p
-    for p in range(len(ranked) - 1, -1, -1):
-        above[p] = above[p + 1] | 1 << ranked[p][1]
-    rk, shell_k = m.row(k), m.shells(k)
-    for i, d, s in zip(cands, dists, slopes):
-        later = above[bisect_right(keys, -s)] >> i + 1 << i + 1
+    # acc[q]: the candidates at the q highest sorted positions
+    acc = [0, *accumulate([1 << cands[p] for p in reversed(order)], or_)]
+    rk, n_shells = m.row(k), len(m.shells(k))
+    for i, s in zip(cands, slopes):
+        later = acc[size - bisect_right(keys, -s)] >> i + 1 << i + 1
         if not later:
             continue
-        if later.bit_count() > len(shell_k):  # cheaper to keep only the j between
-            shell_i = m.shells(i)
-            later &= reduce(or_, [layer & shell_i.get(d + r, 0) for r, layer in shell_k.items()])
-        ri = m.row(i)
+        if later.bit_count() > n_shells:  # cheaper to keep only the j between
+            later &= m.through(i, k)
+        ri, d = m.row(i), rk[i]
         while later:  # the lowest j first
             j = (later & -later).bit_length() - 1
             if ri[j] == d + rk[j]:
                 return [(i, j, ri[j], rk[j], ri[k])]
             later &= later - 1
     return []
+
+
+@lru_cache(maxsize=32)
+def _shell_scales(ecc: int) -> tuple:
+    """``(0, L // 1, ..., L // ecc)`` with L = lcm(1..ecc): the slope scale
+    of each distance from a vertex of eccentricity ``ecc``."""
+    lcm = math.lcm(*range(1, ecc + 1))
+    return (0, *(lcm // r for r in range(1, ecc + 1)))
 
 
 def distance_to_set(m: Metric, x, members):

@@ -28,17 +28,19 @@ def check_value(v):
     raise ValueError(f"value must be a real number or +inf, got {v!r}")
 
 
-def check_values(values) -> None:
-    """:func:`check_value` on every item of the collection ``values``."""
+def check_values(values) -> bool:
+    """:func:`check_value` on every item of the collection ``values``; True
+    when every item is a plain int, so that exact int paths may follow."""
     # plain ints need no check and plain floats only NaN and -inf checks:
-    # a set test over the types and one C-level comparison pass are cheaper
+    # one set of the types and one C-level comparison pass are cheaper
     # than a call per value, which is left to find the first bad one
-    if {int}.issuperset(map(type, values)) or (
-        {int, float}.issuperset(map(type, values)) and all(map(gt, values, repeat(-INF)))
-    ):
-        return
-    for v in values:
-        check_value(v)
+    types = set(map(type, values))
+    if types <= {int}:
+        return True
+    if not (types <= {int, float} and all(map(gt, values, repeat(-INF)))):
+        for v in values:
+            check_value(v)
+    return False
 
 
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -7,8 +7,8 @@ from __future__ import annotations
 import heapq
 import math
 from functools import reduce
-from itertools import repeat
-from operator import or_
+from itertools import islice, repeat
+from operator import and_, or_
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -49,11 +49,13 @@ class Metric:
     vertex order (+inf when unreachable), and ``{r: bitmask of the j at
     distance r}`` over its finite entries when every row of the metric is
     symmetric, positive and plain int off the diagonal (else None, for
-    every row); such shells make the metric ``certified``.  On any other
-    row of plain ints the shells are built on first use.  Distances are
-    compared with ``approx_eq(., ., tol)``, which is exact unless a float
-    is involved.  Intervals I(v_i, v_j) come from :meth:`interval` alone,
-    and are not kept.  Metrics compare and hash by identity.
+    every row); such shells make the metric ``certified``, and run r = 0,
+    1, ..., ecc(v_i) in that order with no gap, as a breadth-first search
+    meets them.  On any other row of plain ints the shells are built on
+    first use.  Distances are compared with ``approx_eq(., ., tol)``, which
+    is exact unless a float is involved.  Intervals I(v_i, v_j) come from
+    :meth:`interval` alone, and are not kept.  Metrics compare and hash by
+    identity.
     """
 
     def __init__(self, vertices, dist: Callable[[Any, Any], Weight],
@@ -102,13 +104,14 @@ class Metric:
         return shells
 
     def int_basis(self, k: int, dom: list) -> tuple | None:
-        """``(cands, dists, scales)`` for the i != k of the ascending ``dom``
-        with d(v_k, v_i) finite: those i, their distances from v_k and
-        lcm(dists) // dist.  None unless every i != k in ``dom`` has
-        d(v_i, v_k) = d(v_k, v_i), the rows of k and of the candidates
-        hold only plain ints and +inf, and every candidate distance is
-        positive; on a certified metric that holds by construction and is
-        not checked.  Kept at k for the last ``dom`` asked."""
+        """``(cands, scales)`` for the i != k of the ascending ``dom`` with
+        d(v_k, v_i) finite: those i and lcm(their distances) // d(v_k, v_i).
+        None unless every i != k in ``dom`` has d(v_i, v_k) = d(v_k, v_i),
+        the rows of k and of the candidates hold only plain ints and +inf,
+        and every candidate distance is positive.  Kept at k for the last
+        ``dom`` asked.  A certified metric needs none of this: its
+        distances from k run 1..ecc(k) without a gap, so lcm(1..ecc(k)) // d
+        scales every domain there, and no check is due."""
         key = tuple(dom)
         last = self._bases.get(k)
         if last is not None and last[0] == key:
@@ -118,15 +121,27 @@ class Metric:
         cands = [i for i in others if rk[i] != INF]
         dists = [rk[i] for i in cands]
         basis = None
-        if self.certified or (
+        if (
             self.shells(k) is not None
             and [self.row(i)[k] for i in others] == [rk[i] for i in others]
             and (not cands or (min(dists) > 0 and None not in map(self.shells, cands)))
         ):
             scale = math.lcm(*dists)
-            basis = cands, dists, [scale // d for d in dists]
+            basis = cands, [scale // d for d in dists]
         self._bases[k] = key, basis
         return basis
+
+    def through(self, i: int, k: int) -> int:
+        """Bitmask of the j with d(v_i, v_j) = d(v_k, v_i) + d(v_k, v_j):
+        the j such that v_k lies between v_i and v_j, k itself included.
+        It is the OR over r of shell_k[r] & shell_i[d(v_k, v_i) + r], so
+        rows i and k must have shells, and d(v_i, v_k) = d(v_k, v_i).  A
+        certified metric lists its shells from r = 0 with no gap, which
+        pairs them up in one C-level pass."""
+        sk, si, d = self.shells(k), self.shells(i), self.rows[k][i]
+        if self.certified:
+            return reduce(or_, map(and_, sk.values(), islice(si.values(), d, None)))
+        return reduce(or_, [layer & si.get(d + r, 0) for r, layer in sk.items()])
 
     def interval(self, i: int, j: int, among: int = -1) -> int:
         """Bitmask of the k with d(v_i, v_j) = d(v_i, v_k) + d(v_j, v_k) on

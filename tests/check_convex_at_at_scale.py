@@ -1,0 +1,81 @@
+"""Convexity at a vertex against the ordered pair scan, at every site of
+larger unit-weight graphs.
+
+    PYTHONPATH=src python tests/check_convex_at_at_scale.py
+
+Compares ``is_convex_at`` with the first violating pair of
+``Metric.between_pairs``, the pair scan in vertex order, with both sides
+of the inequality in exact ints: at every site of the 10x10 grid for
+d(., a) with 10 choices of a, and of five sparse connected G(120) (a
+random tree plus 20 chords) for 4 random int functions each, some on
+about 90 % of the vertices.  Unit weights make the metric certified, so
+int data takes the probe and the ranked pass; the verdict, the pair and
+both sides of the witness must agree.  Too slow for the tier-1 suite
+(about 4 s on a 2-core VM with CPython 3.11), so pytest does not collect
+it; exits 1 on the first mismatch.
+"""
+
+import random
+import sys
+import time
+from fractions import Fraction
+
+from graphconvex import Graph, is_convex_at
+
+VALUES = (range(-3, 4), range(6), (-3, 3, 2**53 + 1), range(-50, 51))
+
+
+def pair_scan(m, f, z):
+    """``(x, y, f(z), rhs)`` of the first violating pair at z in vertex
+    order, rhs as ``is_convex_at`` reports it; None when f is convex at z."""
+    verts, k = m.vertices, m.index[z]
+    dom = [i for i, v in enumerate(verts) if v in f]
+    for i, j, dij, dkj, dik in m.between_pairs(k, dom):
+        x, y = verts[i], verts[j]
+        rhs = dkj * f[x] + dik * f[y]
+        if dij * f[z] > rhs:
+            q = Fraction(rhs, dij)
+            return x, y, f[z], int(q) if q.denominator == 1 else float(q)
+    return None
+
+
+def cases():
+    grid = Graph([((i, j), (i + di, j + dj)) for i in range(10) for j in range(10)
+                  for di, dj in ((0, 1), (1, 0)) if i + di < 10 and j + dj < 10])
+    rng = random.Random("convex-at-scale:grid")
+    for a in rng.sample(grid.vertices, 10):
+        yield f"grid 10x10, d(., {a})", grid, {v: grid.distance(v, a) for v in grid.vertices}
+    for s in range(5):
+        rng = random.Random(f"convex-at-scale:g120:{s}")
+        edges = {(rng.randrange(v), v) for v in range(1, 120)}
+        while len(edges) < 119 + 20:
+            edges.add(tuple(sorted(rng.sample(range(120), 2))))
+        g = Graph(edges, vertices=range(120))
+        for values in VALUES:
+            share = rng.choice((1.0, 0.9))
+            f = {v: rng.choice(values) for v in g.vertices if rng.random() < share}
+            yield f"G(120) #{s}, values {values}, {len(f)} sites", g, f
+
+
+def main() -> int:
+    for label, g, f in cases():
+        start = time.perf_counter()
+        m = g.metric()
+        violations = 0
+        for z in m.vertices:
+            verdict = is_convex_at(m, f, z)
+            w = verdict.witness
+            got = None if w is None else (w.x, w.y, w.lhs, w.rhs)
+            expected = pair_scan(m, f, z) if z in f else None
+            if verdict.ok != (expected is None) or got != expected:
+                print(f"MISMATCH {label} at {z!r}:\n"
+                      f"  is_convex_at: {got}\n  pair scan:    {expected}")
+                return 1
+            violations += not verdict.ok
+        print(f"{label}: {len(m.vertices)} sites agree, {violations} violations, "
+              f"{time.perf_counter() - start:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

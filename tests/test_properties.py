@@ -9,7 +9,8 @@ tests also draw from {0.1, 0.2, 0.3}, whose sums are not: two paths of
 equal length may differ in the last bits, so the oracle compares lengths
 with its own relative tolerance, and the library must apply its own.  The
 tests of the exact int path draw weights from {1, 2, 3} and compare
-witnesses exactly, value types included.
+witnesses exactly, value types included; those of its probe and ranked
+pass on certified metrics use unit weights only.
 
 The lattice oracles scan the whole window, while the library visits
 only the vectors that can matter; verdicts, first witnesses and set
@@ -31,6 +32,7 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from graphconvex import convexity  # noqa: E402
 from graphconvex import (  # noqa: E402
     NORMS,
     Graph,
@@ -269,6 +271,82 @@ def test_exact_convex_at_matches_pair_scan_on_larger_graphs(seed):
         f = {v: rng.choice(values) for v in range(n) if rng.random() < 0.9}
         for z in range(n):
             assert typed_witness(is_convex_at(m, f, z)) == exact_scan(d, f, z)
+
+
+# the 10x10 grid, vertex (i, j) labelled 10 i + j
+GRID_EDGES = [(10 * i + j, 10 * i + j + 1, 1) for i in range(10) for j in range(9)] + [
+    (10 * i + j, 10 * i + j + 10, 1) for i in range(9) for j in range(10)
+]
+
+
+@pytest.fixture
+def ranked_passes(monkeypatch):
+    """The sites k at which ``is_convex_at`` reached the ranked pass."""
+    real, seen = convexity._ranked_violation, []
+
+    def ranked(m, k, *args):
+        seen.append(k)
+        return real(m, k, *args)
+
+    monkeypatch.setattr(convexity, "_ranked_violation", ranked)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_convex_at_matches_pair_scan_on_certified_metrics(seed, ranked_passes):
+    # unit weights give breadth-first rows with shells, a certified metric:
+    # int data is probed pair by pair, then ranked where the probe runs dry
+    rng = random.Random(f"certified:{seed}")
+    g, d = build(100, GRID_EDGES)
+    a = rng.randrange(100)
+    f = {v: d(v, a) for v in range(100) if rng.random() < 0.9}
+    cases = [(g.metric(), d, f)]
+    n = rng.randint(60, 90)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 3:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    g, d = build(n, [(u, v, 1) for u, v in edges])
+    for values in (range(-3, 4), range(6), (-3, 3, 2**53 + 1)):
+        f = {v: rng.choice(values) for v in range(n) if rng.random() < 0.9}
+        cases.append((g.metric(), d, f))
+    probed = ranked = 0
+    for m, d, f in cases:
+        m.row(0)
+        assert m.certified
+        for z in m.vertices:
+            ranked_passes.clear()
+            got = typed_witness(is_convex_at(m, f, z))
+            assert got == exact_scan(d, f, z)
+            if got is not None:
+                probed += not ranked_passes
+                ranked += bool(ranked_passes)
+    assert probed and ranked
+
+
+def test_convex_at_pins_a_probed_and_a_ranked_site(ranked_passes):
+    # d(., 45) on the 10x10 grid: at 6 the probe meets the first violating
+    # pair at its first candidate; at 1 it runs dry first, and the ranked
+    # pass finds the pair from where the probe stopped
+    g, d = build(100, GRID_EDGES)
+    m = g.metric()
+    f = {v: d(v, 45) for v in range(100)}
+    for z, pair, ranked in ((6, (0, 16), []), (1, (2, 10), [1])):
+        verdict = is_convex_at(m, f, z)
+        assert typed_witness(verdict) == exact_scan(d, f, z)
+        assert (verdict.witness.x, verdict.witness.y) == pair
+        assert ranked_passes == ranked
+
+
+def test_ranked_pass_scales_slopes_to_the_eccentricity(ranked_passes):
+    # on the path 0..4 at 2 (eccentricity 2) the probe clears 0 and hands
+    # over; the first violating pair (1, 4) then rests on the slope of 4,
+    # (f(2) - f(4)) / 2, which lcm(1, 2) must scale exactly
+    g, d = build(5, [(i, i + 1, 1) for i in range(4)])
+    f = dict(enumerate((3, 1, 0, 0, -3)))
+    verdict = is_convex_at(g.metric(), f, 2)
+    assert typed_witness(verdict) == exact_scan(d, f, 2)
+    assert (verdict.witness.x, verdict.witness.y) == (1, 4)
+    assert ranked_passes == [2]
 
 
 @PROPERTY
