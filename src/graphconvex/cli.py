@@ -56,11 +56,6 @@ from .theorems import (
     _convexity_witness,
     _midpoint_witness,
     search_counterexample,
-    verify_degree2_equivalence,
-    verify_dist_convex_implies_set_convex,
-    verify_dist_to_point_midpoint_convex,
-    verify_nn_implies_dist_midpoint_convex,
-    verify_pointwise_implication,
 )
 
 CHECK_KINDS = (
@@ -218,10 +213,10 @@ def _verify_arguments(p) -> None:
     _add_files(p)
     p.add_argument("claim", choices=CLAIM_IDS)
     p.add_argument(
-        "--values", metavar="A,B,...", help="value alphabet for lem-deg2 (default 0,1,2)"
+        "--values", metavar="A,B,...", help="values swept (thm1, thm2, lem-deg2; default 0,1,2)"
     )
-    p.add_argument("--count", type=int, default=20, help="sample count for lem-dist-pt")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=20, help="sample count (lem-dist-pt, thm4-cvx-sub)")
+    p.add_argument("--seed", type=int, default=0, help="sample seed (lem-dist-pt, thm4-cvx-sub)")
 
 
 def _search_arguments(p) -> None:
@@ -354,42 +349,24 @@ def _check_row(kind, inst, fun, z, weighted, tol) -> dict:
 
 
 def _cmd_verify(args, parser) -> tuple[dict, int]:
-    claim = args.claim
-    tol = args.tolerance
-    if claim in ("thm1", "thm2", "thm3", "lem-deg2"):
+    kind, reads, check, suite = theorems.CLAIMS[args.claim]
+    if kind == "graph":
         inst = _graph_instance(args, parser)
         universe, label = inst.vertices, _graph_label(args)
     else:
         inst = _lattice_instance(args, parser)
         universe, label = inst.window, None
-    if claim in ("thm1", "thm2", "thm4-cvx-sub"):
-        hyp = {"thm1": "triangle_free", "thm2": "pairing", "thm4-cvx-sub": "midpoint"}[claim]
-        if args.fn:
-            fun = parse_vertex_function(_read_text(args.fn), universe)
-            report = verify_pointwise_implication(inst, fun, hyp, tol=tol, label=label)
-        elif claim == "thm4-cvx-sub":
-            report = theorems.sweep_max_affine(inst, count=args.count, seed=args.seed, tol=tol)
-        else:
-            values = _parse_values(args.values, parser)
-            report = theorems.exhaustive_small_graph_sweep(hyp, graphs=[inst], values=values)
-    elif claim in ("thm3", "prop-dist-cvx"):
-        if args.set:
-            members = parse_vertex_set(_read_text(args.set), universe)
-            report = verify_dist_convex_implies_set_convex(inst, members, tol=tol, label=label)
-        else:
-            report = theorems.sweep_subsets_dist_convex(inst, tol=tol)
-    elif claim == "prop-nn":
-        if args.set:
-            members = parse_vertex_set(_read_text(args.set), universe)
-            report = verify_nn_implies_dist_midpoint_convex(inst, members, tol=tol)
-        else:
-            report = theorems.sweep_subsets_nn(inst, tol=tol)
-    elif claim == "lem-dist-pt":
-        report = verify_dist_to_point_midpoint_convex(
-            inst, count=args.count, seed=args.seed, tol=tol
-        )
-    else:  # lem-deg2
-        report = verify_degree2_equivalence(inst, values=_parse_values(args.values, parser))
+    for flag in ("fn", "set"):
+        if getattr(args, flag) and flag != reads:
+            parser.error(f"claim {args.claim} does not read --{flag}")
+    opts = argparse.Namespace(tol=args.tolerance, label=label, count=args.count, seed=args.seed,
+                              values=lambda: _parse_values(args.values, parser))
+    path = getattr(args, reads) if reads else None
+    if path:
+        parse = parse_vertex_function if reads == "fn" else parse_vertex_set
+        report = check(inst, parse(_read_text(path), universe), opts)
+    else:
+        report = suite(inst, opts)
     return {"report": "claim", **report.as_dict()}, 0 if report.verdict == "verified" else 1
 
 

@@ -6,7 +6,7 @@ holds, asserts the claimed conclusion there, and returns a
 first-class: a claim suite that only ever fires vacuously is treated as a
 failure by the CLI.
 
-Claim ids used throughout (also the CLI vocabulary):
+Claim ids, in the order of :data:`CLAIMS`, which says how ``verify`` checks each:
 
 ================  ============================================================
 ``thm1``          triangle-free at z with deg(z) > 1: convex at z implies
@@ -60,16 +60,35 @@ from .lattice import (
 )
 from .subharmonic import is_subharmonic_at
 
-CLAIM_IDS = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4-cvx-sub",
-    "lem-deg2",
-    "lem-dist-pt",
-    "prop-dist-cvx",
-    "prop-nn",
-)
+# claim id -> (instance kind "graph" or "lattice", input file "fn", "set" or
+# None, check(instance, data, opts) of that input, suite(instance, opts) run
+# without one).  opts has tol, label, count, seed and values().  Verifiers are
+# looked up by global name when called, so a wrapper set on this module sees them.
+CLAIMS = {
+    "thm1": ("graph", "fn",
+        lambda g, f, o: verify_pointwise_implication(g, f, "triangle_free", o.tol, o.label),
+        lambda g, o: exhaustive_small_graph_sweep("triangle_free", graphs=[g], values=o.values())),
+    "thm2": ("graph", "fn",
+        lambda g, f, o: verify_pointwise_implication(g, f, "pairing", o.tol, o.label),
+        lambda g, o: exhaustive_small_graph_sweep("pairing", graphs=[g], values=o.values())),
+    "thm3": ("graph", "set",
+        lambda g, s, o: verify_dist_convex_implies_set_convex(g, s, o.tol, o.label),
+        lambda g, o: sweep_subsets_dist_convex(g, o.tol)),
+    "thm4-cvx-sub": ("lattice", "fn",
+        lambda lat, f, o: verify_pointwise_implication(lat, f, "midpoint", o.tol, o.label),
+        lambda lat, o: sweep_max_affine(lat, o.count, o.seed, o.tol)),
+    "lem-deg2": ("graph", None, None, lambda g, o: verify_degree2_equivalence(g, o.values())),
+    "lem-dist-pt": ("lattice", None, None,
+        lambda lat, o: verify_dist_to_point_midpoint_convex(lat, None, o.count, o.seed, o.tol)),
+    "prop-dist-cvx": ("lattice", "set",
+        lambda lat, s, o: verify_dist_convex_implies_set_convex(lat, s, o.tol, o.label),
+        lambda lat, o: sweep_subsets_dist_convex(lat, o.tol)),
+    "prop-nn": ("lattice", "set",
+        lambda lat, s, o: verify_nn_implies_dist_midpoint_convex(lat, s, o.tol),
+        lambda lat, o: sweep_subsets_nn(lat, o.tol)),
+}
+
+CLAIM_IDS = tuple(CLAIMS)
 
 PREDICATES = ("convex-not-subharmonic", "distance-fn-not-convex")
 

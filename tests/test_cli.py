@@ -1,7 +1,10 @@
 import argparse
+import inspect
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +13,11 @@ import pytest
 from jsonschema import validate
 
 import graphconvex
+from graphconvex import theorems
 from graphconvex.cli import build_parser, main
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -365,6 +368,146 @@ def test_verify_vacuous_function_exits_one(square_file, tmp_path, capsys):
     )
     assert payload["verdict"] in ("vacuous", "verified")
     assert (code == 0) == (payload["verdict"] == "verified")
+
+
+VERIFY_INPUTS = {
+    "c4.g": "v 0\nv 1\nv 2\nv 3\ne 0 1\ne 0 3\ne 1 2\ne 2 3\n",
+    "d0.fn": "0 0\n1 1\n2 2\n3 1\n",
+    "all4.txt": "0\n1\n2\n3\n",
+    "s012.txt": "0\n1\n2\n",
+    "abs.fn": "(-2) 2\n(-1) 1\n(0) 0\n(1) 1\n(2) 2\n",
+    "mid.txt": "(-1)\n(0)\n(1)\n",
+    "gap.txt": "(-1)\n(1)\n",
+}
+ON_C4 = ["--graph", "c4.g"]
+ON_LINE = ["--lattice", "l1", "--window", "-2:2"]
+NEEDS_GRAPH = "this claim needs --graph FILE"
+NEEDS_LATTICE = "this operation needs --lattice NORM --window SPEC"
+
+# Each claim with its single input file (where it reads one), its suite and
+# the wrong instance kind: (argv, exit code, verdict, [checked, fired]); a
+# usage error carries its message in place of the verdict and counts.
+VERIFY_BRANCHES = [
+    (["thm1", *ON_C4, "--fn", "d0.fn"], 0, "verified", [4, 3]),
+    (["thm1", *ON_C4], 0, "verified", [324, 192]),
+    (["thm1", *ON_LINE], 2, NEEDS_GRAPH, None),
+    (["thm2", *ON_C4, "--fn", "d0.fn"], 0, "verified", [4, 3]),
+    (["thm2", *ON_C4, "--values", "0,1"], 0, "verified", [64, 40]),
+    (["thm2", *ON_LINE], 2, NEEDS_GRAPH, None),
+    (["thm3", *ON_C4, "--set", "all4.txt"], 0, "verified", [4, 1]),
+    (["thm3", *ON_C4, "--set", "s012.txt"], 1, "vacuous", [4, 0]),
+    (["thm3", *ON_C4], 0, "verified", [60, 1]),
+    (["thm3", *ON_LINE], 2, NEEDS_GRAPH, None),
+    (["thm4-cvx-sub", *ON_LINE, "--fn", "abs.fn"], 0, "verified", [3, 3]),
+    (["thm4-cvx-sub", *ON_LINE, "--count", "5"], 0, "verified", [15, 15]),
+    (["thm4-cvx-sub", *ON_C4], 2, NEEDS_LATTICE, None),
+    (["lem-deg2", *ON_C4], 0, "verified", [324, 195]),
+    (["lem-deg2", *ON_LINE], 2, NEEDS_GRAPH, None),
+    (["lem-dist-pt", *ON_LINE, "--count", "3"], 0, "verified", [15, 15]),
+    (["lem-dist-pt", *ON_C4], 2, NEEDS_LATTICE, None),
+    (["prop-dist-cvx", *ON_LINE, "--set", "mid.txt"], 0, "verified", [5, 1]),
+    (["prop-dist-cvx", *ON_LINE, "--set", "gap.txt"], 1, "vacuous", [5, 0]),
+    (["prop-dist-cvx", *ON_LINE], 0, "verified", [155, 15]),
+    (["prop-dist-cvx", *ON_C4], 2, NEEDS_LATTICE, None),
+    (["prop-nn", *ON_LINE, "--set", "mid.txt"], 0, "verified", [3, 3]),
+    (["prop-nn", *ON_LINE, "--set", "gap.txt"], 1, "vacuous", [3, 0]),
+    (["prop-nn", *ON_LINE], 0, "verified", [93, 45]),
+    (["prop-nn", *ON_C4], 2, NEEDS_LATTICE, None),
+    # the instance kind is checked before the input files
+    (["thm3", *ON_LINE, "--fn", "abs.fn"], 2, NEEDS_GRAPH, None),
+    (["prop-nn", *ON_C4, "--fn", "d0.fn"], 2, NEEDS_LATTICE, None),
+]
+
+
+def _write_verify_inputs(tmp_path, argv):
+    for name, text in VERIFY_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / tok) if tok in VERIFY_INPUTS else tok for tok in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, code, verdict, counts", VERIFY_BRANCHES,
+    ids=[" ".join(case[0]) for case in VERIFY_BRANCHES],
+)
+def test_verify_branch(argv, code, verdict, counts, tmp_path, capsys):
+    argv = ["verify", *_write_verify_inputs(tmp_path, argv)]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {verdict}\n")
+        return
+    got, payload = run_json(capsys, *argv)
+    assert (got, payload["claim"], payload["verdict"]) == (code, argv[1], verdict)
+    assert [payload["checked"], payload["hypothesis_fired"]] == counts
+
+
+# (argv, the verifier that runs, arguments it must receive); the verifier is
+# replaced on the theorems module, so the claim table must look it up there
+VERIFIER_CALLS = [
+    (["thm1", *ON_C4, "--values", "0,1"], "exhaustive_small_graph_sweep",
+     {"hypothesis": "triangle_free", "values": (0, 1)}),
+    (["thm3", *ON_C4, "--set", "all4.txt", "--tolerance", "0.5"],
+     "verify_dist_convex_implies_set_convex", {"members": {0, 1, 2, 3}, "tol": 0.5}),
+    (["thm4-cvx-sub", *ON_LINE, "--count", "2", "--seed", "7", "--tolerance", "0.5"],
+     "sweep_max_affine", {"count": 2, "seed": 7, "tol": 0.5}),
+    (["lem-deg2", *ON_C4, "--values", "0,1"], "verify_degree2_equivalence", {"values": (0, 1)}),
+    (["lem-dist-pt", *ON_LINE, "--count", "2", "--seed", "7", "--tolerance", "0.5"],
+     "verify_dist_to_point_midpoint_convex", {"points": None, "count": 2, "seed": 7, "tol": 0.5}),
+    (["prop-nn", *ON_LINE, "--tolerance", "0.5"], "sweep_subsets_nn", {"tol": 0.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, expected", VERIFIER_CALLS, ids=[" ".join(c[0]) for c in VERIFIER_CALLS]
+)
+def test_verify_calls_the_verifier_by_name(argv, name, expected, tmp_path, capsys, monkeypatch):
+    real, seen = getattr(theorems, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, name, spy)
+    assert main(["verify", *_write_verify_inputs(tmp_path, argv)]) == 0
+    assert len(seen) == 1
+    assert {key: seen[0][key] for key in expected} == expected
+
+
+UNREAD_FILES = [
+    (claim, flag)
+    for claim, (_, reads, _, _) in theorems.CLAIMS.items()
+    for flag in ("fn", "set")
+    if flag != reads
+]
+
+
+@pytest.mark.parametrize("claim, flag", UNREAD_FILES, ids=[" --".join(c) for c in UNREAD_FILES])
+def test_verify_rejects_a_file_the_claim_does_not_read(claim, flag, tmp_path, capsys):
+    on, data = ON_C4, {"fn": "d0.fn", "set": "s012.txt"}
+    if theorems.CLAIMS[claim][0] == "lattice":
+        on, data = ON_LINE, {"fn": "abs.fn", "set": "mid.txt"}
+    argv = _write_verify_inputs(tmp_path, [claim, *on, f"--{flag}", data[flag]])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: claim {claim} does not read --{flag}\n")
+
+
+def test_docs_list_the_claim_table():
+    enum = SCHEMA["$defs"]["claimReport"]["properties"]["claim"]["enum"]
+    readme = (ROOT / "README.md").read_text().splitlines()
+    header = next(i for i, line in enumerate(readme) if line.startswith("| claim id |"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), readme[header + 2:])
+    cells = [[cell.strip() for cell in row.split("|")[1:3]] for row in rows]
+    in_readme = [claim.strip("`") for claim, _ in cells]
+    in_docstring = re.findall(r"^``([\w-]+)`` ", theorems.__doc__, flags=re.MULTILINE)
+    assert theorems.CLAIM_IDS == tuple(theorems.CLAIMS)
+    assert enum == in_readme == in_docstring == list(theorems.CLAIM_IDS)
+    reads = [f"`--{row[1]}`" if row[1] else "none" for row in theorems.CLAIMS.values()]
+    assert [read for _, read in cells] == reads
 
 
 # ----------------------------------------------------------------------
