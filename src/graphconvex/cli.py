@@ -140,7 +140,7 @@ def _add_report(p) -> None:
     )
 
 
-def _add_instance(p) -> None:
+def _add_instance(p, interior_only: bool = True) -> None:
     p.add_argument("--graph", metavar="FILE", help="graph file ('-' for stdin)")
     p.add_argument(
         "--lattice", choices=NORMS, metavar="NORM", help="use a norm lattice instance"
@@ -150,9 +150,11 @@ def _add_instance(p) -> None:
     p.add_argument(
         "--radius", type=float, default=1.0, metavar="R", help="edge radius (default 1)"
     )
-    p.add_argument(
-        "--interior-only", action="store_true", help="restrict rows to interior lattice vertices"
-    )
+    if interior_only:
+        p.add_argument(
+            "--interior-only", action="store_true",
+            help="restrict rows to interior lattice vertices",
+        )
 
 
 def _add_files(p) -> None:
@@ -209,7 +211,7 @@ def _check_arguments(p) -> None:
 
 def _verify_arguments(p) -> None:
     _add_report(p)
-    _add_instance(p)
+    _add_instance(p, interior_only=False)
     _add_files(p)
     p.add_argument("claim", choices=CLAIM_IDS)
     p.add_argument(
@@ -350,6 +352,7 @@ def _check_row(kind, inst, fun, z, weighted, tol) -> dict:
 
 def _cmd_verify(args, parser) -> tuple[dict, int]:
     kind, reads, check, suite = theorems.CLAIMS[args.claim]
+    _require_one_instance(args, parser)
     if kind == "graph":
         inst = _graph_instance(args, parser)
         universe, label = inst.vertices, _graph_label(args)
@@ -421,9 +424,13 @@ class _Instance:
         self.mean_graph = mean_graph
 
 
-def _load_instance(args, parser) -> _Instance:
+def _require_one_instance(args, parser) -> None:
     if args.graph and args.lattice:
         parser.error("give either --graph or --lattice, not both")
+
+
+def _load_instance(args, parser) -> _Instance:
+    _require_one_instance(args, parser)
     if args.graph:
         g = parse_graph(_read_text(args.graph))
         return _Instance(

@@ -32,6 +32,12 @@ i - s, where s = sum_k z_k * stride_k; inside the half-box neither wraps
 across an axis.  Each check first runs the plain inequalities over these
 flat offsets in one C-level pass and only rescans, with the tolerance and
 in box order, when that pass does not settle it.
+
+A caller that tests one function at many points builds
+``_plain_midpoint(lat, f)`` once: it validates f once and reads it once
+into a list in window order, and each point is then the same plain pass
+over that list.  Its True is final; its False leaves the point to
+:func:`is_midpoint_convex_at`, which gives the verdict and witness.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Any, Iterator, Mapping
@@ -171,9 +177,11 @@ class GroupLattice:
     def _offsets(self, x) -> tuple:
         """(i, box, shifts) for the window point x: its index in
         ``window``, its half-box of offsets z and, per z, the shift s with
-        ``window[i + s] == x + z`` and ``window[i - s] == x - z``."""
+        ``window[i + s] == x + z`` and ``window[i - s] == x - z``.
+        Raises UnknownVertexError when x is not a window point."""
         found = self._offset_table.get(x)
         if found is None:
+            self._require(x)
             spec = self.spec
             i = sum(map(mul, map(sub, x, (lo for lo, _ in spec.window)), self._strides))
             reach = _reach(spec, x)
@@ -222,21 +230,16 @@ def is_midpoint_convex_at(
     lat: GroupLattice, f: Mapping, x, tol: float | None = None
 ) -> MidpointVerdict:
     """Check 2 f(x) <= f(x+z) + f(x-z) for all z with both points in window."""
-    lat._require(x)
+    i, box, shifts = lat._offsets(x)
     tol = lat._tol if tol is None else tol
     check_values(f.values())
     if x not in f:
         return MidpointVerdict(True, x)
     fx2 = 2 * f[x]
-    i, box, shifts = lat._offsets(x)
     at, get = lat.window.__getitem__, f.get
     try:
         # plain <= implies approx_le, so a pass is final
-        if all(map(le, repeat(fx2), map(
-            add,
-            map(get, map(at, map(add, repeat(i), shifts))),
-            map(get, map(at, map(sub, repeat(i), shifts))),
-        ))):
+        if _plain_pass(lambda js: map(get, map(at, js)), fx2, i, shifts):
             return MidpointVerdict(True, x)
     except (TypeError, OverflowError):
         # a translate without a value (None + ...), or an int beyond float
@@ -250,6 +253,43 @@ def is_midpoint_convex_at(
         if not approx_le(fx2, rhs, tol):
             return MidpointVerdict(False, x, MidpointWitness(z, fx2, rhs))
     return MidpointVerdict(True, x)
+
+
+def _plain_midpoint(lat: GroupLattice, f: Mapping):
+    """x -> bool for one function f: True when the plain inequalities
+    2 f(x) <= f(x + z) + f(x - z) all hold at x, which is final.
+
+    f is validated here, once, and read once into window order, so each
+    x costs one C-level pass over its flat shifts.  False means "not
+    settled": a failed inequality, a point without a value, or an int
+    beyond float range met by a float; :func:`is_midpoint_convex_at` then
+    gives the verdict, its tolerance and its witness.
+    """
+    check_values(f.values())
+    vals = list(map(f.get, lat.window))
+    read = partial(map, vals.__getitem__)
+    offsets = lat._offsets
+
+    def holds(x) -> bool:
+        i, _, shifts = offsets(x)
+        try:
+            return _plain_pass(read, 2 * vals[i], i, shifts)
+        except (TypeError, OverflowError):
+            return False
+
+    return holds
+
+
+def _plain_pass(read, fx2, i, shifts) -> bool:
+    """Plain ``fx2 <= f(x + z) + f(x - z)`` for every flat shift s of x (at
+    index i), in one C-level pass; ``read`` maps an iterable of window
+    indices to the values there.  Raises TypeError where a value is None
+    and OverflowError where an int beyond float range meets a float."""
+    return all(map(le, repeat(fx2), map(
+        add,
+        read(map(add, repeat(i), shifts)),
+        read(map(sub, repeat(i), shifts)),
+    )))
 
 
 def _reach(spec: LatticeSpec, x) -> tuple:

@@ -54,6 +54,7 @@ from .graph import Graph, Metric, _bit_indices
 from .io import format_graph, format_vertex
 from .lattice import (
     GroupLattice,
+    _plain_midpoint,
     _sub,
     has_nearest_neighbor_property,
     is_midpoint_convex_at,
@@ -235,7 +236,9 @@ def verify_pointwise_implication(
         claim, g, weighted = "thm4-cvx-sub", instance.graph, True
         # radius below 1: no neighbors, no mean to compare
         sites = [x for x in sorted(instance.interior) if g.degree(x)]
-        convex_at = partial(is_midpoint_convex_at, instance, f, tol=tol)
+        # f is validated at the first site, so a window without sites
+        # leaves it unread
+        convex_at = _midpoint_test(instance, f, tol) if sites else None
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
     name = label or repr(instance)
@@ -275,9 +278,7 @@ def verify_dist_convex_implies_set_convex(
     fun = set_distance_function(m, f_set)
     if isinstance(instance, GroupLattice):
         claim = "prop-dist-cvx"
-        antecedent = all(
-            is_midpoint_convex_at(instance, fun, x, tol=m.tol) for x in instance.window
-        )
+        antecedent = all(map(_midpoint_test(instance, fun, m.tol), instance.window))
         checked = len(instance.window)
     else:
         claim = "thm3"
@@ -332,6 +333,15 @@ def _nn_conclusion(lat: GroupLattice, fun: Mapping, tol: float) -> tuple[int, di
     return fired, None
 
 
+def _midpoint_test(lat: GroupLattice, f: Mapping, tol: float):
+    """x -> True, or the midpoint verdict of f at x.  The plain pass over f
+    (``lattice._plain_midpoint``, which validates f now) settles most x;
+    where it does not, this module's ``is_midpoint_convex_at`` decides and
+    gives the witness."""
+    plain = _plain_midpoint(lat, f)
+    return lambda x: plain(x) or is_midpoint_convex_at(lat, f, x, tol=tol)
+
+
 def _outside_witness(extra) -> dict:
     """The witness of a set F whose closure adds the vertices ``extra``."""
     return {"vertex": format_vertex(min(extra, key=format_vertex)), "outside_set": True}
@@ -359,10 +369,11 @@ def verify_dist_to_point_midpoint_convex(
     checked = fired = 0
     for a in points:
         fun = {v: spec.norm_value(_sub(v, a)) for v in lat.window}
+        convex_at = _midpoint_test(lat, fun, tol)
         for x in lat.window:
             checked += 1
             fired += 1
-            mp = is_midpoint_convex_at(lat, fun, x, tol=tol)
+            mp = convex_at(x)
             if not mp:
                 witness = _midpoint_witness(
                     mp.witness, base_point=format_vertex(a), vertex=format_vertex(x)

@@ -1,0 +1,104 @@
+"""Per-site lattice claim checks that the per-function midpoint pass must
+reproduce.
+
+``theorems.verify_pointwise_implication`` (hypothesis "midpoint", claim
+thm4-cvx-sub), ``verify_dist_to_point_midpoint_convex`` (lem-dist-pt) and
+the lattice antecedent of ``verify_dist_convex_implies_set_convex``
+(prop-dist-cvx) read each function once into window order and settle most
+sites with one plain pass (``lattice._plain_midpoint``).  The loops here
+call the library check ``is_midpoint_convex_at`` at every site instead, so
+each call validates f and reads it through dict lookups; they are the
+verifiers' loops as they were before that pass.  Reports, witnesses and
+errors must be equal.
+"""
+
+import random
+from functools import partial
+
+from graphconvex import ClaimReport, betweenness_closure, set_distance_function
+from graphconvex.extreal import DEFAULT_TOL, report_value
+from graphconvex.io import format_vertex
+from graphconvex.lattice import _sub, is_midpoint_convex_at
+from graphconvex.subharmonic import is_subharmonic_at
+from graphconvex.theorems import _mean_witness, _midpoint_witness, _outside_witness
+
+
+def thm4_per_site(lat, f, tol=DEFAULT_TOL, label=None):
+    """thm4-cvx-sub on f: the library midpoint check at every interior
+    vertex of nonzero degree, then the weighted mean where it holds."""
+    claim, g, weighted = "thm4-cvx-sub", lat.graph, True
+    sites = [x for x in sorted(lat.interior) if g.degree(x)]
+    convex_at = partial(is_midpoint_convex_at, lat, f, tol=tol)
+    name = label or repr(lat)
+    fired = 0
+    for checked, z in enumerate(sites, 1):
+        if not convex_at(z):
+            continue
+        fired += 1
+        cmp = is_subharmonic_at(g, f, z, weighted=weighted, tol=tol)
+        if not cmp:
+            lead = {"vertex": format_vertex(z)}
+            if weighted:
+                lead["total_weight"] = report_value(cmp.total_weight)
+            witness = _mean_witness(cmp, **lead)
+            return ClaimReport(claim, name, checked, fired, "refuted", witness)
+    return ClaimReport.settled(claim, name, len(sites), fired)
+
+
+def dist_pt_per_site(lat, points=None, count=20, seed=0, tol=DEFAULT_TOL):
+    """lem-dist-pt: the library midpoint check of ||. - a|| at every window
+    vertex, for each base point a."""
+    spec = lat.spec
+    if points is None:
+        rng = random.Random(f"dist-pt:{seed}")
+        points = [
+            tuple(rng.randint(lo - 2, hi + 2) for lo, hi in spec.window)
+            for _ in range(count)
+        ]
+    else:
+        points = list(points)
+    checked = fired = 0
+    for a in points:
+        fun = {v: spec.norm_value(_sub(v, a)) for v in lat.window}
+        for x in lat.window:
+            checked += 1
+            fired += 1
+            mp = is_midpoint_convex_at(lat, fun, x, tol=tol)
+            if not mp:
+                witness = _midpoint_witness(
+                    mp.witness, base_point=format_vertex(a), vertex=format_vertex(x)
+                )
+                return ClaimReport(
+                    "lem-dist-pt", repr(lat), checked, fired, "refuted", witness
+                )
+    return ClaimReport.settled(
+        "lem-dist-pt", f"{lat!r}, {len(points)} base points", checked, fired
+    )
+
+
+def dist_cvx_per_site(lat, members, tol=DEFAULT_TOL, label=None):
+    """prop-dist-cvx on one set F: the library midpoint check of d(., F) at
+    every window vertex, then the betweenness closure of F."""
+    m = lat.metric(tol)
+    f_set = frozenset(members)
+    fun = set_distance_function(m, f_set)
+    antecedent = all(is_midpoint_convex_at(lat, fun, x, tol=m.tol) for x in lat.window)
+    checked = len(lat.window)
+    name = label or f"{lat!r}, |F|={len(f_set)}"
+    if not antecedent:
+        return ClaimReport("prop-dist-cvx", name, checked, 0, "vacuous")
+    extra = betweenness_closure(m, f_set) - f_set
+    if not extra:
+        return ClaimReport("prop-dist-cvx", name, checked, 1, "verified")
+    return ClaimReport("prop-dist-cvx", name, checked, 1, "refuted", _outside_witness(extra))
+
+
+def outcome(call, *args, **kwargs):
+    """The report of ``call`` as a dict plus the types of its witness
+    values, or the type and message of the error it raised."""
+    try:
+        report = call(*args, **kwargs).as_dict()
+    except (ValueError, TypeError, OverflowError) as exc:
+        return ("raised", type(exc), str(exc))
+    types = {k: type(v) for k, v in report.get("witness", {}).items()}
+    return ("report", report, types)

@@ -496,6 +496,24 @@ def test_verify_rejects_a_file_the_claim_does_not_read(claim, flag, tmp_path, ca
     assert captured.err.endswith(f"error: claim {claim} does not read --{flag}\n")
 
 
+@pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
+def test_verify_rejects_a_graph_and_a_lattice_together(claim, tmp_path, capsys):
+    argv = _write_verify_inputs(tmp_path, [claim, *ON_C4, *ON_LINE])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: give either --graph or --lattice, not both\n")
+
+
+def test_verify_rejects_interior_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm4-cvx-sub", *ON_LINE, "--interior-only"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --interior-only\n")
+
+
 def test_docs_list_the_claim_table():
     enum = SCHEMA["$defs"]["claimReport"]["properties"]["claim"]["enum"]
     readme = (ROOT / "README.md").read_text().splitlines()
