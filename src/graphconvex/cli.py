@@ -147,9 +147,8 @@ def _add_instance(p, interior_only: bool = True) -> None:
     )
     p.add_argument("--window", metavar="SPEC", help="N or lo:hi[,lo:hi...]")
     p.add_argument("--dim", type=int, metavar="D", help="lattice dimension")
-    p.add_argument(
-        "--radius", type=float, default=1.0, metavar="R", help="edge radius (default 1)"
-    )
+    # None when not given, so --graph can reject it; a lattice reads 1.0 then
+    p.add_argument("--radius", type=float, metavar="R", help="edge radius (default 1)")
     if interior_only:
         p.add_argument(
             "--interior-only", action="store_true",
@@ -196,7 +195,7 @@ def _gen_arguments(p_gen) -> None:
 
 def _hull_arguments(p) -> None:
     _add_report(p)
-    _add_instance(p)
+    _add_instance(p, interior_only=False)
     p.add_argument("--set", metavar="FILE", required=True)
     p.add_argument("--one-step", action="store_true", help="one betweenness-closure step only")
 
@@ -415,18 +414,26 @@ _COMMANDS = {
 class _Instance:
     """A graph or lattice target plus the handles each command needs."""
 
-    def __init__(self, label, metric, universe, domain, lattice=None, mean_graph=None):
+    def __init__(self, label, metric, universe, domain, lattice=None, graph=None):
         self.label = label
         self.metric = metric
         self.universe = universe
         self.domain = domain
         self.lattice = lattice
-        self.mean_graph = mean_graph
+        self._graph = graph
+
+    @property
+    def mean_graph(self) -> Graph:
+        """The graph whose neighbourhood means are compared; a lattice
+        builds its graph here, on first use."""
+        return self._graph if self.lattice is None else self.lattice.graph
 
 
 def _require_one_instance(args, parser) -> None:
     if args.graph and args.lattice:
         parser.error("give either --graph or --lattice, not both")
+    if args.graph and (args.window, args.dim, args.radius) != (None, None, None):
+        parser.error("--window, --dim and --radius describe a lattice; --graph takes none of them")
 
 
 def _load_instance(args, parser) -> _Instance:
@@ -434,15 +441,14 @@ def _load_instance(args, parser) -> _Instance:
     if args.graph:
         g = parse_graph(_read_text(args.graph))
         return _Instance(
-            _graph_label(args), g.metric(args.tolerance), g.vertices, g.vertices,
-            mean_graph=g,
+            _graph_label(args), g.metric(args.tolerance), g.vertices, g.vertices, graph=g,
         )
     if args.lattice:
         lat = _lattice_instance(args, parser)
-        domain = sorted(lat.interior) if args.interior_only else lat.window
+        # hull takes no --interior-only
+        domain = sorted(lat.interior) if getattr(args, "interior_only", False) else lat.window
         return _Instance(
-            lat.spec.describe(), lat.metric(args.tolerance), lat.window, domain,
-            lattice=lat, mean_graph=lat.graph,
+            lat.spec.describe(), lat.metric(args.tolerance), lat.window, domain, lattice=lat,
         )
     parser.error("give --graph FILE or --lattice NORM --window SPEC")
 
@@ -463,7 +469,8 @@ def _lattice_instance(args, parser) -> GroupLattice:
     if not args.window:
         parser.error("--lattice needs --window SPEC")
     window = _parse_window(args.window, args.dim, parser)
-    spec = LatticeSpec(len(window), args.lattice, args.radius, window)
+    radius = 1.0 if args.radius is None else args.radius
+    spec = LatticeSpec(len(window), args.lattice, radius, window)
     return build_lattice(spec, args.tolerance)
 
 

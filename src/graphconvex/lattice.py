@@ -34,10 +34,19 @@ flat offsets in one C-level pass and only rescans, with the tolerance and
 in box order, when that pass does not settle it.
 
 A caller that tests one function at many points builds
-``_plain_midpoint(lat, f)`` once: it validates f once and reads it once
+``_plain_passes(lat, f)`` once: it validates f once and reads it once
 into a list in window order, and each point is then the same plain pass
 over that list.  Its True is final; its False leaves the point to
 :func:`is_midpoint_convex_at`, which gives the verdict and witness.
+
+The weighted mean at an interior x takes the same route.  Its neighbours
+are x + z for the z != 0 of the ball, in window order, so they sit at
+flat shifts that are the same for every interior x, and one pass over
+them sums ||z|| f(x + z) in the order the graph lists the neighbours.
+The graph itself is built the first time ``GroupLattice.graph`` is read,
+which a check needs only where a plain pass leaves the verdict to the
+library.  The interior is a box: on each axis, lo + span to hi - span,
+where span is the ball's largest |z_i|.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Any, Iterator, Mapping
@@ -127,32 +136,43 @@ def _ball_offsets(spec: LatticeSpec, tol: float) -> tuple:
 
 
 class GroupLattice:
-    """A window of an integer lattice with its norm-induced graph."""
+    """A window of an integer lattice with its norm-induced graph, which is
+    built the first time ``graph`` is read."""
 
     def __init__(self, spec: LatticeSpec, tol: float = DEFAULT_TOL):
         self.spec = spec
         self.window: tuple = tuple(spec.points())
-        offsets = spec.ball_offsets(tol)
-        steps = [(z, spec.norm_value(z)) for z in offsets if _positive(z)]
-        points = frozenset(self.window)
-        edges = []
-        for x in self.window:
-            for z, w in steps:
-                y = _add(x, z)
-                if y in points:
-                    edges.append((x, y, w))
-        self.graph = Graph(edges, vertices=self.window)
-        span = [max(abs(z[i]) for z in offsets) for i in range(spec.dimension)]
-        self.interior: frozenset = frozenset(
-            x for x in self.window
-            if all(r >= s for r, s in zip(_reach(spec, x), span))
-        )
+        self._index = {x: i for i, x in enumerate(self.window)}
+        self._ball = spec.ball_offsets(tol)
+        span = [max(abs(z[i]) for z in self._ball) for i in range(spec.dimension)]
+        self.interior: frozenset = frozenset(itertools.product(*(
+            range(lo + s, hi - s + 1) for (lo, hi), s in zip(spec.window, span)
+        )))
         self._tol = tol
         # row-major strides of the window: the last axis varies fastest
         sizes = [hi - lo + 1 for lo, hi in spec.window]
         self._strides = tuple(math.prod(sizes[k + 1:]) for k in range(spec.dimension))
+        # per z of the ball but 0, in window order of x + z: its flat shift
+        # and its weight ||z||, and their sum, the total weight at interior x
+        steps = [z for z in self._ball if any(z)]
+        self._mean_shifts = tuple(sum(map(mul, z, self._strides)) for z in steps)
+        self._mean_weights = tuple(map(spec.norm_value, steps))
+        self._total_weight = reduce(add, self._mean_weights, 0)
         self._offset_table: dict = {}  # x -> (i, half-box of x, flat shifts)
         self._metrics: dict = {}  # tol -> the norm metric
+
+    @cached_property
+    def graph(self) -> Graph:
+        """x ~ y when 0 < ||x - y|| <= radius, with weight ||x - y||."""
+        spec, index = self.spec, self._index
+        steps = [(z, spec.norm_value(z)) for z in self._ball if _positive(z)]
+        edges = []
+        for x in self.window:
+            for z, w in steps:
+                y = _add(x, z)
+                if y in index:
+                    edges.append((x, y, w))
+        return Graph(edges, vertices=self.window)
 
     def __repr__(self) -> str:
         return f"GroupLattice({self.spec.describe()})"
@@ -171,7 +191,7 @@ class GroupLattice:
         return m
 
     def _require(self, x) -> None:
-        if x not in self.graph:
+        if x not in self._index:
             raise UnknownVertexError(x)
 
     def _offsets(self, x) -> tuple:
@@ -181,10 +201,10 @@ class GroupLattice:
         Raises UnknownVertexError when x is not a window point."""
         found = self._offset_table.get(x)
         if found is None:
-            self._require(x)
-            spec = self.spec
-            i = sum(map(mul, map(sub, x, (lo for lo, _ in spec.window)), self._strides))
-            reach = _reach(spec, x)
+            i = self._index.get(x)
+            if i is None:
+                raise UnknownVertexError(x)
+            reach = _reach(self.spec, x)
             found = self._offset_table[x] = (i, _half_box(reach), _shifts(reach, self._strides))
         return found
 
@@ -256,28 +276,52 @@ def is_midpoint_convex_at(
 
 
 def _plain_midpoint(lat: GroupLattice, f: Mapping):
-    """x -> bool for one function f: True when the plain inequalities
-    2 f(x) <= f(x + z) + f(x - z) all hold at x, which is final.
+    """The midpoint test of :func:`_plain_passes`."""
+    return _plain_passes(lat, f)[0]
+
+
+def _plain_passes(lat: GroupLattice, f: Mapping) -> tuple:
+    """(midpoint, mean), each x -> bool for one function f, and a True of
+    either is final.
+
+    midpoint(x) is True when the plain inequalities 2 f(x) <= f(x + z) +
+    f(x - z) all hold at x.  mean(x), for interior x only, is True when
+    plain ``M f(x) <= sum of ||z|| f(x + z)`` holds, M the total weight,
+    with z over the ball but 0: the products are summed one by one from 0
+    in window order of x + z, which is the order of x's neighbours in
+    ``lat.graph``, as :func:`~graphconvex.subharmonic.compare_to_neighborhood_mean`
+    sums them, so this is that comparison's truth value.
 
     f is validated here, once, and read once into window order, so each
     x costs one C-level pass over its flat shifts.  False means "not
     settled": a failed inequality, a point without a value, or an int
-    beyond float range met by a float; :func:`is_midpoint_convex_at` then
-    gives the verdict, its tolerance and its witness.
+    beyond float range met by a float; :func:`is_midpoint_convex_at` and
+    the mean comparison then give the verdict, the tolerance's say and the
+    witness.
     """
     check_values(f.values())
     vals = list(map(f.get, lat.window))
     read = partial(map, vals.__getitem__)
-    offsets = lat._offsets
+    offsets, index = lat._offsets, lat._index
+    weights, shifts, total = lat._mean_weights, lat._mean_shifts, lat._total_weight
 
-    def holds(x) -> bool:
-        i, _, shifts = offsets(x)
+    def midpoint(x) -> bool:
+        i, _, box_shifts = offsets(x)
         try:
-            return _plain_pass(read, 2 * vals[i], i, shifts)
+            return _plain_pass(read, 2 * vals[i], i, box_shifts)
         except (TypeError, OverflowError):
             return False
 
-    return holds
+    def mean(x) -> bool:
+        i = index[x]
+        try:
+            # reduce, not sum: sum() of floats is compensated on Python 3.12+
+            acc = reduce(add, map(mul, weights, read(map(add, repeat(i), shifts))), 0)
+            return total * vals[i] <= acc
+        except (TypeError, OverflowError):
+            return False
+
+    return midpoint, mean
 
 
 def _plain_pass(read, fx2, i, shifts) -> bool:

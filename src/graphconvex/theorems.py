@@ -54,7 +54,7 @@ from .graph import Graph, Metric, _bit_indices
 from .io import format_graph, format_vertex
 from .lattice import (
     GroupLattice,
-    _plain_midpoint,
+    _plain_passes,
     _sub,
     has_nearest_neighbor_property,
     is_midpoint_convex_at,
@@ -227,18 +227,22 @@ def verify_pointwise_implication(
         if not instance.is_unit_weight:
             raise ValueError("structural hypotheses assume unit edge weights")
         claim, hyp = _graph_hypothesis(hypothesis)
-        g, weighted = instance, False
-        sites = [z for z in g.vertices if hyp(g, z)]
-        convex_at = partial(is_convex_at, g.metric(tol), f)
+        weighted = False
+        sites = [z for z in instance.vertices if hyp(instance, z)]
+        convex_at = partial(is_convex_at, instance.metric(tol), f)
+
+        def subharmonic_at(z):
+            return is_subharmonic_at(instance, f, z, weighted=False, tol=tol)
     elif hypothesis == "midpoint":
         if not isinstance(instance, GroupLattice):
             raise ValueError("hypothesis 'midpoint' needs a GroupLattice instance")
-        claim, g, weighted = "thm4-cvx-sub", instance.graph, True
-        # radius below 1: no neighbors, no mean to compare
-        sites = [x for x in sorted(instance.interior) if g.degree(x)]
+        claim, weighted = "thm4-cvx-sub", True
+        # radius below 1: an empty ball, no neighbors, no mean to compare
+        sites = sorted(instance.interior) if instance._mean_shifts else []
         # f is validated at the first site, so a window without sites
         # leaves it unread
-        convex_at = _midpoint_test(instance, f, tol) if sites else None
+        if sites:
+            convex_at, subharmonic_at = _lattice_tests(instance, f, tol)
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
     name = label or repr(instance)
@@ -247,7 +251,7 @@ def verify_pointwise_implication(
         if not convex_at(z):
             continue
         fired += 1
-        cmp = is_subharmonic_at(g, f, z, weighted=weighted, tol=tol)
+        cmp = subharmonic_at(z)
         if not cmp:
             lead = {"vertex": format_vertex(z)}
             if weighted:
@@ -334,12 +338,22 @@ def _nn_conclusion(lat: GroupLattice, fun: Mapping, tol: float) -> tuple[int, di
 
 
 def _midpoint_test(lat: GroupLattice, f: Mapping, tol: float):
-    """x -> True, or the midpoint verdict of f at x.  The plain pass over f
-    (``lattice._plain_midpoint``, which validates f now) settles most x;
-    where it does not, this module's ``is_midpoint_convex_at`` decides and
-    gives the witness."""
-    plain = _plain_midpoint(lat, f)
-    return lambda x: plain(x) or is_midpoint_convex_at(lat, f, x, tol=tol)
+    """x -> True, or the midpoint verdict of f at x (see :func:`_lattice_tests`)."""
+    return _lattice_tests(lat, f, tol)[0]
+
+
+def _lattice_tests(lat: GroupLattice, f: Mapping, tol: float) -> tuple:
+    """(convex_at, subharmonic_at) of f on ``lat``: x -> True, or the
+    midpoint verdict of f at x; interior x -> True, or the weighted mean
+    comparison there.  The plain passes over f (``lattice._plain_passes``,
+    which validates f now) settle most x; where they do not, this module's
+    ``is_midpoint_convex_at`` and ``is_subharmonic_at`` decide and give the
+    witness, and only then is the lattice graph built."""
+    midpoint, mean = _plain_passes(lat, f)
+    return (
+        lambda x: midpoint(x) or is_midpoint_convex_at(lat, f, x, tol=tol),
+        lambda x: mean(x) or is_subharmonic_at(lat.graph, f, x, weighted=True, tol=tol),
+    )
 
 
 def _outside_witness(extra) -> dict:
@@ -932,14 +946,18 @@ def max_affine_samples(spec, rng: random.Random, count: int = 200) -> Iterator[t
     window, with each c_i in [-2, 2] and b in [-3, 3]: midpoint convex by
     construction, in exact ints."""
     pts = tuple(spec.points())
+    axes = [range(lo, hi + 1) for lo, hi in spec.window]
     for k in range(count):
-        terms = []
+        cols = []  # per affine form, its values in window order
         for _ in range(rng.randint(1, 4)):
             c = tuple(rng.randint(-2, 2) for _ in range(spec.dimension))
-            b = rng.randint(-3, 3)
-            terms.append((c, b))
-        fun = {v: max([sum(map(mul, c, v)) + b for c, b in terms]) for v in pts}
-        yield f"max-affine#{k}", fun
+            col = [rng.randint(-3, 3)]  # b
+            for c_k, axis in zip(c, axes):
+                steps = [c_k * t for t in axis]
+                col = [u + d for u in col for d in steps]
+            cols.append(col)
+        values = cols[0] if len(cols) == 1 else map(max, *cols)
+        yield f"max-affine#{k}", dict(zip(pts, values))
 
 
 # -- counterexample search ---------------------------------------------------------

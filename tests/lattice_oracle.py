@@ -1,24 +1,33 @@
-"""Per-site lattice claim checks that the per-function midpoint pass must
-reproduce.
+"""Per-site lattice claim checks that the per-function midpoint and mean
+passes must reproduce, and point-by-point lattice constructions.
 
 ``theorems.verify_pointwise_implication`` (hypothesis "midpoint", claim
 thm4-cvx-sub), ``verify_dist_to_point_midpoint_convex`` (lem-dist-pt) and
 the lattice antecedent of ``verify_dist_convex_implies_set_convex``
 (prop-dist-cvx) read each function once into window order and settle most
-sites with one plain pass (``lattice._plain_midpoint``).  The loops here
+sites with one plain midpoint pass (``lattice._plain_passes``).  The loops here
 call the library check ``is_midpoint_convex_at`` at every site instead, so
 each call validates f and reads it through dict lookups; they are the
 verifiers' loops as they were before that pass.  Reports, witnesses and
 errors must be equal.
+
+thm4-cvx-sub also settles most weighted means with one plain pass over the
+same window-order values (``lattice._plain_passes``), and builds the lattice
+graph only when a site is left to ``is_subharmonic_at``; ``thm4_per_site``
+compares the mean at every site on ``lat.graph``.  ``eager_graph`` and
+``reach_interior`` build the graph and the interior point by point, over
+the whole window, and ``max_affine_oracle`` computes the max-affine samples
+point by point, one dict entry per window point.
 """
 
 import random
 from functools import partial
+from operator import mul
 
-from graphconvex import ClaimReport, betweenness_closure, set_distance_function
+from graphconvex import ClaimReport, Graph, betweenness_closure, set_distance_function
 from graphconvex.extreal import DEFAULT_TOL, report_value
 from graphconvex.io import format_vertex
-from graphconvex.lattice import _sub, is_midpoint_convex_at
+from graphconvex.lattice import _add, _positive, _reach, _sub, is_midpoint_convex_at
 from graphconvex.subharmonic import is_subharmonic_at
 from graphconvex.theorems import _mean_witness, _midpoint_witness, _outside_witness
 
@@ -102,3 +111,43 @@ def outcome(call, *args, **kwargs):
         return ("raised", type(exc), str(exc))
     types = {k: type(v) for k, v in report.get("witness", {}).items()}
     return ("report", report, types)
+
+
+def eager_graph(spec, tol=DEFAULT_TOL):
+    """The lattice graph on the window of ``spec``: from each window point
+    x, in window order, an edge to every x + z in the window, z over the
+    ball with first nonzero coordinate positive, of weight ||z||."""
+    window = tuple(spec.points())
+    steps = [(z, spec.norm_value(z)) for z in spec.ball_offsets(tol) if _positive(z)]
+    points = frozenset(window)
+    edges = []
+    for x in window:
+        for z, w in steps:
+            y = _add(x, z)
+            if y in points:
+                edges.append((x, y, w))
+    return Graph(edges, vertices=window)
+
+
+def reach_interior(spec, tol=DEFAULT_TOL):
+    """The window points whose reach on every axis is at least the ball's
+    largest |z_i| there."""
+    offsets = spec.ball_offsets(tol)
+    span = [max(abs(z[i]) for z in offsets) for i in range(spec.dimension)]
+    return frozenset(
+        x for x in spec.points() if all(r >= s for r, s in zip(_reach(spec, x), span))
+    )
+
+
+def max_affine_oracle(spec, rng, count):
+    """``theorems.max_affine_samples``, each value computed at its point:
+    the same draws from ``rng``, in the same order."""
+    pts = tuple(spec.points())
+    for k in range(count):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            c = tuple(rng.randint(-2, 2) for _ in range(spec.dimension))
+            b = rng.randint(-3, 3)
+            terms.append((c, b))
+        fun = {v: max([sum(map(mul, c, v)) + b for c, b in terms]) for v in pts}
+        yield f"max-affine#{k}", fun

@@ -514,6 +514,47 @@ def test_verify_rejects_interior_only(capsys):
     assert capsys.readouterr().err.endswith("error: unrecognized arguments: --interior-only\n")
 
 
+def test_hull_rejects_interior_only(square_file, tmp_path, capsys):
+    s = tmp_path / "s.txt"
+    s.write_text("0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["hull", "--graph", square_file, "--set", str(s), "--interior-only"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --interior-only\n")
+
+
+LATTICE_ONLY = "--window, --dim and --radius describe a lattice; --graph takes none of them"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "thm1", "--fn", "d0.fn"],
+    ["verify", "thm1"],
+    ["verify", "thm4-cvx-sub", "--fn", "d0.fn"],
+    ["check", "fn-convex", "--fn", "d0.fn"],
+    ["hull", "--set", "all4.txt"],
+])
+@pytest.mark.parametrize("flags", [
+    ["--window", "3"], ["--dim", "2"], ["--radius", "1"],
+    ["--window", "3", "--dim", "2", "--radius", "2"],
+])
+def test_graph_rejects_lattice_flags(command, flags, tmp_path, capsys):
+    argv = _write_verify_inputs(tmp_path, [*command, *ON_C4, *flags])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {LATTICE_ONLY}\n")
+
+
+def test_lattice_radius_defaults_to_one(capsys):
+    code, payload = run_json(capsys, "verify", "thm4-cvx-sub", *ON_LINE, "--count", "1")
+    assert code == 0
+    assert payload["instance"].startswith("GroupLattice(l1 lattice r=1.0 window [-2,2])")
+
+
 def test_docs_list_the_claim_table():
     enum = SCHEMA["$defs"]["claimReport"]["properties"]["claim"]["enum"]
     readme = (ROOT / "README.md").read_text().splitlines()
