@@ -216,8 +216,9 @@ def _verify_arguments(p) -> None:
     p.add_argument(
         "--values", metavar="A,B,...", help="values swept (thm1, thm2, lem-deg2; default 0,1,2)"
     )
-    p.add_argument("--count", type=int, default=20, help="sample count (lem-dist-pt, thm4-cvx-sub)")
-    p.add_argument("--seed", type=int, default=0, help="sample seed (lem-dist-pt, thm4-cvx-sub)")
+    # None when not given, so a claim that does not read them can reject them
+    p.add_argument("--count", type=int, help="sample count (lem-dist-pt, thm4-cvx-sub; default 20)")
+    p.add_argument("--seed", type=int, help="sample seed (lem-dist-pt, thm4-cvx-sub; default 0)")
 
 
 def _search_arguments(p) -> None:
@@ -332,11 +333,10 @@ def _check_row(kind, inst, fun, z, weighted, tol) -> dict:
             return {"vertex": name, "verdict": "ok"}
         return _midpoint_witness(verdict.witness, vertex=name, verdict="violated")
     # subharmonic / harmonic
-    g = inst.mean_graph
-    if g.degree(z) == 0:
+    if not inst.means_on.neighbors(z):
         return {"vertex": name, "verdict": "skipped", "reason": "degree zero"}
     try:
-        cmp = compare_to_neighborhood_mean(g, fun, z, weighted=weighted, tol=tol)
+        cmp = compare_to_neighborhood_mean(inst.means_on, fun, z, weighted=weighted, tol=tol)
     except ValueError:
         # a neighbor has no value, so the mean is undefined at this row
         return {"vertex": name, "verdict": "skipped", "reason": "no value"}
@@ -350,7 +350,7 @@ def _check_row(kind, inst, fun, z, weighted, tol) -> dict:
 
 
 def _cmd_verify(args, parser) -> tuple[dict, int]:
-    kind, reads, check, suite = theorems.CLAIMS[args.claim]
+    kind, reads, check, (options, suite) = theorems.CLAIMS[args.claim]
     _require_one_instance(args, parser)
     if kind == "graph":
         inst = _graph_instance(args, parser)
@@ -361,9 +361,14 @@ def _cmd_verify(args, parser) -> tuple[dict, int]:
     for flag in ("fn", "set"):
         if getattr(args, flag) and flag != reads:
             parser.error(f"claim {args.claim} does not read --{flag}")
-    opts = argparse.Namespace(tol=args.tolerance, label=label, count=args.count, seed=args.seed,
-                              values=lambda: _parse_values(args.values, parser))
     path = getattr(args, reads) if reads else None
+    for flag in ("values", "count", "seed"):
+        if getattr(args, flag) is not None and (path or flag not in options):
+            with_file = f" with --{reads}" if path else ""
+            parser.error(f"claim {args.claim} does not read --{flag}{with_file}")
+    opts = argparse.Namespace(
+        tol=args.tolerance, label=label, values=lambda: _parse_values(args.values, parser),
+        count=20 if args.count is None else args.count, seed=args.seed or 0)
     if path:
         parse = parse_vertex_function if reads == "fn" else parse_vertex_set
         report = check(inst, parse(_read_text(path), universe), opts)
@@ -412,21 +417,16 @@ _COMMANDS = {
 
 
 class _Instance:
-    """A graph or lattice target plus the handles each command needs."""
+    """A graph or lattice target plus the handles each command needs;
+    ``means_on`` is that graph or lattice, whose neighbours give the means."""
 
-    def __init__(self, label, metric, universe, domain, lattice=None, graph=None):
+    def __init__(self, label, metric, universe, domain, means_on):
         self.label = label
         self.metric = metric
         self.universe = universe
         self.domain = domain
-        self.lattice = lattice
-        self._graph = graph
-
-    @property
-    def mean_graph(self) -> Graph:
-        """The graph whose neighbourhood means are compared; a lattice
-        builds its graph here, on first use."""
-        return self._graph if self.lattice is None else self.lattice.graph
+        self.means_on = means_on
+        self.lattice = means_on if isinstance(means_on, GroupLattice) else None
 
 
 def _require_one_instance(args, parser) -> None:
@@ -441,14 +441,14 @@ def _load_instance(args, parser) -> _Instance:
     if args.graph:
         g = parse_graph(_read_text(args.graph))
         return _Instance(
-            _graph_label(args), g.metric(args.tolerance), g.vertices, g.vertices, graph=g,
+            _graph_label(args), g.metric(args.tolerance), g.vertices, g.vertices, g,
         )
     if args.lattice:
         lat = _lattice_instance(args, parser)
         # hull takes no --interior-only
         domain = sorted(lat.interior) if getattr(args, "interior_only", False) else lat.window
         return _Instance(
-            lat.spec.describe(), lat.metric(args.tolerance), lat.window, domain, lattice=lat,
+            lat.spec.describe(), lat.metric(args.tolerance), lat.window, domain, lat,
         )
     parser.error("give --graph FILE or --lattice NORM --window SPEC")
 

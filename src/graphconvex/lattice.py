@@ -1,9 +1,12 @@
-"""Integer lattices under L1/L2/Linf norms and their norm-compatible graphs.
+"""Integer lattices under L1/L2/Linf norms.
 
 A :class:`LatticeSpec` fixes a dimension, a norm, an adjacency radius and a
-finite window (an inclusive box of integer points).  The induced graph joins
-x and y whenever 0 < ||x - y|| <= radius, with edge weight ||x - y||, so the
-edge weights agree with the norm metric on neighbors.
+finite window (an inclusive box of integer points).  The neighbours of a
+window point x are the points x + z of the window, z != 0 in the radius
+ball, with weight ||z||: ``GroupLattice.neighbors`` lists them in window
+order, and every mean on a lattice reads them there.  A
+:class:`~graphconvex.graph.Graph` with this adjacency is built only when
+``GroupLattice.graph`` is read.
 
 A window vertex is *interior* when the whole radius ball around it stays in
 the window; the pointwise claims about means only apply there, because an
@@ -24,29 +27,16 @@ positive (z and -z give the same inequality).  It goes in lexicographic
 order of z, which is the order of the points x + z in the window, so the
 first witness is the one a scan over the whole window would report.  The
 same reach decides interiority: x is interior when reach_i is at least
-the largest |z_i| over the radius ball.
+the largest |z_i| over the radius ball, so the interior is a box.
 
 The window is stored in row-major order (the last axis varies fastest),
 so with x at index i the translates x + z and x - z sit at i + s and
 i - s, where s = sum_k z_k * stride_k; inside the half-box neither wraps
 across an axis.  Each check first runs the plain inequalities over these
 flat offsets in one C-level pass and only rescans, with the tolerance and
-in box order, when that pass does not settle it.
-
-A caller that tests one function at many points builds
-``_plain_passes(lat, f)`` once: it validates f once and reads it once
-into a list in window order, and each point is then the same plain pass
-over that list.  Its True is final; its False leaves the point to
-:func:`is_midpoint_convex_at`, which gives the verdict and witness.
-
-The weighted mean at an interior x takes the same route.  Its neighbours
-are x + z for the z != 0 of the ball, in window order, so they sit at
-flat shifts that are the same for every interior x, and one pass over
-them sums ||z|| f(x + z) in the order the graph lists the neighbours.
-The graph itself is built the first time ``GroupLattice.graph`` is read,
-which a check needs only where a plain pass leaves the verdict to the
-library.  The interior is a box: on each axis, lo + span to hi - span,
-where span is the ball's largest |z_i|.
+in box order, when that pass does not settle it.  ``_plain_passes`` runs
+that pass, and one for the weighted mean at interior points, over one
+function read once into window order.
 """
 
 from __future__ import annotations
@@ -136,8 +126,10 @@ def _ball_offsets(spec: LatticeSpec, tol: float) -> tuple:
 
 
 class GroupLattice:
-    """A window of an integer lattice with its norm-induced graph, which is
-    built the first time ``graph`` is read."""
+    """A window of an integer lattice: its points in window order, its
+    interior, and per point its ``neighbors``, from which means are taken.
+    The :class:`Graph` of that adjacency is built the first time ``graph``
+    is read."""
 
     def __init__(self, spec: LatticeSpec, tol: float = DEFAULT_TOL):
         self.spec = spec
@@ -152,26 +144,35 @@ class GroupLattice:
         # row-major strides of the window: the last axis varies fastest
         sizes = [hi - lo + 1 for lo, hi in spec.window]
         self._strides = tuple(math.prod(sizes[k + 1:]) for k in range(spec.dimension))
-        # per z of the ball but 0, in window order of x + z: its flat shift
-        # and its weight ||z||, and their sum, the total weight at interior x
-        steps = [z for z in self._ball if any(z)]
-        self._mean_shifts = tuple(sum(map(mul, z, self._strides)) for z in steps)
-        self._mean_weights = tuple(map(spec.norm_value, steps))
+        # the z of the ball but 0, in window order of x + z; per z its flat
+        # shift and its weight ||z||, and their sum, the total weight at interior x
+        self._steps = tuple(z for z in self._ball if any(z))
+        self._mean_shifts = tuple(sum(map(mul, z, self._strides)) for z in self._steps)
+        self._mean_weights = tuple(map(spec.norm_value, self._steps))
         self._total_weight = reduce(add, self._mean_weights, 0)
         self._offset_table: dict = {}  # x -> (i, half-box of x, flat shifts)
         self._metrics: dict = {}  # tol -> the norm metric
 
+    def neighbors(self, x) -> dict:
+        """``{x + z: ||z||}`` over the z != 0 of the ball with x + z in the
+        window, in window order.  Raises UnknownVertexError when x is not a
+        window point."""
+        i = self._index.get(x)
+        if i is None:
+            raise UnknownVertexError(x)
+        at = self.window.__getitem__
+        bounds = [(lo - c, hi - c) for c, (lo, hi) in zip(x, self.spec.window)]
+        return {
+            at(i + s): w
+            for z, s, w in zip(self._steps, self._mean_shifts, self._mean_weights)
+            if all(lo <= c <= hi for c, (lo, hi) in zip(z, bounds))
+        }
+
     @cached_property
     def graph(self) -> Graph:
-        """x ~ y when 0 < ||x - y|| <= radius, with weight ||x - y||."""
-        spec, index = self.spec, self._index
-        steps = [(z, spec.norm_value(z)) for z in self._ball if _positive(z)]
-        edges = []
-        for x in self.window:
-            for z, w in steps:
-                y = _add(x, z)
-                if y in index:
-                    edges.append((x, y, w))
+        """x ~ y when y is among ``neighbors(x)``, with weight ||x - y||; each
+        edge is listed once, from its end that comes first in window order."""
+        edges = [(x, y, w) for x in self.window for y, w in self.neighbors(x).items() if y > x]
         return Graph(edges, vertices=self.window)
 
     def __repr__(self) -> str:
@@ -275,11 +276,6 @@ def is_midpoint_convex_at(
     return MidpointVerdict(True, x)
 
 
-def _plain_midpoint(lat: GroupLattice, f: Mapping):
-    """The midpoint test of :func:`_plain_passes`."""
-    return _plain_passes(lat, f)[0]
-
-
 def _plain_passes(lat: GroupLattice, f: Mapping) -> tuple:
     """(midpoint, mean), each x -> bool for one function f, and a True of
     either is final.
@@ -288,9 +284,9 @@ def _plain_passes(lat: GroupLattice, f: Mapping) -> tuple:
     f(x - z) all hold at x.  mean(x), for interior x only, is True when
     plain ``M f(x) <= sum of ||z|| f(x + z)`` holds, M the total weight,
     with z over the ball but 0: the products are summed one by one from 0
-    in window order of x + z, which is the order of x's neighbours in
-    ``lat.graph``, as :func:`~graphconvex.subharmonic.compare_to_neighborhood_mean`
-    sums them, so this is that comparison's truth value.
+    in the order of ``lat.neighbors(x)``, as
+    :func:`~graphconvex.subharmonic.compare_to_neighborhood_mean` sums them
+    on ``lat``, so this is that comparison's truth value.
 
     f is validated here, once, and read once into window order, so each
     x costs one C-level pass over its flat shifts.  False means "not

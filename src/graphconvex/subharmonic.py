@@ -47,12 +47,13 @@ class MeanComparison:
 
 
 def compare_to_neighborhood_mean(
-    g: Graph, f: Mapping, x, weighted: bool = False, tol: float = DEFAULT_TOL
+    g, f: Mapping, x, weighted: bool = False, tol: float = DEFAULT_TOL
 ) -> MeanComparison:
     """Build the MeanComparison at x; raises on vertices of degree zero.
 
-    Also named :func:`is_subharmonic_at`: the comparison is truthy iff
-    f(x) <= the neighborhood mean."""
+    g is a Graph or a GroupLattice: only ``g.neighbors(x)`` is read, so a
+    lattice builds no graph.  Also named :func:`is_subharmonic_at`: the
+    comparison is truthy iff f(x) <= the neighborhood mean."""
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"degree zero at vertex {x!r}: no neighborhood mean")

@@ -62,31 +62,37 @@ from .lattice import (
 from .subharmonic import is_subharmonic_at
 
 # claim id -> (instance kind "graph" or "lattice", input file "fn", "set" or
-# None, check(instance, data, opts) of that input, suite(instance, opts) run
-# without one).  opts has tol, label, count, seed and values().  Verifiers are
-# looked up by global name when called, so a wrapper set on this module sees them.
+# None, check(instance, data, opts) of that input, (the value options of
+# "values", "count" and "seed" that the suite reads, suite(instance, opts)
+# run without an input)).  opts has tol, label, count, seed and values().
+# Verifiers are looked up by global name when called, so a wrapper set on
+# this module sees them.
 CLAIMS = {
     "thm1": ("graph", "fn",
         lambda g, f, o: verify_pointwise_implication(g, f, "triangle_free", o.tol, o.label),
-        lambda g, o: exhaustive_small_graph_sweep("triangle_free", graphs=[g], values=o.values())),
+        (("values",), lambda g, o: exhaustive_small_graph_sweep(
+            "triangle_free", graphs=[g], values=o.values()))),
     "thm2": ("graph", "fn",
         lambda g, f, o: verify_pointwise_implication(g, f, "pairing", o.tol, o.label),
-        lambda g, o: exhaustive_small_graph_sweep("pairing", graphs=[g], values=o.values())),
+        (("values",), lambda g, o: exhaustive_small_graph_sweep(
+            "pairing", graphs=[g], values=o.values()))),
     "thm3": ("graph", "set",
         lambda g, s, o: verify_dist_convex_implies_set_convex(g, s, o.tol, o.label),
-        lambda g, o: sweep_subsets_dist_convex(g, o.tol)),
+        ((), lambda g, o: sweep_subsets_dist_convex(g, o.tol))),
     "thm4-cvx-sub": ("lattice", "fn",
         lambda lat, f, o: verify_pointwise_implication(lat, f, "midpoint", o.tol, o.label),
-        lambda lat, o: sweep_max_affine(lat, o.count, o.seed, o.tol)),
-    "lem-deg2": ("graph", None, None, lambda g, o: verify_degree2_equivalence(g, o.values())),
+        (("count", "seed"), lambda lat, o: sweep_max_affine(lat, o.count, o.seed, o.tol))),
+    "lem-deg2": ("graph", None, None,
+        (("values",), lambda g, o: verify_degree2_equivalence(g, o.values()))),
     "lem-dist-pt": ("lattice", None, None,
-        lambda lat, o: verify_dist_to_point_midpoint_convex(lat, None, o.count, o.seed, o.tol)),
+        (("count", "seed"), lambda lat, o: verify_dist_to_point_midpoint_convex(
+            lat, None, o.count, o.seed, o.tol))),
     "prop-dist-cvx": ("lattice", "set",
         lambda lat, s, o: verify_dist_convex_implies_set_convex(lat, s, o.tol, o.label),
-        lambda lat, o: sweep_subsets_dist_convex(lat, o.tol)),
+        ((), lambda lat, o: sweep_subsets_dist_convex(lat, o.tol))),
     "prop-nn": ("lattice", "set",
         lambda lat, s, o: verify_nn_implies_dist_midpoint_convex(lat, s, o.tol),
-        lambda lat, o: sweep_subsets_nn(lat, o.tol)),
+        ((), lambda lat, o: sweep_subsets_nn(lat, o.tol))),
 }
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -282,7 +288,7 @@ def verify_dist_convex_implies_set_convex(
     fun = set_distance_function(m, f_set)
     if isinstance(instance, GroupLattice):
         claim = "prop-dist-cvx"
-        antecedent = all(map(_midpoint_test(instance, fun, m.tol), instance.window))
+        antecedent = all(map(_lattice_tests(instance, fun, m.tol)[0], instance.window))
         checked = len(instance.window)
     else:
         claim = "thm3"
@@ -323,23 +329,16 @@ def _nn_conclusion(lat: GroupLattice, fun: Mapping, tol: float) -> tuple[int, di
     """The interior vertices of nonzero degree asserted, in order, and the
     witness of the first one where d(., F) = ``fun`` is not midpoint convex
     or not weighted-subharmonic (None when there is none)."""
-    fired = 0
-    for x in sorted(lat.interior):
-        if lat.graph.degree(x) == 0:
-            continue
-        fired += 1
-        mp = is_midpoint_convex_at(lat, fun, x, tol=tol)
+    convex_at, subharmonic_at = _lattice_tests(lat, fun, tol)
+    sites = sorted(lat.interior) if lat._mean_shifts else []  # as in thm4-cvx-sub
+    for fired, x in enumerate(sites, 1):
+        mp = convex_at(x)
         if not mp:
             return fired, _midpoint_witness(mp.witness, vertex=format_vertex(x))
-        cmp = is_subharmonic_at(lat.graph, fun, x, weighted=True, tol=tol)
+        cmp = subharmonic_at(x)
         if not cmp:
             return fired, _mean_witness(cmp, vertex=format_vertex(x))
-    return fired, None
-
-
-def _midpoint_test(lat: GroupLattice, f: Mapping, tol: float):
-    """x -> True, or the midpoint verdict of f at x (see :func:`_lattice_tests`)."""
-    return _lattice_tests(lat, f, tol)[0]
+    return len(sites), None
 
 
 def _lattice_tests(lat: GroupLattice, f: Mapping, tol: float) -> tuple:
@@ -347,12 +346,12 @@ def _lattice_tests(lat: GroupLattice, f: Mapping, tol: float) -> tuple:
     midpoint verdict of f at x; interior x -> True, or the weighted mean
     comparison there.  The plain passes over f (``lattice._plain_passes``,
     which validates f now) settle most x; where they do not, this module's
-    ``is_midpoint_convex_at`` and ``is_subharmonic_at`` decide and give the
-    witness, and only then is the lattice graph built."""
+    ``is_midpoint_convex_at`` and ``is_subharmonic_at`` decide on ``lat``
+    and give the witness."""
     midpoint, mean = _plain_passes(lat, f)
     return (
         lambda x: midpoint(x) or is_midpoint_convex_at(lat, f, x, tol=tol),
-        lambda x: mean(x) or is_subharmonic_at(lat.graph, f, x, weighted=True, tol=tol),
+        lambda x: mean(x) or is_subharmonic_at(lat, f, x, weighted=True, tol=tol),
     )
 
 
@@ -383,7 +382,7 @@ def verify_dist_to_point_midpoint_convex(
     checked = fired = 0
     for a in points:
         fun = {v: spec.norm_value(_sub(v, a)) for v in lat.window}
-        convex_at = _midpoint_test(lat, fun, tol)
+        convex_at = _lattice_tests(lat, fun, tol)[0]
         for x in lat.window:
             checked += 1
             fired += 1

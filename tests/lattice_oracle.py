@@ -2,29 +2,38 @@
 passes must reproduce, and point-by-point lattice constructions.
 
 ``theorems.verify_pointwise_implication`` (hypothesis "midpoint", claim
-thm4-cvx-sub), ``verify_dist_to_point_midpoint_convex`` (lem-dist-pt) and
-the lattice antecedent of ``verify_dist_convex_implies_set_convex``
-(prop-dist-cvx) read each function once into window order and settle most
-sites with one plain midpoint pass (``lattice._plain_passes``).  The loops here
-call the library check ``is_midpoint_convex_at`` at every site instead, so
-each call validates f and reads it through dict lookups; they are the
-verifiers' loops as they were before that pass.  Reports, witnesses and
-errors must be equal.
+thm4-cvx-sub), ``verify_dist_to_point_midpoint_convex`` (lem-dist-pt), the
+lattice antecedent of ``verify_dist_convex_implies_set_convex``
+(prop-dist-cvx) and the conclusion of prop-nn read each function once into
+window order and settle most sites with one plain midpoint pass
+(``lattice._plain_passes``).  The loops here call the library check
+``is_midpoint_convex_at`` at every site instead, so each call validates f
+and reads it through dict lookups; they are the verifiers' loops as they
+were before that pass.  Reports, witnesses and errors must be equal.
 
-thm4-cvx-sub also settles most weighted means with one plain pass over the
-same window-order values (``lattice._plain_passes``), and builds the lattice
-graph only when a site is left to ``is_subharmonic_at``; ``thm4_per_site``
-compares the mean at every site on ``lat.graph``.  ``eager_graph`` and
-``reach_interior`` build the graph and the interior point by point, over
-the whole window, and ``max_affine_oracle`` computes the max-affine samples
-point by point, one dict entry per window point.
+thm4-cvx-sub and prop-nn also settle most weighted means with one plain
+pass over the same window-order values, and leave the rest to
+``is_subharmonic_at`` on the lattice, which reads ``GroupLattice.neighbors``;
+``thm4_per_site`` and ``nn_per_site`` compare the mean at every site on
+``eager_graph``, so they share no adjacency code with the library.
+``eager_graph`` and ``reach_interior`` build the graph and the interior
+point by point, over the whole window, and ``max_affine_oracle`` computes
+the max-affine samples point by point, one dict entry per window point.
 """
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from operator import mul
 
-from graphconvex import ClaimReport, Graph, betweenness_closure, set_distance_function
+from graphconvex import (
+    ClaimReport,
+    Graph,
+    aggregate_reports,
+    betweenness_closure,
+    has_nearest_neighbor_property,
+    is_convex_set,
+    set_distance_function,
+)
 from graphconvex.extreal import DEFAULT_TOL, report_value
 from graphconvex.io import format_vertex
 from graphconvex.lattice import _add, _positive, _reach, _sub, is_midpoint_convex_at
@@ -35,7 +44,7 @@ from graphconvex.theorems import _mean_witness, _midpoint_witness, _outside_witn
 def thm4_per_site(lat, f, tol=DEFAULT_TOL, label=None):
     """thm4-cvx-sub on f: the library midpoint check at every interior
     vertex of nonzero degree, then the weighted mean where it holds."""
-    claim, g, weighted = "thm4-cvx-sub", lat.graph, True
+    claim, g, weighted = "thm4-cvx-sub", eager_graph(lat.spec, lat._tol), True
     sites = [x for x in sorted(lat.interior) if g.degree(x)]
     convex_at = partial(is_midpoint_convex_at, lat, f, tol=tol)
     name = label or repr(lat)
@@ -52,6 +61,43 @@ def thm4_per_site(lat, f, tol=DEFAULT_TOL, label=None):
             witness = _mean_witness(cmp, **lead)
             return ClaimReport(claim, name, checked, fired, "refuted", witness)
     return ClaimReport.settled(claim, name, len(sites), fired)
+
+
+def nn_per_site(lat, members, tol=DEFAULT_TOL):
+    """prop-nn on one set F: the library antecedent, then at every interior
+    vertex of nonzero degree the library midpoint check of d(., F) and the
+    weighted mean on ``eager_graph``."""
+    m = lat.metric(tol)
+    f_set = frozenset(members)
+    name, checked = f"{lat!r}, |F|={len(f_set)}", len(lat.interior)
+    if not is_convex_set(m, f_set) or not has_nearest_neighbor_property(lat, f_set, tol=tol):
+        return ClaimReport("prop-nn", name, checked, 0, "vacuous")
+    fun, g = set_distance_function(m, f_set), eager_graph(lat.spec, lat._tol)
+    fired = 0
+    for x in sorted(lat.interior):
+        if g.degree(x) == 0:
+            continue
+        fired += 1
+        mp = is_midpoint_convex_at(lat, fun, x, tol=tol)
+        if not mp:
+            witness = _midpoint_witness(mp.witness, vertex=format_vertex(x))
+            return ClaimReport("prop-nn", name, checked, fired, "refuted", witness)
+        cmp = is_subharmonic_at(g, fun, x, weighted=True, tol=tol)
+        if not cmp:
+            witness = _mean_witness(cmp, vertex=format_vertex(x))
+            return ClaimReport("prop-nn", name, checked, fired, "refuted", witness)
+    return ClaimReport.settled("prop-nn", name, checked, fired)
+
+
+def nn_sweep_per_site(lat, tol=DEFAULT_TOL):
+    """``sweep_subsets_nn``: ``nn_per_site`` on every nonempty subset of the
+    window, in mask order, folded into one report."""
+    window = lat.window
+    reports = (
+        nn_per_site(lat, [v for i, v in enumerate(window) if mask >> i & 1], tol)
+        for mask in range(1, 1 << len(window))
+    )
+    return aggregate_reports("prop-nn", f"{lat!r}, all nonempty F", reports)
 
 
 def dist_pt_per_site(lat, points=None, count=20, seed=0, tol=DEFAULT_TOL):
@@ -113,6 +159,7 @@ def outcome(call, *args, **kwargs):
     return ("report", report, types)
 
 
+@lru_cache(maxsize=64)
 def eager_graph(spec, tol=DEFAULT_TOL):
     """The lattice graph on the window of ``spec``: from each window point
     x, in window order, an edge to every x + z in the window, z over the

@@ -496,6 +496,59 @@ def test_verify_rejects_a_file_the_claim_does_not_read(claim, flag, tmp_path, ca
     assert captured.err.endswith(f"error: claim {claim} does not read --{flag}\n")
 
 
+# the value options each claim's suite reads; with an input file, none is read
+SUITE_OPTIONS = {
+    "thm1": ("values",), "thm2": ("values",), "thm3": (), "thm4-cvx-sub": ("count", "seed"),
+    "lem-deg2": ("values",), "lem-dist-pt": ("count", "seed"), "prop-dist-cvx": (),
+    "prop-nn": (),
+}
+OPTION_VALUES = {"values": "a,b", "count": "5", "seed": "0"}
+UNREAD_OPTIONS = [
+    (claim, reads, option)
+    for claim, (_, input_file, _, _) in theorems.CLAIMS.items()
+    for reads in ([None, input_file] if input_file else [None])
+    for option in OPTION_VALUES
+    if reads or option not in SUITE_OPTIONS[claim]
+]
+
+
+def test_claim_table_lists_the_options_each_suite_reads():
+    assert {claim: row[3][0] for claim, row in theorems.CLAIMS.items()} == SUITE_OPTIONS
+
+
+@pytest.mark.parametrize("claim, reads, option", UNREAD_OPTIONS,
+                         ids=[f"{c} {r or 'suite'} --{o}" for c, r, o in UNREAD_OPTIONS])
+def test_verify_rejects_a_value_option_the_claim_does_not_read(
+        claim, reads, option, tmp_path, capsys):
+    on, data = ON_C4, {"fn": "d0.fn", "set": "all4.txt"}
+    if theorems.CLAIMS[claim][0] == "lattice":
+        on, data = ON_LINE, {"fn": "abs.fn", "set": "mid.txt"}
+    files = [f"--{reads}", data[reads]] if reads else []
+    argv = _write_verify_inputs(
+        tmp_path, [claim, *on, *files, f"--{option}", OPTION_VALUES[option]])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    with_file = f" with --{reads}" if reads else ""
+    assert captured.err.endswith(f"error: claim {claim} does not read --{option}{with_file}\n")
+
+
+def test_verify_suite_defaults_apply_when_the_options_are_not_given(monkeypatch, capsys):
+    seen = []
+
+    def spy(lat, *args):
+        seen.append(args)
+        return theorems.ClaimReport("spy", repr(lat), 1, 1, "verified")
+
+    for name in ("sweep_max_affine", "verify_dist_to_point_midpoint_convex"):
+        monkeypatch.setattr(theorems, name, spy)
+    assert main(["verify", "thm4-cvx-sub", *ON_LINE]) == 0
+    assert main(["verify", "lem-dist-pt", *ON_LINE]) == 0
+    assert seen == [(20, 0, 1e-9), (None, 20, 0, 1e-9)]
+
+
 @pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
 def test_verify_rejects_a_graph_and_a_lattice_together(claim, tmp_path, capsys):
     argv = _write_verify_inputs(tmp_path, [claim, *ON_C4, *ON_LINE])

@@ -121,6 +121,8 @@ def test_prop_nn_refutations_fold_alike(monkeypatch):
         return real(lat, f, x, tol=tol)
 
     monkeypatch.setattr(theorems, "is_midpoint_convex_at", failing)
+    # the plain passes settle no site, so every site reaches the library checks
+    monkeypatch.setattr(theorems, "_plain_passes", lambda lat, f: (lambda x: False,) * 2)
     report = assert_same("prop-nn", lattice("l1", 1, ((0, 6),)))
     assert report.verdict == "refuted"
     assert report.witness == {"vertex": "(1)", "z": "(1)", "lhs": 2, "rhs": 1}
