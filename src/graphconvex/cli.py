@@ -23,7 +23,9 @@ Output has one path.  Each command returns a payload and an exit code:
 ``gen`` its graph text, the others the report dict that
 ``docs/report-schema.json`` describes.  :func:`main` renders the payload
 once, as JSON or as text chosen by the report kind, and writes it to
-stdout or ``-o FILE``.  Only the chosen subcommand's arguments are built.
+stdout or ``-o FILE``.  Only the chosen subcommand's arguments are built,
+and when the command line starts with it, only that subcommand
+(:func:`build_parser`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 
 from . import generators
 from .convexity import betweenness_closure, convex_hull, is_convex_at
-from .extreal import DEFAULT_TOL, report_value
+from .extreal import DEFAULT_TOL, check_tolerance, report_value
 from .graph import Graph, UnknownVertexError, sort_vertices
 from .io import (
     format_graph,
@@ -70,9 +72,7 @@ CHECK_KINDS = (
 
 def main(argv: list[str] | None = None) -> int:
     argv = _glue_window(sys.argv[1:] if argv is None else list(argv))
-    # the first token naming a command is the one argparse dispatches on:
-    # the top-level parser has no option that takes a value
-    parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         payload, code = _COMMANDS[args.command][2](args, parser)
@@ -105,18 +105,31 @@ def _glue_window(argv: list[str]) -> list[str]:
     return out
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand listed, where only
-    ``command`` (if any) has its arguments."""
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser for ``argv``, where only the subcommand that
+    argparse dispatches on has its arguments.
+
+    That is the first token naming a command, as the top-level parser has
+    no option that takes a value.  When it is ``argv[0]``, it is the only
+    subcommand added, under the metavar argparse would print for all of
+    them, so usage lines read the same.  Any other ``argv`` lists every
+    subcommand: top-level help, and the "invalid choice" and "required"
+    errors, which name the subcommands' action by its metavar, need them
+    all and no metavar."""
+    command = next((tok for tok in argv if tok in _COMMANDS), None)
+    alone = argv[:1] == [command]
     parser = argparse.ArgumentParser(
         prog="graphconvex",
         description="Convexity and subharmonicity checks on graphs and norm lattices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=_COMMANDS_METAVAR if alone else None,
+    )
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if name == command:
-            add_arguments(p)
+            add_arguments(sub.add_parser(name, help=help_text))
+        elif not alone:
+            sub.add_parser(name, help=help_text)
     return parser
 
 
@@ -133,7 +146,7 @@ def _add_report(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_TOL,
         metavar="EPS",
         help="relative tolerance for float comparisons (default %(default)g)",
@@ -190,7 +203,19 @@ def _gen_arguments(p_gen) -> None:
     p.add_argument("--dim", type=int)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--window", required=True, metavar="SPEC")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
+
+
+def _tolerance(text: str) -> float:
+    """``--tolerance``: a float, finite and >= 0 (:func:`check_tolerance`)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        return check_tolerance(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _hull_arguments(p) -> None:
@@ -411,6 +436,7 @@ _COMMANDS = {
     "verify": ("check one named claim", _verify_arguments, _cmd_verify),
     "search": ("hunt for a counterexample", _search_arguments, _cmd_search),
 }
+_COMMANDS_METAVAR = "{" + ",".join(_COMMANDS) + "}"  # as argparse shows the choices
 
 
 # -- instance plumbing ------------------------------------------------------------
@@ -430,6 +456,10 @@ class _Instance:
 
 
 def _require_one_instance(args, parser) -> None:
+    """One instance, given once, and stdin read by at most one input."""
+    stdin = [f"--{flag}" for flag in ("graph", "fn", "set") if getattr(args, flag, None) == "-"]
+    if len(stdin) > 1:
+        parser.error(f"only one input may be read from stdin ('-'), got {' and '.join(stdin)}")
     if args.graph and args.lattice:
         parser.error("give either --graph or --lattice, not both")
     if args.graph and (args.window, args.dim, args.radius) != (None, None, None):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations, compress, repeat
 from operator import is_not, or_
 from typing import Any, Mapping
@@ -45,11 +45,35 @@ class ConvexityWitness:
     rhs: Any  # the distance-weighted combination of f(x) and f(y)
 
 
+class _Witness:
+    """The ``witness`` field of :class:`ConvexityVerdict`.  A verdict built
+    with a :class:`functools.partial` in place of its witness calls it the
+    first time the field is read, once, and keeps what it returns."""
+
+    def __get__(self, verdict, owner=None):
+        if verdict is None:
+            return None  # the field's default
+        w = verdict.__dict__["witness"]
+        if isinstance(w, partial):
+            w = verdict.__dict__["witness"] = w()
+        return w
+
+    def __set__(self, verdict, value) -> None:
+        # reached only from __init__: the frozen class refuses any other set
+        verdict.__dict__["witness"] = value
+
+
 @dataclass(frozen=True)
 class ConvexityVerdict:
+    """Whether f is convex at ``vertex``, and if not, the first violating
+    pair in the metric's vertex order.  :func:`is_convex_at` may settle
+    ``ok`` before it has looked for that pair; the pair is then found the
+    first time ``witness`` is read, so a caller that only tests the verdict
+    never pays for it.  Equality, hash and repr read the witness."""
+
     ok: bool
     vertex: Any
-    witness: ConvexityWitness | None = None
+    witness: ConvexityWitness | None = _Witness()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -104,15 +128,59 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     itself has none there is nothing to check and the verdict is ok.  When
     every value is a plain int and the distances allow it, that pair is
     found exactly on bitmasks (:func:`_int_violation`); otherwise every
-    between-pair is scanned.
+    between-pair is scanned.  On a certified metric with int values, z's
+    neighbours are tried first (:func:`_neighbours_refute`): when two of
+    them refute convexity, the verdict is False at once, and the first
+    violating pair is searched for, on a copy of f, only when the verdict's
+    ``witness`` is read.
     """
     if z not in m.index:
         raise UnknownVertexError(z)
     ints = check_values(f.values())
     if z not in f:
         return ConvexityVerdict(True, z)
-    verts, tol, k = m.vertices, m.tol, m.index[z]
-    fz = f[z]
+    k = m.index[z]
+    m.row(k)  # reading a certified row certifies the metric
+    if ints and m.certified and _neighbours_refute(m, k, f):
+        return ConvexityVerdict(False, z, partial(_first_witness, m, dict(f), k, ints))
+    witness = _first_witness(m, f, k, ints)
+    return ConvexityVerdict(witness is None, z, witness)
+
+
+def _neighbours_refute(m: Metric, k: int, f: VertexFunction) -> bool:
+    """True when two neighbours i, j of k that are not adjacent have
+    2 f(k) > f(i) + f(j), on a certified metric and int values.  Then
+    d(i, j) = 2 = d(i, k) + d(k, j), so (i, j) violates the two-point
+    inequality at k.  Every such pair has an end i with f(i) < f(k), so
+    only the shell at distance 1 from k and, for those i, the shell at
+    distance 2 from i are read."""
+    verts, near = m.vertices, m.shells(k).get(1, 0)
+    fz = f[verts[k]]
+    vals, low = {}, []  # f on the neighbours; those with f(i) < f(k)
+    rest = near
+    while rest:  # bit loops: this runs at every site, and generators cost more here
+        bit = rest & -rest
+        i = bit.bit_length() - 1
+        fi = vals[i] = f.get(verts[i], INF)  # no value: never a partner
+        if fi < fz:
+            low.append(i)
+        rest ^= bit
+    for i in low:
+        bound = 2 * fz - vals[i]  # a partner j refutes when f(j) < bound
+        far = near & m.shells(i).get(2, 0)  # the neighbours of k not adjacent to i
+        while far:
+            bit = far & -far
+            if vals[bit.bit_length() - 1] < bound:
+                return True
+            far ^= bit
+    return False
+
+
+def _first_witness(m: Metric, f: VertexFunction, k: int, ints: bool) -> ConvexityWitness | None:
+    """The witness of the first violating pair at k in vertex order, or
+    None when f is convex at k; ``ints`` as :func:`check_values` gives it."""
+    verts = m.vertices
+    fz = f[verts[k]]
     pairs = _int_violation(m, k, f) if ints else None
     if pairs is None:
         pairs = m.between_pairs(k, [i for i, v in enumerate(verts) if v in f])
@@ -120,10 +188,9 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
         x, y = verts[i], verts[j]
         lhs = scaled(dij, fz)
         rhs = exact_add(scaled(dkj, f[x]), scaled(dik, f[y]))
-        if not approx_le(lhs, rhs, tol):
-            combo = INF if rhs == INF else exact_div(rhs, dij)
-            return ConvexityVerdict(False, z, ConvexityWitness(x, y, fz, combo))
-    return ConvexityVerdict(True, z)
+        if not approx_le(lhs, rhs, m.tol):
+            return ConvexityWitness(x, y, fz, INF if rhs == INF else exact_div(rhs, dij))
+    return None
 
 
 def _int_violation(m: Metric, k: int, f: VertexFunction) -> list | None:

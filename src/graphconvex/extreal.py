@@ -28,6 +28,14 @@ def check_value(v):
     raise ValueError(f"value must be a real number or +inf, got {v!r}")
 
 
+def check_tolerance(tol):
+    """tol itself when it is a finite number >= 0; ValueError for NaN,
+    +-inf and negative tolerances."""
+    if not 0 <= tol < INF:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def check_values(values) -> bool:
     """:func:`check_value` on every item of the collection ``values``; True
     when every item is a plain int, so that exact int paths may follow."""

@@ -12,7 +12,7 @@ from operator import and_, or_
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
-from .extreal import DEFAULT_TOL, INF, approx_eq
+from .extreal import DEFAULT_TOL, INF, approx_eq, check_tolerance
 
 Vertex = Hashable
 Weight = int | float
@@ -55,13 +55,14 @@ class Metric:
     first use.  Distances are compared with ``approx_eq(., ., tol)``, which
     is exact unless a float is involved.  Intervals I(v_i, v_j) come from
     :meth:`interval` alone, and are not kept.  Metrics compare and hash by
-    identity.
+    identity.  A tolerance that is NaN, infinite or negative raises
+    ValueError.
     """
 
     def __init__(self, vertices, dist: Callable[[Any, Any], Weight],
                  tol: float = DEFAULT_TOL, row_source: Callable[[int], tuple] | None = None):
         self.vertices = tuple(vertices)
-        self.dist, self.tol, self.row_source = dist, tol, row_source
+        self.dist, self.tol, self.row_source = dist, check_tolerance(tol), row_source
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.rows: list = [None] * len(self.vertices)
         self.certified = False

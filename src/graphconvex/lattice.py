@@ -50,7 +50,7 @@ from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Any, Iterator, Mapping
 
-from .extreal import DEFAULT_TOL, approx_le, check_values, exact_add
+from .extreal import DEFAULT_TOL, approx_le, check_tolerance, check_values, exact_add
 from .graph import Graph, Metric, UnknownVertexError
 
 NORMS = ("l1", "l2", "linf")
@@ -129,9 +129,11 @@ class GroupLattice:
     """A window of an integer lattice: its points in window order, its
     interior, and per point its ``neighbors``, from which means are taken.
     The :class:`Graph` of that adjacency is built the first time ``graph``
-    is read."""
+    is read.  A tolerance that is NaN, infinite or negative raises
+    ValueError."""
 
     def __init__(self, spec: LatticeSpec, tol: float = DEFAULT_TOL):
+        check_tolerance(tol)
         self.spec = spec
         self.window: tuple = tuple(spec.points())
         self._index = {x: i for i, x in enumerate(self.window)}

@@ -9,10 +9,14 @@ of the inequality in exact ints: at every site of the 10x10 grid for
 d(., a) with 10 choices of a, and of five sparse connected G(120) (a
 random tree plus 20 chords) for 4 random int functions each, some on
 about 90 % of the vertices.  Unit weights make the metric certified, so
-int data takes the probe and the ranked pass; the verdict, the pair and
-both sides of the witness must agree.  Too slow for the tier-1 suite
-(about 4 s on a 2-core VM with CPython 3.11), so pytest does not collect
-it; exits 1 on the first mismatch.
+int data first tries the pairs of z's neighbours, then the probe and the
+ranked pass.  Each verdict's truth is read before its witness, as the
+claim checkers and ``search`` read it, so a site that two neighbours
+refute has had no pair search when its witness is read; the verdict, the
+pair and both sides of the witness must agree, and the search must run
+at most once.  Prints per case the sites refuted by a neighbour pair.
+Too slow for the tier-1 suite (about 4 s on a 2-core VM with CPython
+3.11), so pytest does not collect it; exits 1 on the first mismatch.
 """
 
 import random
@@ -20,7 +24,7 @@ import sys
 import time
 from fractions import Fraction
 
-from graphconvex import Graph, is_convex_at
+from graphconvex import Graph, convexity, is_convex_at
 
 VALUES = (range(-3, 4), range(6), (-3, 3, 2**53 + 1), range(-50, 51))
 
@@ -58,21 +62,36 @@ def cases():
 
 
 def main() -> int:
+    searches = []  # one entry per first-pair search run
+    search = convexity._first_witness
+
+    def counted(*args):
+        searches.append(args[2])
+        return search(*args)
+
+    convexity._first_witness = counted
     for label, g, f in cases():
         start = time.perf_counter()
         m = g.metric()
-        violations = 0
+        violations = by_neighbours = 0
         for z in m.vertices:
+            searches.clear()
             verdict = is_convex_at(m, f, z)
+            ok = verdict.ok
+            by_neighbours += not ok and not searches
             w = verdict.witness
             got = None if w is None else (w.x, w.y, w.lhs, w.rhs)
             expected = pair_scan(m, f, z) if z in f else None
-            if verdict.ok != (expected is None) or got != expected:
+            if ok != (expected is None) or got != expected or verdict.witness is not w:
                 print(f"MISMATCH {label} at {z!r}:\n"
-                      f"  is_convex_at: {got}\n  pair scan:    {expected}")
+                      f"  is_convex_at: ok={ok}, {got}\n  pair scan:    {expected}")
                 return 1
-            violations += not verdict.ok
+            if len(searches) > 1:
+                print(f"MISMATCH {label} at {z!r}: {len(searches)} pair searches")
+                return 1
+            violations += not ok
         print(f"{label}: {len(m.vertices)} sites agree, {violations} violations, "
+              f"{by_neighbours} refuted by a neighbour pair, "
               f"{time.perf_counter() - start:.1f} s")
     return 0
 

@@ -13,7 +13,7 @@ import pytest
 from jsonschema import validate
 
 import graphconvex
-from graphconvex import theorems
+from graphconvex import cli, theorems
 from graphconvex.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -733,11 +733,63 @@ def test_verify_lem_deg2_past_the_sweep_cap_exits_two(tmp_path, capsys):
     assert "too large" in captured.err
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _full_parser(argv):
+    """Every subcommand listed, the dispatched one with its arguments, and
+    no metavar: what :func:`build_parser` builds when the command is not
+    argv[0]."""
+    parser = build_parser([])
+    command = next((tok for tok in argv if tok in cli._COMMANDS), None)
+    if command is not None:
+        cli._COMMANDS[command][1](_subparsers(parser).choices[command])
+    return parser
+
+
 def test_build_parser_adds_only_the_chosen_subcommand():
-    parser = build_parser("hull")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = _subparsers(build_parser(["hull", "--set", "s"]))
+    assert list(sub.choices) == ["hull"]
+    assert "set" in {a.dest for a in sub.choices["hull"]._actions}
+    # a command after a top-level flag: every subcommand listed, one built
+    sub = _subparsers(build_parser(["-h", "hull"]))
+    assert list(sub.choices) == list(cli._COMMANDS)
     assert "set" in {a.dest for a in sub.choices["hull"]._actions}
     assert "claim" not in {a.dest for a in sub.choices["verify"]._actions}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["--help"], ["-h", "hull"], ["hull", "-h"], ["verify", "--help"],
+     ["bogus"], ["bogus", "hull"], ["-x"], ["-x", "hull"], ["--format", "json", "hull"],
+     ["hull", "--bogus"], ["hull", "--set"], ["hull", "--set", "s", "extra"],
+     ["check", "fn-convex", "--graph", "g", "--fn", "f", "trailing", "args"],
+     ["check", "bogus-kind"], ["check", "--tolerance", "abc", "fn-convex"],
+     ["verify", "no-such-claim"], ["search", "cycle"], ["search", "cycle", "--sampler", "x"],
+     ["gen"], ["gen", "bogus"], ["gen", "cycle"], ["gen", "cycle", "x"],
+     ["gen", "cycle", "-h"], ["gen", "lattice", "--help"], ["gen", "lattice"],
+     ["gen", "cycle", "4", "hull"], ["hull", "gen"], ["gen", "-h", "cycle"],
+     ["gen", "cycle", "4"], ["gen", "lattice", "--window", "3", "--tolerance", "-1"]],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_one_subparser_reads_like_the_full_build(argv, capsys, monkeypatch):
+    # exit code, stdout and stderr byte for byte against the full build
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    got = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", _full_parser)
+        assert outcome() == got
+    assert got[0] in (0, 2)
 
 
 @pytest.mark.parametrize(
@@ -811,6 +863,61 @@ def test_bad_sampling_parameters_exit_two(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# a 4-cycle with a pendant vertex, every weight the float 1.5
+PENDANT_SQUARE = "e 0 1 1.5\ne 1 2 1.5\ne 2 3 1.5\ne 3 0 1.5\ne 0 4 1.5\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-12"])
+@pytest.mark.parametrize("argv", [
+    ["hull", "--graph", "g.txt", "--set", "s.txt"],
+    ["check", "fn-convex", "--graph", "g.txt", "--fn", "f.txt"],
+    ["verify", "thm3", "--graph", "g.txt", "--set", "s.txt"],
+    ["search", "cycle", "--sampler", "distance", "--budget", "0"],
+    ["gen", "lattice", "--window", "3"],
+], ids=lambda argv: argv[0])
+def test_bad_tolerance_exits_two(argv, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(PENDANT_SQUARE)
+    (tmp_path / "s.txt").write_text("0\n1\n")
+    (tmp_path / "f.txt").write_text("0 0\n1 1\n2 0\n3 1\n4 1.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tolerance={value}"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"argument --tolerance: tolerance must be a finite number >= 0, got {float(value)!r}" \
+        in captured.err
+
+
+def test_hull_with_a_zero_tolerance_keeps_the_hull(tmp_path, capsys):
+    # an infinite tolerance made every vertex lie between 0 and 1
+    (tmp_path / "g.txt").write_text(PENDANT_SQUARE)
+    (tmp_path / "s.txt").write_text("0\n1\n")
+    files = ["--graph", str(tmp_path / "g.txt"), "--set", str(tmp_path / "s.txt")]
+    for tol in ("0", "1e-9"):
+        code, out = run(capsys, "hull", *files, "--tolerance", tol)
+        assert (code, out) == (0, "input: 0 1\nhull: 0 1\ngrew: no\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull", "--graph", "-", "--set", "-"],
+    ["check", "fn-convex", "--graph", "-", "--fn", "-"],
+    ["check", "set-convex", "--graph", "-", "--set", "-"],
+    ["check", "fn-convex", "--graph", "-", "--fn", "-", "--set", "-"],
+    ["check", "midpoint", "--lattice", "l1", "--window", "3", "--fn", "-", "--set", "-"],
+    ["verify", "thm1", "--graph", "-", "--fn", "-"],
+    ["verify", "thm3", "--graph", "-", "--set", "-"],
+], ids=" ".join)
+def test_two_stdin_inputs_exit_two(argv, capsys, monkeypatch):
+    stdin = io.StringIO("e 0 1\ne 1 2\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "only one input may be read from stdin ('-')" in captured.err
+    assert stdin.tell() == 0  # rejected before anything was read
 
 
 def test_bad_window_spec_exits_two(capsys):

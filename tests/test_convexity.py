@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from graphconvex import (
+    ConvexityVerdict,
+    ConvexityWitness,
     Graph,
     LatticeSpec,
     Metric,
@@ -26,7 +30,7 @@ from graphconvex import (
     random_connected_graph,
     set_distance_function,
 )
-from graphconvex import graph
+from graphconvex import convexity, graph, theorems
 
 INF = math.inf
 
@@ -411,3 +415,94 @@ def test_int_data_never_takes_the_pair_scan(monkeypatch):
         scanned.clear()
         is_convex_at(m, f, 2)
         assert scanned == [2]
+
+
+# ----------------------------------------------------------------------
+# the verdict first, the witness when read
+# ----------------------------------------------------------------------
+
+
+def first_pair(m, f, z):
+    """``(x, y, f(z), rhs)`` of the first violating pair at z of the int
+    function f, by the ordered pair scan; None when f is convex at z."""
+    verts, k = m.vertices, m.index[z]
+    for i, j, dij, dkj, dik in m.between_pairs(k, [i for i, v in enumerate(verts) if v in f]):
+        x, y = verts[i], verts[j]
+        rhs = dkj * f[x] + dik * f[y]
+        if dij * f[z] > rhs:
+            q = Fraction(rhs, dij)
+            return x, y, f[z], int(q) if q.denominator == 1 else float(q)
+    return None
+
+
+@pytest.fixture()
+def witness_searches(monkeypatch):
+    """The first-pair searches run, as (vertex, found) pairs."""
+    runs = []
+    real = convexity._first_witness
+
+    def counting(m, f, k, ints):
+        w = real(m, f, k, ints)
+        runs.append((m.vertices[k], w is not None))
+        return w
+
+    monkeypatch.setattr(convexity, "_first_witness", counting)
+    return runs
+
+
+def test_convexity_verdict_keeps_its_dataclass_behaviour(witness_searches):
+    m = cycle(4).metric()
+    lazy = is_convex_at(m, {0: 0, 1: 1, 2: 2, 3: 1}, 2)  # refuted by neighbours 1 and 3
+    assert not lazy and witness_searches == []
+    eager = ConvexityVerdict(False, 2, ConvexityWitness(1, 3, 2, 1))
+    assert [fl.name for fl in dataclasses.fields(ConvexityVerdict)] == ["ok", "vertex", "witness"]
+    assert repr(lazy) == repr(eager)
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert lazy != ConvexityVerdict(False, 2, ConvexityWitness(3, 1, 2, 1))
+    assert dataclasses.astuple(lazy) == (False, 2, (1, 3, 2, 1))
+    assert witness_searches == [(2, True)]  # found once, for all of the above
+    for name in ("ok", "vertex", "witness"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lazy, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(lazy, name)
+    assert lazy.witness == eager.witness
+    plain = ConvexityVerdict(True, 0)
+    assert plain.witness is None and plain == ConvexityVerdict(True, 0, None)
+    assert repr(plain) == "ConvexityVerdict(ok=True, vertex=0, witness=None)"
+    assert {plain, ConvexityVerdict(True, 0)} == {plain}
+
+
+def test_lazy_witness_is_the_first_violating_pair(witness_searches):
+    rng = random.Random("lazy-witness")
+    graphs = [cycle(n) for n in range(4, 9)] + [grid(4, 4)]
+    lazy = 0
+    for g in graphs:
+        m = g.metric()
+        functions = []
+        if len(g.vertices) == 4:  # every function on C4 with values 0..2
+            functions = [dict(zip(g.vertices, vs)) for vs in itertools.product(range(3), repeat=4)]
+        for _ in range(60):
+            share = rng.choice((1.0, 0.7))
+            functions.append({v: rng.randint(-3, 3) for v in g.vertices if rng.random() < share})
+        for f in functions:
+            for z in g.vertices:
+                witness_searches.clear()
+                verdict = is_convex_at(m, f, z)
+                lazy += not witness_searches
+                expected = first_pair(m, f, z) if z in f else None
+                assert verdict.ok == (expected is None)
+                w = verdict.witness
+                assert (None if w is None else (w.x, w.y, w.lhs, w.rhs)) == expected
+                assert verdict.witness is w
+                assert len(witness_searches) <= 1
+    assert lazy > 1000  # the neighbour pairs settle most refuted sites
+
+
+def test_thm1_on_the_grid_searches_no_pair_at_its_violated_sites(witness_searches):
+    g = grid(10, 10)
+    f = distance_function(g.metric(), (3, 6))
+    report = theorems.verify_pointwise_implication(g, f, "triangle_free")
+    assert (report.verdict, report.checked, report.hypothesis_fired) == ("verified", 100, 19)
+    # the 81 sites off the row and column of a are refuted by neighbours alone
+    assert witness_searches == [(z, False) for z in g.vertices if z[0] == 3 or z[1] == 6]

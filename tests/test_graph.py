@@ -26,6 +26,12 @@ def test_mixed_vertex_types_get_a_stable_order():
     assert set(g.vertices) == {1, "b", (0, 1)}
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1, -1e-12])
+def test_metric_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        path(3).metric(tol)
+
+
 def test_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         Graph([(1, 1)])

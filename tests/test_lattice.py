@@ -26,6 +26,15 @@ def make(dim=1, norm="l1", radius=1, lo=-2, hi=2):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1, -1e-12])
+def test_lattice_rejects_a_bad_tolerance(tol):
+    spec = LatticeSpec(1, "l1", 1, ((0, 2),))
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        GroupLattice(spec, tol)
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        build_lattice(spec).metric(tol)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="dimension"):
         LatticeSpec(0, "l1", 1, ())
