@@ -5,10 +5,10 @@ vertex z lies between x and y when d(x, y) = d(x, z) + d(z, y) with
 d(x, y) finite.  The metric decides that relation for every caller,
 exactly on integer distances: :func:`is_between`, the closure and the
 subset sweeps read its :meth:`~graphconvex.graph.Metric.interval`
-bitmasks, and :func:`is_convex_at` its between-pairs or, on int data,
-its :meth:`~graphconvex.graph.Metric.through` masks.  A set is convex
-when it is fixed by the one-step betweenness closure; the convex hull is
-the least such fixed point.
+bitmasks, and :func:`is_convex_at` its between-pairs or, on int data and
+a certified metric, its :meth:`~graphconvex.graph.Metric.through` masks.
+A set is convex when it is fixed by the one-step betweenness closure; the
+convex hull is the least such fixed point.
 
 A function f is convex at z when for every pair x, y with z between them,
 
@@ -125,14 +125,15 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
 
     Pairs are scanned in the metric's vertex order, so a failure reports
     the first violating pair.  Vertices without a value are skipped; if z
-    itself has none there is nothing to check and the verdict is ok.  When
-    every value is a plain int and the distances allow it, that pair is
-    found exactly on bitmasks (:func:`_int_violation`); otherwise every
-    between-pair is scanned.  On a certified metric with int values, z's
-    neighbours are tried first (:func:`_neighbours_refute`): when two of
-    them refute convexity, the verdict is False at once, and the first
-    violating pair is searched for, on a copy of f, only when the verdict's
-    ``witness`` is read.
+    itself has none there is nothing to check and the verdict is ok.  On a
+    certified metric (int-weighted graphs, l1 and linf windows) with every
+    value a plain int, z's neighbours are tried first
+    (:func:`_neighbours_refute`): when two of them refute convexity, the
+    verdict is False at once, and the first violating pair is searched for,
+    on a copy of f, only when the verdict's ``witness`` is read.  That pair
+    is found exactly on the metric's shells (:func:`_int_violation`).  Any
+    other metric or value (floats, l2, a hand-built metric, fractions,
+    +inf) takes the scan of every between-pair.
     """
     if z not in m.index:
         raise UnknownVertexError(z)
@@ -181,8 +182,9 @@ def _first_witness(m: Metric, f: VertexFunction, k: int, ints: bool) -> Convexit
     None when f is convex at k; ``ints`` as :func:`check_values` gives it."""
     verts = m.vertices
     fz = f[verts[k]]
-    pairs = _int_violation(m, k, f) if ints else None
-    if pairs is None:
+    if ints and m.certified:
+        pairs = _int_violation(m, k, f)
+    else:
         pairs = m.between_pairs(k, [i for i, v in enumerate(verts) if v in f])
     for i, j, dij, dkj, dik in pairs:
         x, y = verts[i], verts[j]
@@ -193,35 +195,25 @@ def _first_witness(m: Metric, f: VertexFunction, k: int, ints: bool) -> Convexit
     return None
 
 
-def _int_violation(m: Metric, k: int, f: VertexFunction) -> list | None:
-    """The first violating between-pair at k of the plain-int function f,
-    in the form and order of :meth:`Metric.between_pairs`, as a list of at
-    most one tuple; None when the distances do not allow the exact
-    decision (:meth:`Metric.int_basis`).
+def _int_violation(m: Metric, k: int, f: VertexFunction) -> list:
+    """The first violating between-pair at k of the plain-int function f
+    on the certified metric m, in the form and order of
+    :meth:`Metric.between_pairs`, as a list of at most one tuple.
 
-    On a certified metric, k is convex at once when no value of f is
-    smaller than f(k).  Otherwise the candidates i are probed in order: the
-    j > i with k between them are :meth:`Metric.through` (i, k), tested
+    k is convex at once when no value of f is smaller than f(k).
+    Otherwise the candidates i are probed in order: the j > i with k
+    between them are :meth:`Metric.through` (i, k), tested
     lowest first with (d(i, k) + d(k, j)) f(k) > d(k, j) f(i) + d(i, k) f(j),
     so the first hit is the first violating pair, found with no lcm and no
     sort.  The probe charges its work in shell ANDs: 16 plus the shells of
     k per i, and 3 per partner tested (as timed on a 2-core VM with
     CPython 3.11).  Once the charge passes 16 plus the vertex count, about
     what setting up the ranked pass costs, :func:`_ranked_violation` takes
-    over after the last i probed, with slopes scaled by lcm(1..ecc(k)).
-    Most violations fall to the probe within a few candidates, and a
-    convex k pays about one set-up more.  Any other metric takes the
-    ranked pass alone, scaled by :meth:`Metric.int_basis`.
+    over after the last i probed, with slopes scaled by the lcm of the
+    distances of k's shells.  Most violations fall to the probe within a
+    few candidates, and a convex k pays about one set-up more.
     """
-    rk, verts = m.row(k), m.vertices  # reading a certified row certifies the metric
-    if not m.certified:
-        basis = m.int_basis(k, [i for i, v in enumerate(verts) if v in f])
-        if basis is None:
-            return None
-        cands, scales = basis
-        fz = f[verts[k]]
-        slopes = [(fz - f[verts[i]]) * c for i, c in zip(cands, scales)]
-        return _ranked_violation(m, k, cands, slopes)
+    rk, verts = m.row(k), m.vertices
     vals = list(map(f.get, verts))  # None off the domain
     fz, vals[k] = vals[k], None
     if fz <= min(f.values()):  # every slope is at most 0
@@ -251,7 +243,7 @@ def _int_violation(m: Metric, k: int, f: VertexFunction) -> list | None:
         vals = [None if d == INF else v for v, d in zip(vals, rk)]
     # every pair left has both ends after i
     cands = list(compress(range(i + 1, len(vals)), map(is_not, vals[i + 1 :], repeat(None))))
-    scales = _shell_scales(len(shell_k) - 1)
+    scales = _shell_scales(tuple(shell_k))
     return _ranked_violation(m, k, cands, [(fz - vals[j]) * scales[rk[j]] for j in cands])
 
 
@@ -290,11 +282,12 @@ def _ranked_violation(m: Metric, k: int, cands: list, slopes: list) -> list:
 
 
 @lru_cache(maxsize=32)
-def _shell_scales(ecc: int) -> tuple:
-    """``(0, L // 1, ..., L // ecc)`` with L = lcm(1..ecc): the slope scale
-    of each distance from a vertex of eccentricity ``ecc``."""
-    lcm = math.lcm(*range(1, ecc + 1))
-    return (0, *(lcm // r for r in range(1, ecc + 1)))
+def _shell_scales(dists: tuple) -> dict:
+    """``{d: L // d}`` over the positive ``dists`` of a row's shells, with
+    L their lcm: the slope scale of each distance from that vertex.  On a
+    row with no gap, L = lcm(1..ecc)."""
+    lcm = math.lcm(*dists[1:])  # dists[0] is 0, the vertex itself
+    return {d: lcm // d for d in dists[1:]}
 
 
 def distance_to_set(m: Metric, x, members):

@@ -44,19 +44,22 @@ class Metric:
     ``tol`` is the relative tolerance used by every comparison downstream
     of this metric.  Row i is ``[d(v_i, v) for v in vertices]``, filled the
     first time it is read: from ``row_source(i)`` when the metric has one,
-    else by calling ``dist`` per entry.  ``row_source``, set only by
-    :meth:`Graph.metric`, maps i to ``(row, shells)``: the row as a list in
-    vertex order (+inf when unreachable), and ``{r: bitmask of the j at
-    distance r}`` over its finite entries when every row of the metric is
-    symmetric, positive and plain int off the diagonal (else None, for
-    every row); such shells make the metric ``certified``, and run r = 0,
-    1, ..., ecc(v_i) in that order with no gap, as a breadth-first search
-    meets them.  On any other row of plain ints the shells are built on
-    first use.  Distances are compared with ``approx_eq(., ., tol)``, which
-    is exact unless a float is involved.  Intervals I(v_i, v_j) come from
-    :meth:`interval` alone, and are not kept.  Metrics compare and hash by
-    identity.  A tolerance that is NaN, infinite or negative raises
-    ValueError.
+    else by calling ``dist`` per entry.  ``row_source`` maps i to
+    ``(row, shells)``: the row as a list in vertex order (+inf when
+    unreachable), and ``{r: bitmask of the j at distance r}`` over its
+    finite entries, in ascending r, or None.  A source gives shells only
+    for a metric whose rows are all symmetric, positive and plain int off
+    the diagonal, as :meth:`Graph.metric` does for int weights and
+    :func:`~graphconvex.lattice.group_metric` for l1 and linf windows, and
+    such shells make the metric ``certified``.  Shells may have gaps (edge
+    weights 2 and 3 give distances 0, 2, 3, 5, ...); ``dense`` stays True
+    while every row read so far has shells r = 0, 1, ..., ecc(v_i) with no
+    gap, as a breadth-first search meets them.  No shells are built after
+    the fact: any other metric, a hand-built one included, has none and is
+    decided by scans with ``approx_eq(., ., tol)``, which is exact unless a
+    float is involved.  Intervals I(v_i, v_j) come from :meth:`interval`
+    alone, and are not kept.  Metrics compare and hash by identity.  A
+    tolerance that is NaN, infinite or negative raises ValueError.
     """
 
     def __init__(self, vertices, dist: Callable[[Any, Any], Weight],
@@ -66,8 +69,8 @@ class Metric:
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.rows: list = [None] * len(self.vertices)
         self.certified = False
+        self.dense = True
         self._shells: dict = {}
-        self._bases: dict = {}
         self._last_closure = 0, 0  # betweenness_closure's last input and output, as masks
 
     def row(self, i: int) -> list:
@@ -75,82 +78,46 @@ class Metric:
         if r is None:
             if self.row_source is None:
                 v = self.vertices[i]
-                r = [self.dist(v, u) for u in self.vertices]
+                r, shells = [self.dist(v, u) for u in self.vertices], None
             else:
                 r, shells = self.row_source(i)
                 if shells is not None:
-                    self._shells[i] = shells
                     self.certified = True
+                    # ascending from 0, so no gap exactly when the last r is len - 1
+                    self.dense = self.dense and next(reversed(shells)) == len(shells) - 1
+            self._shells[i] = shells
             self.rows[i] = r
         return r
 
     def shells(self, i: int) -> dict | None:
         """``{r: bitmask of the j with d(v_i, v_j) = r}`` over the finite
-        entries of row i, or None when one of them is not a plain int."""
+        entries of row i, as its row source gave them; None on a metric
+        that is not certified."""
         try:
             return self._shells[i]
         except KeyError:
-            pass
-        row = self.row(i)  # a certified row brings its shells along
-        if self.certified:
+            self.row(i)  # the row brings its shells along
             return self._shells[i]
-        shells: dict | None = {}
-        for j, d in enumerate(row):
-            if type(d) is int:
-                shells[d] = shells.get(d, 0) | 1 << j
-            elif d != INF:
-                shells = None
-                break
-        self._shells[i] = shells
-        return shells
-
-    def int_basis(self, k: int, dom: list) -> tuple | None:
-        """``(cands, scales)`` for the i != k of the ascending ``dom`` with
-        d(v_k, v_i) finite: those i and lcm(their distances) // d(v_k, v_i).
-        None unless every i != k in ``dom`` has d(v_i, v_k) = d(v_k, v_i),
-        the rows of k and of the candidates hold only plain ints and +inf,
-        and every candidate distance is positive.  Kept at k for the last
-        ``dom`` asked.  A certified metric needs none of this: its
-        distances from k run 1..ecc(k) without a gap, so lcm(1..ecc(k)) // d
-        scales every domain there, and no check is due."""
-        key = tuple(dom)
-        last = self._bases.get(k)
-        if last is not None and last[0] == key:
-            return last[1]
-        rk = self.row(k)
-        others = [i for i in dom if i != k]
-        cands = [i for i in others if rk[i] != INF]
-        dists = [rk[i] for i in cands]
-        basis = None
-        if (
-            self.shells(k) is not None
-            and [self.row(i)[k] for i in others] == [rk[i] for i in others]
-            and (not cands or (min(dists) > 0 and None not in map(self.shells, cands)))
-        ):
-            scale = math.lcm(*dists)
-            basis = cands, [scale // d for d in dists]
-        self._bases[k] = key, basis
-        return basis
 
     def through(self, i: int, k: int) -> int:
-        """Bitmask of the j with d(v_i, v_j) = d(v_k, v_i) + d(v_k, v_j):
-        the j such that v_k lies between v_i and v_j, k itself included.
-        It is the OR over r of shell_k[r] & shell_i[d(v_k, v_i) + r], so
-        rows i and k must have shells, and d(v_i, v_k) = d(v_k, v_i).  A
-        certified metric lists its shells from r = 0 with no gap, which
-        pairs them up in one C-level pass."""
+        """Bitmask of the j with d(v_i, v_j) = d(v_k, v_i) + d(v_k, v_j), all
+        finite: the j such that v_k lies between v_i and v_j, k itself
+        included, on a certified metric with v_i at finite distance from
+        v_k.  It is the OR over r of shell_k[r] & shell_i[d(v_k, v_i) + r].
+        While the metric is ``dense`` the shells pair up in one C-level
+        pass; otherwise they are paired by distance."""
         sk, si, d = self.shells(k), self.shells(i), self.rows[k][i]
-        if self.certified:
+        if self.dense:
             return reduce(or_, map(and_, sk.values(), islice(si.values(), d, None)))
         return reduce(or_, [layer & si.get(d + r, 0) for r, layer in sk.items()])
 
     def interval(self, i: int, j: int, among: int = -1) -> int:
         """Bitmask of the k with d(v_i, v_j) = d(v_i, v_k) + d(v_j, v_k) on
         rows i and j (i and j among them on a symmetric metric), kept to the
-        bits of ``among`` (all by default); 0 when d(v_i, v_j) is +inf.  When
-        both rows hold only plain ints it is the OR over r of
-        shell_i[r] & shell_j[d - r], with no ``approx_eq``; any other rows
-        are scanned with it, over ``among``."""
+        bits of ``among`` (all by default); 0 when d(v_i, v_j) is +inf.  On
+        a certified metric it is the OR over r of shell_i[r] &
+        shell_j[d - r], with no ``approx_eq``; any other rows are scanned
+        with it, over ``among``."""
         d = self.row(i)[j]
         if d == INF:
             return 0
@@ -200,17 +167,18 @@ class Graph:
     and duplicate edges are rejected.  Distance rows are filled on first
     use and cached, one list per source in vertex order.  When every
     weight is the int 1 a row comes from a breadth-first search over
-    vertex indices, which also yields its distance shells; any other
-    weights take a binary-heap Dijkstra.  Int weights keep all distance
-    arithmetic in exact ints; any float weight (1.0 included) switches
-    that source's distances to floats.
+    vertex indices; any other weights take a binary-heap Dijkstra.  When
+    every weight is a plain int (not a bool), both yield the row's
+    distance shells, and all distance arithmetic stays in exact ints; any
+    float weight (1.0 included) switches that source's distances to
+    floats, without shells.
     """
 
     def __init__(self, edges: Iterable = (), vertices: Iterable = ()):
         adj: dict[Any, dict[Any, Weight]] = {}
         for v in vertices:
             adj.setdefault(v, {})
-        unit = int_unit = True  # every weight == 1 / every weight the int 1
+        unit = int_unit = ints = True  # every weight == 1 / the int 1 / a plain int
         for edge in edges:
             if len(edge) == 2:
                 u, v = edge
@@ -220,6 +188,7 @@ class Graph:
                 if type(w) is not int or w != 1:
                     int_unit = False
                     unit = unit and w == 1
+                    ints = ints and type(w) is int
             else:
                 raise ValueError(f"edge must be (u, v) or (u, v, weight): {edge!r}")
             if u == v:
@@ -237,7 +206,7 @@ class Graph:
         self._order: tuple = tuple(sort_vertices(adj))
         self._adj: dict[Any, Mapping] = {v: MappingProxyType(adj[v]) for v in self._order}
         self._index = {v: i for i, v in enumerate(self._order)}
-        self._unit, self._bfs = unit, int_unit
+        self._unit, self._bfs, self._ints = unit, int_unit, ints
         self._nbr_masks: list | None = None  # per index, its neighbours' bitmask; BFS only
         self._rows: list = [None] * len(self._order)  # index -> (row, shells)
         self._views: dict = {}  # vertex -> read-only mapping of its finite row
@@ -343,26 +312,34 @@ class Graph:
         return entry
 
     def _dijkstra(self, i: int) -> tuple:
-        """Fill row i: by BFS with its shells when every weight is the int 1,
-        else by a binary-heap Dijkstra, without shells."""
+        """Fill row i: by BFS when every weight is the int 1, else by a
+        binary-heap Dijkstra; with its shells when every weight is a plain
+        int, else without."""
         if not self._bfs:
             src = self._order[i]
             dist: dict[Any, Weight] = {src: 0}
-            done: set = set()
+            done: dict = {}  # vertex -> distance, in the order settled: ascending
             heap: list = [(0, 0, src)]
             counter = 1
             while heap:
                 d, _, u = heapq.heappop(heap)
                 if u in done:
                     continue
-                done.add(u)
+                done[u] = d
                 for v, w in self._adj[u].items():
                     nd = d + w
                     if v not in dist or nd < dist[v]:
                         dist[v] = nd
                         heapq.heappush(heap, (nd, counter, v))
                         counter += 1
-            return list(map(dist.get, self._order, repeat(INF))), None
+            row = list(map(dist.get, self._order, repeat(INF)))
+            if not self._ints:
+                return row, None
+            shells: dict = {}
+            index = self._index
+            for u, d in done.items():
+                shells[d] = shells.get(d, 0) | 1 << index[u]
+            return row, shells
         masks = self._nbr_masks
         if masks is None:
             index = self._index

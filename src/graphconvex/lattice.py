@@ -225,11 +225,24 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> GroupLattice:
 
 
 def group_metric(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> Metric:
-    """The norm metric d(x, y) = ||x - y|| over the window points."""
+    """The norm metric d(x, y) = ||x - y|| over the window points.  Under l1
+    and linf its rows come with their shells, which makes it certified:
+    their distances are plain ints and run 0, 1, ..., ecc with no gap, as
+    each unit step toward x inside the box lowers the distance by 1."""
+    pts = tuple(spec.points())
+
     def dist(x, y):
         return spec.norm_value(_sub(x, y))
 
-    return Metric(spec.points(), dist, tol)
+    def row_source(i: int) -> tuple:
+        x = pts[i]
+        row = [dist(x, y) for y in pts]
+        shells = [0] * (max(row) + 1)
+        for j, d in enumerate(row):
+            shells[d] |= 1 << j
+        return row, dict(enumerate(shells))
+
+    return Metric(pts, dist, tol, None if spec.norm == "l2" else row_source)
 
 
 @dataclass(frozen=True)
@@ -252,9 +265,10 @@ class MidpointVerdict:
 def is_midpoint_convex_at(
     lat: GroupLattice, f: Mapping, x, tol: float | None = None
 ) -> MidpointVerdict:
-    """Check 2 f(x) <= f(x+z) + f(x-z) for all z with both points in window."""
+    """Check 2 f(x) <= f(x+z) + f(x-z) for all z with both points in window.
+    A tolerance that is NaN, infinite or negative raises ValueError."""
     i, box, shifts = lat._offsets(x)
-    tol = lat._tol if tol is None else tol
+    tol = lat._tol if tol is None else check_tolerance(tol)
     check_values(f.values())
     if x not in f:
         return MidpointVerdict(True, x)
@@ -376,9 +390,10 @@ def has_nearest_neighbor_property(
     must satisfy 2 ||y - z|| <= ||y1 + y2 - 2 z||.
 
     Scanning order is sorted pairs then window order, so a failure reports
-    the first uncovered triple (y1, y2, z).  Empty sets pass vacuously.
+    the first uncovered triple (y1, y2, z).  Empty sets pass vacuously.  A
+    tolerance that is NaN, infinite or negative raises ValueError.
     """
-    tol = lat._tol if tol is None else tol
+    tol = lat._tol if tol is None else check_tolerance(tol)
     spec = lat.spec
     pts = sorted(members)
     for y in pts:

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Mapping
 
-from .extreal import DEFAULT_TOL, INF, approx_eq, check_value, exact_add, exact_div, scaled
+from .extreal import (
+    DEFAULT_TOL, INF, approx_eq, check_tolerance, check_value, exact_add, exact_div, scaled,
+)
 from .graph import Graph
 
 
@@ -53,7 +55,9 @@ def compare_to_neighborhood_mean(
 
     g is a Graph or a GroupLattice: only ``g.neighbors(x)`` is read, so a
     lattice builds no graph.  Also named :func:`is_subharmonic_at`: the
-    comparison is truthy iff f(x) <= the neighborhood mean."""
+    comparison is truthy iff f(x) <= the neighborhood mean.  A tolerance
+    that is NaN, infinite or negative raises ValueError."""
+    check_tolerance(tol)
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"degree zero at vertex {x!r}: no neighborhood mean")

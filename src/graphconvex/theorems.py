@@ -49,7 +49,7 @@ from .convexity import (
     set_distance_function,
 )
 from .enumeration import _iter_connected_unit_graphs, count_connected_graphs
-from .extreal import DEFAULT_TOL, approx_le, report_value
+from .extreal import DEFAULT_TOL, approx_le, check_tolerance, report_value
 from .graph import Graph, Metric, _bit_indices
 from .io import format_graph, format_vertex
 from .lattice import (
@@ -225,8 +225,10 @@ def verify_pointwise_implication(
     graph (plain means, claim thm1/thm2), or ``"midpoint"`` on a lattice
     (weighted means at interior vertices, claim thm4-cvx-sub).  The witness
     of a refutation names the first failing site, and on a lattice also
-    the total edge weight of its mean.
+    the total edge weight of its mean.  A tolerance that is NaN, infinite
+    or negative raises ValueError.
     """
+    check_tolerance(tol)
     if hypothesis in ("triangle_free", "pairing"):
         if not isinstance(instance, Graph):
             raise ValueError(f"hypothesis {hypothesis!r} needs a Graph instance")
@@ -369,6 +371,7 @@ def verify_dist_to_point_midpoint_convex(
 ) -> ClaimReport:
     """Claim lem-dist-pt: f = ||. - a|| is midpoint convex at every window
     vertex, for each base point a (sampled near the window by default)."""
+    check_tolerance(tol)
     spec = lat.spec
     if points is None:
         _require_non_negative(count=count)
@@ -707,6 +710,7 @@ def sweep_max_affine(
 ) -> ClaimReport:
     """thm4-cvx-sub over ``count`` sampled max-of-affine functions."""
     _require_non_negative(count=count)
+    check_tolerance(tol)
     rng = random.Random(f"max-affine:{seed}")
     reports = [
         verify_pointwise_implication(lat, fun, "midpoint", tol=tol, label=name)
@@ -1014,11 +1018,13 @@ def search_counterexample(
       of d(., a)).
 
     Returns None when the budget is exhausted without a hit.  Fully
-    deterministic for a given seed.
+    deterministic for a given seed.  A tolerance that is NaN, infinite or
+    negative raises ValueError.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     _require_non_negative(budget=budget, count=count)
+    check_tolerance(tol)
     instances = _family_instances(family, seed, sizes, p, n)
     for idx, (label, g) in enumerate(itertools.islice(instances, budget)):
         m = g.metric(tol)

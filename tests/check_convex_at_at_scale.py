@@ -1,21 +1,25 @@
 """Convexity at a vertex against the ordered pair scan, at every site of
-larger unit-weight graphs.
+larger certified metrics: unit-weight and int-weighted graphs, and l1 and
+linf windows.
 
     PYTHONPATH=src python tests/check_convex_at_at_scale.py
 
 Compares ``is_convex_at`` with the first violating pair of
 ``Metric.between_pairs``, the pair scan in vertex order, with both sides
 of the inequality in exact ints: at every site of the 10x10 grid for
-d(., a) with 10 choices of a, and of five sparse connected G(120) (a
-random tree plus 20 chords) for 4 random int functions each, some on
-about 90 % of the vertices.  Unit weights make the metric certified, so
-int data first tries the pairs of z's neighbours, then the probe and the
-ranked pass.  Each verdict's truth is read before its witness, as the
-claim checkers and ``search`` read it, so a site that two neighbours
-refute has had no pair search when its witness is read; the verdict, the
-pair and both sides of the witness must agree, and the search must run
-at most once.  Prints per case the sites refuted by a neighbour pair.
-Too slow for the tier-1 suite (about 4 s on a 2-core VM with CPython
+d(., a) with 10 choices of a; of five sparse connected G(120) (a random
+tree plus 20 chords) with unit weights and one with weights 1-3, for 4
+random int functions each, some on about 90 % of the vertices; and of the
+15x15 l1 and linf windows for d(., a) and a random int function.  These
+metrics are all certified (their rows come with distance shells, which
+have gaps under weights 1-3), so int data first tries the pairs of z's
+neighbours, then the probe and the ranked pass.  Each verdict's truth is
+read before its witness, as the claim checkers and ``search`` read it, so
+a site that two neighbours refute has had no pair search when its
+witness is read; the verdict, the pair and both sides of the witness
+must agree, the search must run at most once, and each metric must end
+certified.  Prints per case the sites refuted by a neighbour pair.
+Too slow for the tier-1 suite (about 9 s on a 2-core VM with CPython
 3.11), so pytest does not collect it; exits 1 on the first mismatch.
 """
 
@@ -24,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 
-from graphconvex import Graph, convexity, is_convex_at
+from graphconvex import Graph, LatticeSpec, build_lattice, convexity, is_convex_at
 
 VALUES = (range(-3, 4), range(6), (-3, 3, 2**53 + 1), range(-50, 51))
 
@@ -49,16 +53,27 @@ def cases():
     rng = random.Random("convex-at-scale:grid")
     for a in rng.sample(grid.vertices, 10):
         yield f"grid 10x10, d(., {a})", grid, {v: grid.distance(v, a) for v in grid.vertices}
-    for s in range(5):
+    for s in range(6):
         rng = random.Random(f"convex-at-scale:g120:{s}")
         edges = {(rng.randrange(v), v) for v in range(1, 120)}
         while len(edges) < 119 + 20:
             edges.add(tuple(sorted(rng.sample(range(120), 2))))
-        g = Graph(edges, vertices=range(120))
+        if s < 5:
+            label, g = f"G(120) #{s}", Graph(edges, vertices=range(120))
+        else:
+            label = f"G(120) #{s}, weights 1-3"
+            g = Graph([(u, v, rng.randint(1, 3)) for u, v in sorted(edges)], vertices=range(120))
         for values in VALUES:
             share = rng.choice((1.0, 0.9))
             f = {v: rng.choice(values) for v in g.vertices if rng.random() < share}
-            yield f"G(120) #{s}, values {values}, {len(f)} sites", g, f
+            yield f"{label}, values {values}, {len(f)} sites", g, f
+    for norm in ("l1", "linf"):
+        lat = build_lattice(LatticeSpec(2, norm, 1, ((0, 14), (0, 14))))
+        rng = random.Random(f"convex-at-scale:{norm}")
+        a = rng.choice(lat.window)
+        m = lat.metric()
+        yield f"{norm} 15x15, d(., {a})", lat, {v: m.dist(v, a) for v in lat.window}
+        yield f"{norm} 15x15, values {VALUES[0]}", lat, {v: rng.choice(VALUES[0]) for v in lat.window}
 
 
 def main() -> int:
@@ -70,9 +85,9 @@ def main() -> int:
         return search(*args)
 
     convexity._first_witness = counted
-    for label, g, f in cases():
+    for label, instance, f in cases():
         start = time.perf_counter()
-        m = g.metric()
+        m = instance.metric()
         violations = by_neighbours = 0
         for z in m.vertices:
             searches.clear()
@@ -90,6 +105,9 @@ def main() -> int:
                 print(f"MISMATCH {label} at {z!r}: {len(searches)} pair searches")
                 return 1
             violations += not ok
+        if not m.certified:
+            print(f"MISMATCH {label}: the metric is not certified, so the pair scan decided")
+            return 1
         print(f"{label}: {len(m.vertices)} sites agree, {violations} violations, "
               f"{by_neighbours} refuted by a neighbour pair, "
               f"{time.perf_counter() - start:.1f} s")

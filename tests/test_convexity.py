@@ -388,14 +388,17 @@ def test_int_data_never_takes_the_pair_scan(monkeypatch):
     rng = random.Random(7)
     disconnected = Graph([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], vertices=range(7))
     weighted = Graph([(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 0, 4), (1, 3, 2)])
+    # l1 and linf windows are certified too; each witness is read, so that
+    # a verdict settled by two neighbours still runs its pair search
+    l1, linf = (build_lattice(LatticeSpec(2, norm, 1, ((0, 3), (0, 4)))).metric()
+                for norm in ("l1", "linf"))
     violations = 0
-    for g in (grid(4, 4), cycle(9), disconnected, weighted):
-        m = g.metric()
+    for m in (*(g.metric() for g in (grid(4, 4), cycle(9), disconnected, weighted)), l1, linf):
         for f in (
-            {v: rng.randint(-3, 3) for v in g.vertices},
-            {v: rng.choice((10**30, -(10**30), 2**53 + 1)) for v in g.vertices[::2]},
+            {v: rng.randint(-3, 3) for v in m.vertices},
+            {v: rng.choice((10**30, -(10**30), 2**53 + 1)) for v in m.vertices[::2]},
         ):
-            violations += sum(not is_convex_at(m, f, z) for z in g.vertices)
+            violations += sum(is_convex_at(m, f, z).witness is not None for z in m.vertices)
     assert violations > 0
 
     scanned = []

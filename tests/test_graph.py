@@ -4,7 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from graphconvex import Graph, UnknownVertexError, cycle, grid, path, random_graph, sort_vertices
+from graphconvex import (
+    Graph, Metric, UnknownVertexError, cycle, grid, path, random_graph, sort_vertices,
+)
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +118,21 @@ def test_only_int_unit_weights_take_the_bfs():
     assert ints.metric().row_source(0) == ([0, 1, math.inf], {0: 0b1, 1: 0b10})
     assert type(ints.distance(0, 1)) is int
     assert not Graph([(0, 1, True)]).metric().row_source(0)[1]
+
+
+def test_only_row_sources_certify_a_metric():
+    # shells come from the row source alone: int weights give them, in
+    # distance order and with gaps where no distance falls; floats, bools
+    # and a hand-built Metric over the same int distances give none
+    g = Graph([(0, 1, 2), (1, 2, 3), (0, 3, 5)], vertices=[4])
+    m = g.metric()
+    assert m.row(0) == [0, 2, 5, 5, math.inf]
+    assert m.shells(0) == {0: 0b1, 2: 0b10, 5: 0b1100} and list(m.shells(0)) == [0, 2, 5]
+    assert m.certified and not m.dense
+    for m in (Metric(g.vertices, g.distance), Graph([(0, 1, 2.0)]).metric(),
+              Graph([(0, 1, True)]).metric()):
+        assert m.row(0)[0] == 0
+        assert not m.certified and m.shells(0) is None and m.shells(1) is None
 
 
 def test_is_connected():

@@ -129,6 +129,51 @@ def test_float_unit_weights_keep_float_distances(graph):
         assert [h.distance(x, y) for y in range(n)] == row
 
 
+@PROPERTY
+@given(weighted_graphs(connected=False, weights=(1, 2, 3)))
+def test_int_weight_rows_carry_their_shells(graph):
+    """Every int weight gives int rows with shells, from the heap unless
+    every weight is 1: the shells rebuilt from the row, in distance order."""
+    n, edges = graph
+    g, d = build(n, edges)
+    m = g.metric()
+    for x in range(n):
+        row, shells = m.row_source(x)
+        assert row == [d(x, y) for y in range(n)]
+        expected = {}
+        for y in sorted(range(n), key=row.__getitem__):
+            if row[y] != math.inf:
+                expected[row[y]] = expected.get(row[y], 0) | 1 << y
+        assert list(shells.items()) == list(expected.items())
+
+
+def assert_through_matches(m, d, dense):
+    """``m.through(i, k)`` against the j at finite distance from v_k with
+    d(v_i, v_j) = d(v_k, v_i) + d(v_k, v_j), for every i at finite distance
+    from v_k; rows are read as ``through`` asks for them, so ``m.dense`` may
+    turn False between two calls, and ends as ``dense``."""
+    verts = m.vertices
+    for (k, z), (i, x) in itertools.product(enumerate(verts), repeat=2):
+        if d(z, x) == math.inf:
+            continue
+        expected = sum(1 << j for j, y in enumerate(verts)
+                       if d(z, y) < math.inf and d(x, y) == d(z, x) + d(z, y))
+        assert m.through(i, k) == expected
+    assert m.certified and m.dense == dense
+
+
+# unit weights: breadth-first rows; weights 2 and 3: heap rows whose shells
+# have gaps, so ``through`` pairs them by distance
+@PROPERTY
+@given(st.sampled_from(((1,), (2, 3))).flatmap(
+    lambda w: weighted_graphs(connected=False, weights=w)))
+def test_through_matches_distance_definition(graph):
+    n, edges = graph
+    g, d = build(n, edges)
+    # the weights are all 1 or all 2 and 3, and any weight 2 or 3 leaves a gap
+    assert_through_matches(g.metric(), d, dense=not edges or edges[0][2] == 1)
+
+
 def graphs_of_both_weight_sets(connected):
     return st.sampled_from((WEIGHTS, ROUNDING_WEIGHTS)).flatmap(
         lambda w: weighted_graphs(connected=connected, weights=w))
@@ -387,7 +432,7 @@ VALUES = st.one_of(
 
 
 @st.composite
-def lattices(draw):
+def lattices(draw, norms=NORMS):
     """A window of dimension 1-3, each axis up to 8/5/3 points long."""
     dim = draw(st.integers(1, 3))
     longest = {1: 8, 2: 5, 3: 3}[dim]
@@ -395,7 +440,7 @@ def lattices(draw):
     for _ in range(dim):
         lo = draw(st.integers(-2, 1))
         window.append((lo, lo + draw(st.integers(0, longest - 1))))
-    spec = LatticeSpec(dim, draw(st.sampled_from(NORMS)), draw(st.sampled_from((1, 1.5, 2))),
+    spec = LatticeSpec(dim, draw(st.sampled_from(norms)), draw(st.sampled_from((1, 1.5, 2))),
                        tuple(window))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # windows without an interior point
@@ -584,6 +629,18 @@ def test_interval_matches_norm_definition_on_lattices(lat, data):
         return math.isclose(d(x, z) + d(z, y), d(x, y), rel_tol=1e-9, abs_tol=1e-9)
 
     assert_intervals_match(lat.metric(), on_segment, data, pairs=8)
+
+
+@PROPERTY
+@given(lattices(norms=("l1", "linf")))
+def test_through_matches_norm_definition_on_lattices(lat):
+    norm = sum if lat.spec.norm == "l1" else max
+
+    def d(x, y):
+        return norm(abs(a - b) for a, b in zip(x, y))
+
+    assert_through_matches(lat.metric(), d, dense=True)
+
 
 # ----------------------------------------------------------------------
 # neighborhood means and the laplacian: an exact Fraction oracle

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import random
 
 import pytest
@@ -15,15 +16,18 @@ from graphconvex import (
     UnknownVertexError,
     aggregate_reports,
     build_lattice,
+    compare_to_neighborhood_mean,
     connected_unit_graphs,
     cycle,
     distance_function,
     exhaustive_small_graph_sweep,
     grid,
     grid_interior,
+    has_nearest_neighbor_property,
     indicator_samples,
     integer_function_samples,
     is_convex_at,
+    is_harmonic_at,
     is_midpoint_convex_at,
     is_subharmonic_at,
     king_grid,
@@ -123,6 +127,37 @@ def test_verifier_rejects_bad_instances():
         verify_pointwise_implication(cycle(4), {}, "midpoint")
     with pytest.raises(ValueError, match="hypothesis"):
         verify_pointwise_implication(cycle(4), {}, "nope")
+
+
+# each library entry point that takes a tol and builds no Metric or
+# GroupLattice with it, called so that it would otherwise pass or return
+# "verified"
+TOL_ENTRY_POINTS = {
+    "is_subharmonic_at": lambda tol: is_subharmonic_at(
+        cycle(4), {0: 5.0, 1: 0.0, 2: 0.0, 3: 0.0}, 0, tol=tol),
+    "compare_to_neighborhood_mean": lambda tol: compare_to_neighborhood_mean(
+        cycle(4), dict.fromkeys(range(4), 0), 0, tol=tol),
+    "is_harmonic_at": lambda tol: is_harmonic_at(cycle(4), dict.fromkeys(range(4), 0), 0, tol=tol),
+    "is_midpoint_convex_at": lambda tol: is_midpoint_convex_at(
+        lattice_1d(), {(x,): -float(x * x) for x in range(-3, 4)}, (0,), tol=tol),
+    "has_nearest_neighbor_property": lambda tol: has_nearest_neighbor_property(
+        lattice_1d(), {(0,)}, tol=tol),
+    "search_counterexample": lambda tol: search_counterexample(
+        "cycle", "random-int", budget=0, tol=tol),
+    "verify_pointwise_implication": lambda tol: verify_pointwise_implication(
+        lattice_1d(), {(x,): x for x in range(-3, 4)}, "midpoint", tol=tol),
+    "verify_dist_to_point_midpoint_convex": lambda tol: verify_dist_to_point_midpoint_convex(
+        lattice_1d(), count=2, tol=tol),
+    "sweep_max_affine": lambda tol: sweep_max_affine(lattice_1d(), count=2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_entry_points_reject_a_bad_tolerance(entry, tol):
+    TOL_ENTRY_POINTS[entry](0)  # a good tolerance passes
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        TOL_ENTRY_POINTS[entry](tol)
 
 
 def test_refuted_pointwise_reports_are_pinned(monkeypatch, lettered_square):
