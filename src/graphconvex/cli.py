@@ -46,8 +46,8 @@ from .io import (
     parse_vertex_function,
     parse_vertex_set,
 )
-from .lattice import NORMS, GroupLattice, LatticeSpec, build_lattice, is_midpoint_convex_at
-from .lattice import has_nearest_neighbor_property
+from .lattice import NORMS, GroupLattice, LatticeSpec, _plain_passes, build_lattice
+from .lattice import has_nearest_neighbor_property, is_midpoint_convex_at
 from .subharmonic import compare_to_neighborhood_mean
 from . import theorems
 from .theorems import (
@@ -328,8 +328,10 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
         rows.append(row)
     else:
         fun = parse_vertex_function(_read_text(_need(args, parser, "fn")), inst.universe)
+        # one plain midpoint pass over f, which validates f once; its True is final
+        settled = _plain_passes(inst.lattice, fun)[0] if kind == "midpoint" else None
         for z in inst.domain:
-            rows.append(_check_row(kind, inst, fun, z, weighted, tol))
+            rows.append(_check_row(kind, inst, fun, z, weighted, tol, settled))
     ok_all = all(r["verdict"] != "violated" for r in rows)
     payload = {
         "report": "check",
@@ -343,7 +345,7 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
     return payload, 0 if ok_all else 1
 
 
-def _check_row(kind, inst, fun, z, weighted, tol) -> dict:
+def _check_row(kind, inst, fun, z, weighted, tol, settled) -> dict:
     name = format_vertex(z)
     if z not in fun:
         return {"vertex": name, "verdict": "skipped", "reason": "no value"}
@@ -353,7 +355,7 @@ def _check_row(kind, inst, fun, z, weighted, tol) -> dict:
             return {"vertex": name, "verdict": "ok"}
         return _convexity_witness(verdict.witness, vertex=name, verdict="violated")
     if kind == "midpoint":
-        verdict = is_midpoint_convex_at(inst.lattice, fun, z, tol=tol)
+        verdict = settled(z) or is_midpoint_convex_at(inst.lattice, fun, z, tol=tol)
         if verdict:
             return {"vertex": name, "verdict": "ok"}
         return _midpoint_witness(verdict.witness, vertex=name, verdict="violated")

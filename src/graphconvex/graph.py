@@ -8,7 +8,7 @@ import heapq
 import math
 from functools import reduce
 from itertools import islice, repeat
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -160,6 +160,14 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _picker(indices) -> Callable:
+    """``seq -> tuple(seq[i] for i in indices)``, in one C-level call for
+    two or more indices (``itemgetter`` returns a bare item for one)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(map(seq.__getitem__, indices))
+
+
 class Graph:
     """Immutable undirected graph over hashable vertex ids.
 
@@ -168,17 +176,17 @@ class Graph:
     use and cached, one list per source in vertex order.  When every
     weight is the int 1 a row comes from a breadth-first search over
     vertex indices; any other weights take a binary-heap Dijkstra.  When
-    every weight is a plain int (not a bool), both yield the row's
-    distance shells, and all distance arithmetic stays in exact ints; any
-    float weight (1.0 included) switches that source's distances to
-    floats, without shells.
+    every weight is a plain int, both yield the row's distance shells, and
+    all distance arithmetic stays in exact ints; any float weight (1.0
+    included) switches that source's distances to floats, without shells.
+    A bool weight is rejected.
     """
 
     def __init__(self, edges: Iterable = (), vertices: Iterable = ()):
         adj: dict[Any, dict[Any, Weight]] = {}
         for v in vertices:
             adj.setdefault(v, {})
-        unit = int_unit = ints = True  # every weight == 1 / the int 1 / a plain int
+        unit = ints = True  # every weight == 1 / is a plain int
         for edge in edges:
             if len(edge) == 2:
                 u, v = edge
@@ -186,14 +194,14 @@ class Graph:
             elif len(edge) == 3:
                 u, v, w = edge
                 if type(w) is not int or w != 1:
-                    int_unit = False
                     unit = unit and w == 1
                     ints = ints and type(w) is int
             else:
                 raise ValueError(f"edge must be (u, v) or (u, v, weight): {edge!r}")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0:
+            bad = isinstance(w, bool) or not isinstance(w, (int, float))
+            if bad or not math.isfinite(w) or w <= 0:
                 raise ValueError(
                     f"edge {u!r}-{v!r}: weight must be finite and positive, got {w!r}"
                 )
@@ -206,7 +214,8 @@ class Graph:
         self._order: tuple = tuple(sort_vertices(adj))
         self._adj: dict[Any, Mapping] = {v: MappingProxyType(adj[v]) for v in self._order}
         self._index = {v: i for i, v in enumerate(self._order)}
-        self._unit, self._bfs, self._ints = unit, int_unit, ints
+        self._unit, self._ints = unit, ints
+        self._bfs = unit and ints  # every weight is the int 1
         self._nbr_masks: list | None = None  # per index, its neighbours' bitmask; BFS only
         self._rows: list = [None] * len(self._order)  # index -> (row, shells)
         self._views: dict = {}  # vertex -> read-only mapping of its finite row

@@ -32,11 +32,15 @@ the largest |z_i| over the radius ball, so the interior is a box.
 The window is stored in row-major order (the last axis varies fastest),
 so with x at index i the translates x + z and x - z sit at i + s and
 i - s, where s = sum_k z_k * stride_k; inside the half-box neither wraps
-across an axis.  Each check first runs the plain inequalities over these
-flat offsets in one C-level pass and only rescans, with the tolerance and
-in box order, when that pass does not settle it.  ``_plain_passes`` runs
-that pass, and one for the weighted mean at interior points, over one
-function read once into window order.
+across an axis.  Every midpoint test reads that layout through
+``GroupLattice._offsets``: per x it keeps two C-level pickers, which take
+the items at x + z and at x - z, in box order, from any sequence in
+window order.
+:func:`is_midpoint_convex_at` picks the translates from ``window`` and
+scans its whole box with the tolerance.  ``_plain_passes`` reads one
+function once into window order and picks from that list, so the plain
+inequalities at x are one C-level pass, and a pass is final; it runs one
+more such pass for the weighted mean at interior points.
 """
 
 from __future__ import annotations
@@ -45,13 +49,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Any, Iterator, Mapping
 
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, check_values, exact_add
-from .graph import Graph, Metric, UnknownVertexError
+from .graph import Graph, Metric, UnknownVertexError, _picker
 
 NORMS = ("l1", "l2", "linf")
 
@@ -152,7 +156,7 @@ class GroupLattice:
         self._mean_shifts = tuple(sum(map(mul, z, self._strides)) for z in self._steps)
         self._mean_weights = tuple(map(spec.norm_value, self._steps))
         self._total_weight = reduce(add, self._mean_weights, 0)
-        self._offset_table: dict = {}  # x -> (i, half-box of x, flat shifts)
+        self._offset_table: dict = {}  # x -> (i, half-box of x, its two pickers)
         self._metrics: dict = {}  # tol -> the norm metric
 
     def neighbors(self, x) -> dict:
@@ -198,17 +202,22 @@ class GroupLattice:
             raise UnknownVertexError(x)
 
     def _offsets(self, x) -> tuple:
-        """(i, box, shifts) for the window point x: its index in
-        ``window``, its half-box of offsets z and, per z, the shift s with
-        ``window[i + s] == x + z`` and ``window[i - s] == x - z``.
-        Raises UnknownVertexError when x is not a window point."""
+        """(i, box, plus, minus) for the window point x: its index in
+        ``window``, its half-box of offsets z, and the pickers that take
+        the items at x + z and at x - z, per z of the box and in its order,
+        from a sequence in window order (``plus(window)`` are the points
+        x + z).  Raises UnknownVertexError when x is not a window point."""
         found = self._offset_table.get(x)
         if found is None:
             i = self._index.get(x)
             if i is None:
                 raise UnknownVertexError(x)
-            reach = _reach(self.spec, x)
-            found = self._offset_table[x] = (i, _half_box(reach), _shifts(reach, self._strides))
+            box, shifts = _half_box(_reach(self.spec, x), self._strides)
+            found = self._offset_table[x] = (
+                i, box,
+                _picker(list(map(add, repeat(i), shifts))),
+                _picker(list(map(sub, repeat(i), shifts))),
+            )
         return found
 
 
@@ -265,25 +274,16 @@ class MidpointVerdict:
 def is_midpoint_convex_at(
     lat: GroupLattice, f: Mapping, x, tol: float | None = None
 ) -> MidpointVerdict:
-    """Check 2 f(x) <= f(x+z) + f(x-z) for all z with both points in window.
-    A tolerance that is NaN, infinite or negative raises ValueError."""
-    i, box, shifts = lat._offsets(x)
+    """Check 2 f(x) <= f(x+z) + f(x-z) for all z with both points in window,
+    in box order, and report the first z that fails.  A tolerance that is
+    NaN, infinite or negative raises ValueError."""
+    _, box, plus, minus = lat._offsets(x)
     tol = lat._tol if tol is None else check_tolerance(tol)
     check_values(f.values())
     if x not in f:
         return MidpointVerdict(True, x)
-    fx2 = 2 * f[x]
-    at, get = lat.window.__getitem__, f.get
-    try:
-        # plain <= implies approx_le, so a pass is final
-        if _plain_pass(lambda js: map(get, map(at, js)), fx2, i, shifts):
-            return MidpointVerdict(True, x)
-    except (TypeError, OverflowError):
-        # a translate without a value (None + ...), or an int beyond float
-        # range plus a float: the scan below decides
-        pass
-    for z, s in zip(box, shifts):
-        fp, fq = get(at(i + s)), get(at(i - s))
+    fx2, get, window = 2 * f[x], f.get, lat.window
+    for z, fp, fq in zip(box, map(get, plus(window)), map(get, minus(window))):
         if fp is None or fq is None:
             continue
         rhs = exact_add(fp, fq)
@@ -304,48 +304,37 @@ def _plain_passes(lat: GroupLattice, f: Mapping) -> tuple:
     :func:`~graphconvex.subharmonic.compare_to_neighborhood_mean` sums them
     on ``lat``, so this is that comparison's truth value.
 
-    f is validated here, once, and read once into window order, so each
-    x costs one C-level pass over its flat shifts.  False means "not
-    settled": a failed inequality, a point without a value, or an int
-    beyond float range met by a float; :func:`is_midpoint_convex_at` and
-    the mean comparison then give the verdict, the tolerance's say and the
-    witness.
+    f is validated here, once, and read once into a list in window order,
+    so each x costs one C-level pass over the values its pickers take from
+    that list.  False means "not settled": a failed inequality, a point
+    without a value, or an int beyond float range met by a float;
+    :func:`is_midpoint_convex_at` and the mean comparison then give the
+    verdict, the tolerance's say and the witness.
     """
     check_values(f.values())
     vals = list(map(f.get, lat.window))
-    read = partial(map, vals.__getitem__)
-    offsets, index = lat._offsets, lat._index
+    at, offsets, index = vals.__getitem__, lat._offsets, lat._index
     weights, shifts, total = lat._mean_weights, lat._mean_shifts, lat._total_weight
 
     def midpoint(x) -> bool:
-        i, _, box_shifts = offsets(x)
+        i, _, plus, minus = offsets(x)
         try:
-            return _plain_pass(read, 2 * vals[i], i, box_shifts)
+            return all(map(le, repeat(2 * vals[i]), map(add, plus(vals), minus(vals))))
         except (TypeError, OverflowError):
+            # a translate without a value (None + ...), or an int beyond
+            # float range plus a float
             return False
 
     def mean(x) -> bool:
         i = index[x]
         try:
             # reduce, not sum: sum() of floats is compensated on Python 3.12+
-            acc = reduce(add, map(mul, weights, read(map(add, repeat(i), shifts))), 0)
+            acc = reduce(add, map(mul, weights, map(at, map(add, repeat(i), shifts))), 0)
             return total * vals[i] <= acc
         except (TypeError, OverflowError):
             return False
 
     return midpoint, mean
-
-
-def _plain_pass(read, fx2, i, shifts) -> bool:
-    """Plain ``fx2 <= f(x + z) + f(x - z)`` for every flat shift s of x (at
-    index i), in one C-level pass; ``read`` maps an iterable of window
-    indices to the values there.  Raises TypeError where a value is None
-    and OverflowError where an int beyond float range meets a float."""
-    return all(map(le, repeat(fx2), map(
-        add,
-        read(map(add, repeat(i), shifts)),
-        read(map(sub, repeat(i), shifts)),
-    )))
 
 
 def _reach(spec: LatticeSpec, x) -> tuple:
@@ -354,17 +343,15 @@ def _reach(spec: LatticeSpec, x) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _half_box(reach: tuple) -> tuple:
-    """Nonzero z with |z_i| <= reach_i and first nonzero coordinate
-    positive, in lexicographic order."""
+def _half_box(reach: tuple, strides: tuple) -> tuple:
+    """(box, shifts): the nonzero z with |z_i| <= reach_i and first nonzero
+    coordinate positive, in lexicographic order, and per z its flat shift
+    sum_k z_k * stride_k in a window with these row-major strides.  Cached,
+    as the points of a window and the windows of one shape share few
+    reaches."""
     axes = [range(-r, r + 1) for r in reach]
-    return tuple(z for z in itertools.product(*axes) if _positive(z))
-
-
-@lru_cache(maxsize=256)
-def _shifts(reach: tuple, strides: tuple) -> tuple:
-    """Per z of ``_half_box(reach)``, its flat shift sum_k z_k * stride_k."""
-    return tuple(sum(map(mul, z, strides)) for z in _half_box(reach))
+    box = tuple(z for z in itertools.product(*axes) if _positive(z))
+    return box, tuple(sum(map(mul, z, strides)) for z in box)
 
 
 @dataclass(frozen=True)

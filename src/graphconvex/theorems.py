@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from operator import add, itemgetter, le, mul
+from operator import add, le, mul
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import generators
@@ -50,7 +50,7 @@ from .convexity import (
 )
 from .enumeration import _iter_connected_unit_graphs, count_connected_graphs
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, report_value
-from .graph import Graph, Metric, _bit_indices
+from .graph import Graph, Metric, _bit_indices, _picker
 from .io import format_graph, format_vertex
 from .lattice import (
     GroupLattice,
@@ -842,13 +842,13 @@ def _antecedent_test(claim: str, instance, m: Metric):
             return (map(mul, dij, repeat(dist[k])),
                     map(add, map(mul, dkj, fi(dist)), map(mul, dik, fj(dist))))
     else:
-        # 2 f(x) <= f(x + z) + f(x - z) over the flat offsets of
-        # is_midpoint_convex_at: the metric's vertices are the lattice window
+        # 2 f(x) <= f(x + z) + f(x - z) over the pickers of the lattice
+        # layout: the metric's vertices are the lattice window, in its order
         sites = {}
         for k, x in enumerate(m.vertices):
-            i, _, shifts = instance._offsets(x)
-            if shifts:
-                sites[k] = (_picker([i + s for s in shifts]), _picker([i - s for s in shifts]))
+            _, box, plus, minus = instance._offsets(x)
+            if box:
+                sites[k] = (plus, minus)
 
         def sides(dist, k):
             fp, fq = sites[k]
@@ -895,12 +895,6 @@ def _nearest_neighbor_test(lat: GroupLattice, tol: float):
         return True
 
     return test
-
-
-def _picker(indices):
-    """``seq -> tuple(seq[i] for i in indices)``, done in C."""
-    get = itemgetter(*indices)
-    return get if len(indices) > 1 else lambda seq: (get(seq),)
 
 
 def _logger():

@@ -8,8 +8,11 @@ lattice antecedent of ``verify_dist_convex_implies_set_convex``
 window order and settle most sites with one plain midpoint pass
 (``lattice._plain_passes``).  The loops here call the library check
 ``is_midpoint_convex_at`` at every site instead, so each call validates f
-and reads it through dict lookups; they are the verifiers' loops as they
-were before that pass.  Reports, witnesses and errors must be equal.
+and scans the whole box of x with the tolerance, with no plain pass
+first; they are the verifiers' loops as they were before that pass.  Both
+read the window through the same pickers (``GroupLattice._offsets``), so
+the tuple-arithmetic oracle of ``test_properties`` is what checks those.
+Reports, witnesses and errors must be equal.
 
 thm4-cvx-sub and prop-nn also settle most weighted means with one plain
 pass over the same window-order values, and leave the rest to

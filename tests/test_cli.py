@@ -215,6 +215,57 @@ def test_check_midpoint_and_nn_on_lattice(tmp_path, capsys):
     assert code == 0
 
 
+# on the window 0:8: (1) and (2) meet 10**400 + 0.5, (3) exceeds its
+# translates by a float within the tolerance, (4) and (6) have the missing
+# (5) as a translate, (6) fails at z = (2) after it and (7) fails at z = (1)
+MIDPOINT_ROWS = {0: 10**400, 1: 3, 2: 0.5, 3: 0.5000000000001, 4: 0.5, 6: 1, 7: 5, 8: 0}
+
+
+@pytest.mark.parametrize("interior_only", [False, True])
+def test_check_midpoint_rows_match_the_per_vertex_check(interior_only, monkeypatch,
+                                                         tmp_path, capsys):
+    """The plain pass settles rows (0) and (8), whose boxes are empty;
+    every other row with a value goes to is_midpoint_convex_at, and the
+    rows are those of that check at every vertex."""
+    from graphconvex import format_vertex, is_midpoint_convex_at
+    from graphconvex.lattice import _plain_passes
+
+    unsettled = [(1,), (2,), (3,), (4,), (6,), (7,)]
+    fn = tmp_path / "f.fn"
+    fn.write_text("".join(f"({v}) {y!r}\n" for v, y in MIDPOINT_ROWS.items()))
+    lat = graphconvex.build_lattice(graphconvex.LatticeSpec(1, "l1", 1, ((0, 8),)))
+    f = {(v,): y for v, y in MIDPOINT_ROWS.items()}
+    domain = sorted(lat.interior) if interior_only else lat.window
+    settled = _plain_passes(lat, f)[0]
+    assert [x for x in domain if x in f and not settled(x)] == unsettled
+    expected = []
+    for x in domain:
+        name = format_vertex(x)
+        if x not in f:
+            expected.append({"vertex": name, "verdict": "skipped", "reason": "no value"})
+            continue
+        verdict = is_midpoint_convex_at(lat, f, x)
+        row = {"vertex": name, "verdict": "ok" if verdict else "violated"}
+        if not verdict:
+            w = verdict.witness
+            row.update(z=format_vertex(w.z), lhs=w.lhs, rhs=w.rhs)
+        expected.append(row)
+    called = []
+    real = cli.is_midpoint_convex_at
+    monkeypatch.setattr(cli, "is_midpoint_convex_at",
+                        lambda lat, f, x, tol: called.append(x) or real(lat, f, x, tol=tol))
+    argv = ["check", "midpoint", "--lattice", "l1", "--window", "0:8", "--fn", str(fn)]
+    code, payload = run_json(capsys, *argv, *(["--interior-only"] if interior_only else []))
+    assert (code, payload["ok"]) == (1, False)
+    assert payload["rows"] == expected
+    assert called == unsettled
+    by_vertex = {r["vertex"]: r for r in payload["rows"]}
+    assert by_vertex["(5)"]["verdict"] == "skipped"
+    for v, z, lhs, rhs in (("(6)", "(2)", 2, 0.5), ("(7)", "(1)", 10, 1)):
+        assert by_vertex[v] == {"vertex": v, "verdict": "violated", "z": z, "lhs": lhs, "rhs": rhs}
+    assert [by_vertex[v]["verdict"] for v in ("(1)", "(2)", "(3)", "(4)")] == ["ok"] * 4
+
+
 @pytest.mark.parametrize("values", ["", "0 1\n"])
 def test_check_midpoint_on_a_graph_exits_two(values, square_file, tmp_path, capsys):
     # an empty function skips every row, which must not turn the misuse into a pass

@@ -51,6 +51,8 @@ def test_rejects_bad_weights():
         Graph([(1, 2, -1.5)])
     with pytest.raises(ValueError, match="weight"):
         Graph([(1, 2, math.inf)])
+    with pytest.raises(ValueError, match="weight"):
+        Graph([(1, 2, True)])  # == 1, but no weight a graph file can spell
     with pytest.raises(ValueError):
         Graph([(1, 2, 3, 4)])
 
@@ -117,20 +119,18 @@ def test_only_int_unit_weights_take_the_bfs():
     ints = Graph([(0, 1, 1)], vertices=[2])
     assert ints.metric().row_source(0) == ([0, 1, math.inf], {0: 0b1, 1: 0b10})
     assert type(ints.distance(0, 1)) is int
-    assert not Graph([(0, 1, True)]).metric().row_source(0)[1]
 
 
 def test_only_row_sources_certify_a_metric():
     # shells come from the row source alone: int weights give them, in
-    # distance order and with gaps where no distance falls; floats, bools
-    # and a hand-built Metric over the same int distances give none
+    # distance order and with gaps where no distance falls; floats and a
+    # hand-built Metric over the same int distances give none
     g = Graph([(0, 1, 2), (1, 2, 3), (0, 3, 5)], vertices=[4])
     m = g.metric()
     assert m.row(0) == [0, 2, 5, 5, math.inf]
     assert m.shells(0) == {0: 0b1, 2: 0b10, 5: 0b1100} and list(m.shells(0)) == [0, 2, 5]
     assert m.certified and not m.dense
-    for m in (Metric(g.vertices, g.distance), Graph([(0, 1, 2.0)]).metric(),
-              Graph([(0, 1, True)]).metric()):
+    for m in (Metric(g.vertices, g.distance), Graph([(0, 1, 2.0)]).metric()):
         assert m.row(0)[0] == 0
         assert not m.certified and m.shells(0) is None and m.shells(1) is None
 

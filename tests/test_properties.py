@@ -33,6 +33,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from graphconvex import convexity  # noqa: E402
+from graphconvex.lattice import GroupLattice, _plain_passes  # noqa: E402
 from graphconvex import (  # noqa: E402
     NORMS,
     Graph,
@@ -530,18 +531,50 @@ def assert_midpoint_matches_oracle(lat, f, x):
 @PROPERTY
 @given(lattices(), st.data())
 def test_midpoint_matches_window_scan(lat, data):
+    """The oracle works in tuple arithmetic, so it checks the pickers of
+    the flat layout in both of their readers: the tolerant scan of
+    ``is_midpoint_convex_at`` and the plain pass, whose True is final."""
     f = partial_function(data, lat)
+    settled = _plain_passes(lat, f)[0]
     for x in lat.window:
         assert_midpoint_matches_oracle(lat, f, x)
+        if settled(x):
+            assert midpoint_oracle(lat, f, x) is None
+
+
+@pytest.mark.parametrize("window, box_sizes", [
+    (((0, 0),), {0}),
+    (((0, 1),), {0}),
+    (((0, 2),), {0, 1}),
+    (((0, 2), (0, 2)), {0, 1, 4}),  # a corner, the edge midpoints, the centre
+])
+def test_midpoint_on_empty_and_single_offset_boxes(window, box_sizes):
+    """Boxes with no z and with one z, where a picker takes no value or
+    one.  f = -|x|^2 fails 2 f(x) <= f(x + z) + f(x - z) for every z, so
+    both readers must see exactly the points whose box is not empty."""
+    lat = GroupLattice(LatticeSpec(len(window), "l1", 1, window))
+    f = {x: -sum(c * c for c in x) for x in lat.window}
+    settled = _plain_passes(lat, f)[0]
+    assert {len(lat._offsets(x)[1]) for x in lat.window} == box_sizes
+    for x in lat.window:
+        box = lat._offsets(x)[1]
+        assert settled(x) == (not box)
+        assert_midpoint_matches_oracle(lat, f, x)
+        verdict = is_midpoint_convex_at(lat, f, x)
+        assert verdict.ok == (not box)
+        if box:
+            assert verdict.witness.z == box[0]
 
 
 def test_midpoint_witness_after_a_translate_without_value():
     """The first z in box order has no value at x + z and a later z fails,
-    so the first pass stops on the missing value and the scan finds z."""
+    so the plain pass stops on the missing value, and the scan skips that
+    z and finds the later one."""
     lat = build_lattice(LatticeSpec(2, "l1", 1, ((0, 2), (0, 2))))
     f = {v: 0 for v in lat.window}
     f[(1, 1)] = 1
     del f[(1, 2)]  # x + z for z = (0, 1), the first offset of (1, 1)
+    assert _plain_passes(lat, f)[0]((1, 1)) is False
     verdict = is_midpoint_convex_at(lat, f, (1, 1))
     assert not verdict
     assert verdict.witness.z == (1, -1)
