@@ -23,16 +23,25 @@ Output has one path.  Each command returns a payload and an exit code:
 ``gen`` its graph text, the others the report dict that
 ``docs/report-schema.json`` describes.  :func:`main` renders the payload
 once, as JSON or as text chosen by the report kind, and writes it to
-stdout or ``-o FILE``.  Only the chosen subcommand's arguments are built,
-and when the command line starts with it, only that subcommand
-(:func:`build_parser`).
+stdout or ``-o FILE``.
+
+Parsing has one parser per command line.  A command line that starts
+with its command is parsed by that command's parser alone, which asks for
+the terminal width once, not once per argument.  The top-level parser
+(:func:`build_parser`) is built only for top-level help, for leftover
+arguments or a command line that does not start with a command, and for
+the usage errors a command reports, so usage lines and messages stay
+those of the full build.  No parser or parsed input outlives a call of
+:func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
+import shutil
 import sys
 
 from . import generators
@@ -72,8 +81,8 @@ CHECK_KINDS = (
 
 def main(argv: list[str] | None = None) -> int:
     argv = _glue_window(sys.argv[1:] if argv is None else list(argv))
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = _parse(argv)
+    parser = _TopLevel(argv)
     try:
         payload, code = _COMMANDS[args.command][2](args, parser)
         text = _render(payload, getattr(args, "format", "text"))
@@ -105,31 +114,56 @@ def _glue_window(argv: list[str]) -> list[str]:
     return out
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser for ``argv``, where only the subcommand that
-    argparse dispatches on has its arguments.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by its command's parser alone, under the prog
+    :func:`build_parser` gives that subparser, when it starts with the
+    command and leaves nothing over; else by the top-level parser, which
+    reports leftover arguments as the full build does."""
+    if argv and argv[0] in _COMMANDS:
+        add_arguments = _COMMANDS[argv[0]][1]
+        # one terminal query for every formatter argparse makes (one per argument)
+        width = shutil.get_terminal_size().columns - 2  # what HelpFormatter computes
+        parser = argparse.ArgumentParser(
+            prog=f"graphconvex {argv[0]}",
+            formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+        )
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser(argv).parse_args(argv)
 
-    That is the first token naming a command, as the top-level parser has
-    no option that takes a value.  When it is ``argv[0]``, it is the only
-    subcommand added, under the metavar argparse would print for all of
-    them, so usage lines read the same.  Any other ``argv`` lists every
-    subcommand: top-level help, and the "invalid choice" and "required"
-    errors, which name the subcommands' action by its metavar, need them
-    all and no metavar."""
+
+class _TopLevel:
+    """The top-level parser of ``argv`` as the commands use it: they only
+    report usage errors, and :meth:`error` builds the parser only then."""
+
+    def __init__(self, argv: list[str]):
+        self.argv = argv
+
+    def error(self, message: str):
+        build_parser(self.argv).error(message)
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser for ``argv``: every subcommand listed, and
+    only the one argparse dispatches on given its arguments.
+
+    It is built only for errors and for an ``argv`` that does not start
+    with a command: one that does is parsed by its command's parser alone
+    (:func:`_parse`).  The dispatched subcommand is the first token naming
+    a command, as the top-level parser has no option that takes a value."""
     command = next((tok for tok in argv if tok in _COMMANDS), None)
-    alone = argv[:1] == [command]
     parser = argparse.ArgumentParser(
         prog="graphconvex",
         description="Convexity and subharmonicity checks on graphs and norm lattices.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=_COMMANDS_METAVAR if alone else None,
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         if name == command:
-            add_arguments(sub.add_parser(name, help=help_text))
-        elif not alone:
-            sub.add_parser(name, help=help_text)
+            add_arguments(p)
     return parser
 
 
@@ -186,18 +220,20 @@ _GEN_SIZED = {
 
 def _gen_arguments(p_gen) -> None:
     fam = p_gen.add_subparsers(dest="family", required=True)
+    # the families format as the gen parser does; add_parser would not pass it on
+    add_parser = functools.partial(fam.add_parser, formatter_class=p_gen.formatter_class)
     for name, (sizes, _) in _GEN_SIZED.items():
-        p = fam.add_parser(name)
+        p = add_parser(name)
         _add_output(p)
         for size in sizes:
             p.add_argument(size, type=int)
-    p = fam.add_parser("random")
+    p = add_parser("random")
     _add_output(p)
     p.add_argument("n", type=int)
     p.add_argument("p", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--connected", action="store_true")
-    p = fam.add_parser("lattice")
+    p = add_parser("lattice")
     _add_output(p)
     p.add_argument("--norm", choices=NORMS, default="l1")
     p.add_argument("--dim", type=int)
@@ -438,7 +474,6 @@ _COMMANDS = {
     "verify": ("check one named claim", _verify_arguments, _cmd_verify),
     "search": ("hunt for a counterexample", _search_arguments, _cmd_search),
 }
-_COMMANDS_METAVAR = "{" + ",".join(_COMMANDS) + "}"  # as argparse shows the choices
 
 
 # -- instance plumbing ------------------------------------------------------------

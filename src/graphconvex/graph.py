@@ -193,18 +193,18 @@ class Graph:
                 w: Weight = 1
             elif len(edge) == 3:
                 u, v, w = edge
-                if type(w) is not int or w != 1:
-                    unit = unit and w == 1
-                    ints = ints and type(w) is int
             else:
                 raise ValueError(f"edge must be (u, v) or (u, v, weight): {edge!r}")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            bad = isinstance(w, bool) or not isinstance(w, (int, float))
-            if bad or not math.isfinite(w) or w <= 0:
-                raise ValueError(
-                    f"edge {u!r}-{v!r}: weight must be finite and positive, got {w!r}"
-                )
+            if type(w) is not int or w != 1:  # the int 1 needs no check
+                bad = isinstance(w, bool) or not isinstance(w, (int, float))
+                if bad or not math.isfinite(w) or w <= 0:
+                    raise ValueError(
+                        f"edge {u!r}-{v!r}: weight must be finite and positive, got {w!r}"
+                    )
+                unit = unit and w == 1
+                ints = ints and type(w) is int
             adj.setdefault(u, {})
             adj.setdefault(v, {})
             if v in adj[u]:

@@ -10,14 +10,24 @@ Graph files::
 ``v <id>`` declares a vertex, ``e <id1> <id2> [weight]`` an edge (weight
 defaults to 1).  Ids are whitespace-free tokens; lattice vertices print as
 ``(c1,...,cn)``.  Set files hold one vertex id per line; function files hold
-``<id> <value>`` with ``inf`` as the only non-numeric value.
+``<id> <value>`` with ``inf`` as the only non-numeric value: any other
+token float() reads as infinite (``Infinity``, ``+inf``, ``1e400``) is
+rejected.  Int tokens stay exact up to the interpreter's int
+string-conversion limit (``sys.get_int_max_str_digits()``, 4300 digits by
+default); a longer one reads as an infinite float and is rejected too.
+
+Graph checks live in two places.  :func:`parse_graph` checks each line's
+directive, token count and weight and each ``v`` id's repeat, and leaves
+self-loops and duplicate edges (by value, either way round) to
+:class:`~graphconvex.graph.Graph`.  Only when either fails is the text
+read again, with every check made at its line, to report the first fault
+in line order.
 """
 
 from __future__ import annotations
 
 import math
 
-from .extreal import check_value
 from .graph import Graph
 
 
@@ -62,9 +72,9 @@ def vertex_lookup(vertices) -> dict:
 
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _parse_weight(token: str, lineno: int):
@@ -81,6 +91,27 @@ def _parse_weight(token: str, lineno: int):
 
 
 def parse_graph(text: str) -> Graph:
+    """Graph file -> :class:`Graph`; a :class:`FormatError` names the
+    first faulty line (where graph checks live: see the module docstring)."""
+    try:
+        return _read_graph(text, checked=False)
+    except ValueError:
+        pass
+    return _read_graph(text, checked=True)
+
+
+class _Ids(dict):
+    """Token -> vertex id, each distinct token parsed once."""
+
+    def __missing__(self, token: str):
+        self[token] = vid = parse_vertex_token(token)
+        return vid
+
+
+def _read_graph(text: str, checked: bool) -> Graph:
+    """The one parse loop of :func:`parse_graph`.  ``checked`` adds, at
+    their lines, the edge checks ``Graph`` makes."""
+    ids = _Ids()
     vertices: list = []
     seen_vertices: set = set()
     edges: list = []
@@ -90,7 +121,7 @@ def parse_graph(text: str) -> Graph:
         if kind == "v":
             if len(args) != 1:
                 raise FormatError(lineno, "v takes exactly one id")
-            vid = parse_vertex_token(args[0])
+            vid = ids[args[0]]
             if vid in seen_vertices:
                 raise FormatError(lineno, f"duplicate vertex {args[0]}")
             seen_vertices.add(vid)
@@ -98,15 +129,15 @@ def parse_graph(text: str) -> Graph:
         elif kind == "e":
             if len(args) not in (2, 3):
                 raise FormatError(lineno, "e takes two ids and an optional weight")
-            u, v = parse_vertex_token(args[0]), parse_vertex_token(args[1])
-            if u == v:
-                raise FormatError(lineno, f"self-loop at {args[0]}")
-            key = frozenset((u, v))
-            if key in seen_edges:
-                raise FormatError(lineno, f"duplicate edge {args[0]} {args[1]}")
-            seen_edges.add(key)
-            w = _parse_weight(args[2], lineno) if len(args) == 3 else 1
-            edges.append((u, v, w))
+            u, v = ids[args[0]], ids[args[1]]
+            if checked:
+                if u == v:
+                    raise FormatError(lineno, f"self-loop at {args[0]}")
+                key = frozenset((u, v))
+                if key in seen_edges:
+                    raise FormatError(lineno, f"duplicate edge {args[0]} {args[1]}")
+                seen_edges.add(key)
+            edges.append((u, v, _parse_weight(args[2], lineno)) if len(args) == 3 else (u, v))
         else:
             raise FormatError(lineno, f"unknown directive {kind!r}")
     return Graph(edges, vertices=vertices)
@@ -170,13 +201,17 @@ def _parse_value(token: str, lineno: int):
     if token == "inf":
         return math.inf
     try:
-        return int(token)
+        return int(token)  # exact, up to the int string-conversion limit
     except ValueError:
         pass
     try:
-        return check_value(float(token))
+        value = float(token)
     except ValueError:
-        raise FormatError(lineno, f"bad value {token!r}") from None
+        value = math.nan
+    # inf is spelled "inf" only: 1e400, Infinity and +inf are bad values, as are nan and -inf
+    if not math.isfinite(value):
+        raise FormatError(lineno, f"bad value {token!r}")
+    return value
 
 
 def _format_number(x) -> str:

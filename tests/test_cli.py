@@ -789,9 +789,9 @@ def _subparsers(parser):
 
 
 def _full_parser(argv):
-    """Every subcommand listed, the dispatched one with its arguments, and
-    no metavar: what :func:`build_parser` builds when the command is not
-    argv[0]."""
+    """The full build: every subcommand listed, the dispatched one with
+    its arguments, assembled here from the argument builders as the
+    reference every command line's outcome must match."""
     parser = build_parser([])
     command = next((tok for tok in argv if tok in cli._COMMANDS), None)
     if command is not None:
@@ -800,14 +800,52 @@ def _full_parser(argv):
 
 
 def test_build_parser_adds_only_the_chosen_subcommand():
-    sub = _subparsers(build_parser(["hull", "--set", "s"]))
-    assert list(sub.choices) == ["hull"]
-    assert "set" in {a.dest for a in sub.choices["hull"]._actions}
-    # a command after a top-level flag: every subcommand listed, one built
-    sub = _subparsers(build_parser(["-h", "hull"]))
-    assert list(sub.choices) == list(cli._COMMANDS)
-    assert "set" in {a.dest for a in sub.choices["hull"]._actions}
-    assert "claim" not in {a.dest for a in sub.choices["verify"]._actions}
+    # every subcommand listed, one built, wherever the command stands
+    for argv in (["hull", "--set", "s"], ["-h", "hull"]):
+        sub = _subparsers(build_parser(argv))
+        assert list(sub.choices) == list(cli._COMMANDS)
+        assert "set" in {a.dest for a in sub.choices["hull"]._actions}
+        assert "claim" not in {a.dest for a in sub.choices["verify"]._actions}
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_build_outcome(argv, capsys, monkeypatch):
+    """:func:`_outcome` with every parser, the command-line parse and the
+    usage errors alike, built with every subcommand listed
+    (:func:`_full_parser`)."""
+    built = []
+
+    def full(argv):
+        built.append(_full_parser(argv))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", full)
+        patch.setattr(cli, "_parse", lambda argv: full(argv).parse_args(argv))
+        reference = _outcome(argv, capsys)
+    assert built, "the reference run built no parser"
+    for parser in built:
+        assert list(_subparsers(parser).choices) == list(cli._COMMANDS)
+    return reference
+
+
+@pytest.fixture()
+def cli_files(tmp_path, monkeypatch):
+    """Run in a directory holding a graph ``g`` (the 4-cycle), a set ``s``
+    and a function ``f`` on it, constant so that it passes every check."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g").write_text("e 0 1\ne 1 2\ne 2 3\ne 3 0\n")
+    (tmp_path / "s").write_text("0\n2\n")
+    (tmp_path / "f").write_text("0 0\n1 0\n2 0\n3 0\n")
 
 
 @pytest.mark.parametrize(
@@ -821,26 +859,43 @@ def test_build_parser_adds_only_the_chosen_subcommand():
      ["gen"], ["gen", "bogus"], ["gen", "cycle"], ["gen", "cycle", "x"],
      ["gen", "cycle", "-h"], ["gen", "lattice", "--help"], ["gen", "lattice"],
      ["gen", "cycle", "4", "hull"], ["hull", "gen"], ["gen", "-h", "cycle"],
-     ["gen", "cycle", "4"], ["gen", "lattice", "--window", "3", "--tolerance", "-1"]],
+     ["gen", "cycle", "4"], ["gen", "lattice", "--window", "3", "--tolerance", "-1"],
+     # usage errors a command reports after argparse
+     ["verify", "thm1", "--graph", "g", "--lattice", "l1"],
+     ["verify", "thm1", "--graph", "g", "--window", "3"],
+     ["hull", "--graph", "-", "--set", "-"],
+     ["hull", "--lattice", "l1", "--set", "s"],
+     ["verify", "thm3", "--graph", "g", "--fn", "f"],
+     ["verify", "prop-nn", "--lattice", "l1", "--window", "3", "--fn", "f"],
+     ["verify", "lem-dist-pt", "--lattice", "l1", "--window", "3", "--values", "1"],
+     ["check", "midpoint", "--graph", "g", "--fn", "f"],
+     # trailing extras after a valid command, and valid commands
+     ["gen", "cycle", "4", "extra"], ["hull", "--graph", "g", "--set", "s", "extra"],
+     ["verify", "thm1", "--graph", "g", "--fn", "f", "--", "extra"],
+     ["hull", "--graph", "g", "--set", "s"], ["verify", "thm1", "--graph", "g", "--fn", "f"],
+     ["check", "fn-convex", "--graph", "g", "--fn", "f", "--format", "json"]],
     ids=lambda argv: " ".join(argv) or "empty",
 )
-def test_one_subparser_reads_like_the_full_build(argv, capsys, monkeypatch):
+def test_one_subparser_reads_like_the_full_build(argv, cli_files, capsys, monkeypatch):
     # exit code, stdout and stderr byte for byte against the full build
     monkeypatch.setenv("COLUMNS", "80")
-
-    def outcome():
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    got = outcome()
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_parser", _full_parser)
-        assert outcome() == got
+    got = _outcome(argv, capsys)
+    assert got == _full_build_outcome(argv, capsys, monkeypatch)
     assert got[0] in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["hull", "-h"], ["gen", "lattice", "--help"], ["hull", "--set"],
+     ["verify", "thm1", "--graph", "g", "--lattice", "l1"], ["gen", "cycle", "4", "extra"]],
+    ids=" ".join,
+)
+def test_one_subparser_reads_like_the_full_build_at_40_columns(argv, cli_files, capsys,
+                                                               monkeypatch):
+    monkeypatch.setenv("COLUMNS", "40")
+    got = _outcome(argv, capsys)
+    assert got == _full_build_outcome(argv, capsys, monkeypatch)
+    assert got[1] or got[2]
 
 
 @pytest.mark.parametrize(
@@ -977,7 +1032,7 @@ def test_bad_window_spec_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys, monkeypatch):
     # the child imports the same graphconvex as this process
     src = str(Path(graphconvex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -987,3 +1042,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("v 0\n")
+    # help and a usage error in a fresh process, whose parser reads the
+    # terminal width itself, byte for byte against the full build in this one
+    monkeypatch.setenv("COLUMNS", "60")
+    for argv in (["hull", "--help"],
+                 ["hull", "--graph", "g", "--lattice", "l1", "--set", "s"]):
+        proc = subprocess.run([sys.executable, "-m", "graphconvex", *argv],
+                              capture_output=True, env={**env, "COLUMNS": "60"})
+        code, out, err = _full_build_outcome(argv, capsys, monkeypatch)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+        assert code == (0 if "--help" in argv else 2)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -101,6 +102,28 @@ def test_parse_graph_error_line_numbers():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("text, line, message", [
+    # several faults: the first in line order wins, whichever check finds it
+    ("e a a\nv b\ne b c zero\n", 1, "self-loop at a"),
+    ("e a b\ne b c -1\ne b a\n", 2, "weight must be finite and positive, got '-1'"),
+    ("e a b\ne b a\ne c d zero\n", 2, "duplicate edge b a"),
+    ("e a b\ne a b\ne c\n", 2, "duplicate edge a b"),
+    ("v a\ne a b\nq\ne b b\n", 3, "unknown directive 'q'"),
+    ("e x y\ne y y\nv x\nv x\n", 2, "self-loop at y"),
+    ("v a\nv a\ne b b\n", 2, "duplicate vertex a"),
+    # duplicates by value, not by token
+    ("v 1\nv 01\n", 2, "duplicate vertex 01"),
+    ("e 1 01\n", 1, "self-loop at 1"),
+    ("e 1 2\ne 02 1\n", 2, "duplicate edge 02 1"),
+    ("e (0,1) (1,1)\ne (1,1) (0,01)\n", 2, "duplicate edge (1,1) (0,01)"),
+])
+def test_parse_graph_reports_the_first_fault_in_line_order(text, line, message):
+    with pytest.raises(FormatError) as err:
+        parse_graph(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_format_graph_rejects_unserializable_ids():
     from graphconvex import Graph
 
@@ -158,6 +181,27 @@ def test_parse_vertex_function_errors():
         parse_vertex_function("0\n", universe)
     with pytest.raises(FormatError):
         parse_vertex_function("0 abc\n", universe)
+    # inf is spelled "inf" only: no other token float() reads as infinite
+    for token in ("1e400", "Infinity", "+inf", "INF", "infinity", "-1e400"):
+        with pytest.raises(FormatError) as err:
+            parse_vertex_function(f"0 1\n1 {token}\n", universe)
+        assert str(err.value) == f"line 2: bad value {token!r}"
+    f = parse_vertex_function(f"0 inf\n1 {10**400}\n2 1e308\n", universe)
+    assert f == {0: math.inf, 1: 10**400, 2: 1e308}
+    assert type(f[1]) is int
+
+
+def test_int_values_past_the_conversion_limit_are_bad_values():
+    # int() refuses them, and float() reads them as infinite
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length")
+    universe = cycle(3).vertices
+    assert parse_vertex_function(f"0 {'1' * limit}\n", universe) == {0: int("1" * limit)}
+    token = "1" * (limit + 1)
+    with pytest.raises(FormatError) as err:
+        parse_vertex_function(f"0 1\n1 {token}\n", universe)
+    assert str(err.value) == f"line 2: bad value {token!r}"
 
 
 def test_function_round_trip():

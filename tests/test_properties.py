@@ -16,6 +16,9 @@ The lattice oracles scan the whole window, while the library visits
 only the vectors that can matter; verdicts, first witnesses and set
 distances must agree exactly, value types included.  Neighbourhood means
 and the laplacian are checked against sums in fractions.
+
+Graph files round-trip: ``parse_graph(format_graph(g))`` has the vertices
+of g in the same order and its edges with equal weights of the same type.
 """
 
 import itertools
@@ -44,12 +47,14 @@ from graphconvex import (  # noqa: E402
     brute_force_convex_hull,
     build_lattice,
     compare_to_neighborhood_mean,
+    format_graph,
     convex_hull,
     has_nearest_neighbor_property,
     is_between,
     is_convex_at,
     is_midpoint_convex_at,
     laplacian,
+    parse_graph,
     set_distance_function,
 )
 
@@ -737,3 +742,32 @@ def test_means_and_laplacian_match_fraction_oracle(graph, data):
             scale = sum(Fraction(w) * (abs(Fraction(f[y])) + abs(Fraction(f[x])))
                         for y, w in nbrs.items())
             assert close(lap, sum(terms), scale)
+
+
+# ids of every kind a graph file holds: ints, int tuples (the empty one
+# too) and names that read as neither
+VERTEX_IDS = st.one_of(
+    st.integers(-20, 10**20),
+    st.lists(st.integers(-3, 3), max_size=3).map(tuple),
+    st.text("abxyz_-", min_size=1, max_size=3).filter(lambda t: not t.lstrip("-").isdigit()),
+)
+
+
+@PROPERTY
+@given(st.lists(VERTEX_IDS, min_size=1, max_size=8, unique=True), st.data())
+def test_graph_files_round_trip(vertices, data):
+    pairs = list(itertools.combinations(range(len(vertices)), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.sampled_from((None, 1, 2, 7, 10**30, 1.0, 0.5, 2.25, 0.1))
+    edges = []
+    for i, j in chosen:
+        w = data.draw(weights)
+        edges.append((vertices[i], vertices[j]) if w is None else (vertices[i], vertices[j], w))
+    g = Graph(edges, vertices=vertices)
+    g2 = parse_graph(format_graph(g))
+    assert g2.vertices == g.vertices
+    assert _typed_edges(g2) == _typed_edges(g)
+
+
+def _typed_edges(g):
+    return [(u, v, w, type(w)) for u, v, w in g.edges()]
