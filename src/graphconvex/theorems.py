@@ -52,13 +52,8 @@ from .enumeration import _iter_connected_unit_graphs, count_connected_graphs
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, report_value
 from .graph import Graph, Metric, _bit_indices, _picker
 from .io import format_graph, format_vertex
-from .lattice import (
-    GroupLattice,
-    _plain_passes,
-    _sub,
-    has_nearest_neighbor_property,
-    is_midpoint_convex_at,
-)
+from .lattice import GroupLattice, _sub, _tests, has_nearest_neighbor_property
+from .lattice import is_midpoint_convex_at  # noqa: F401  uncalled; perfbench/selfcheck.py reads it
 from .subharmonic import is_subharmonic_at
 
 # claim id -> (instance kind "graph" or "lattice", input file "fn", "set" or
@@ -245,12 +240,11 @@ def verify_pointwise_implication(
         if not isinstance(instance, GroupLattice):
             raise ValueError("hypothesis 'midpoint' needs a GroupLattice instance")
         claim, weighted = "thm4-cvx-sub", True
-        # radius below 1: an empty ball, no neighbors, no mean to compare
-        sites = sorted(instance.interior) if instance._mean_shifts else []
+        sites = instance._mean_sites
         # f is validated at the first site, so a window without sites
         # leaves it unread
         if sites:
-            convex_at, subharmonic_at = _lattice_tests(instance, f, tol)
+            convex_at, subharmonic_at = _tests(instance, f, tol)
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
     name = label or repr(instance)
@@ -290,7 +284,7 @@ def verify_dist_convex_implies_set_convex(
     fun = set_distance_function(m, f_set)
     if isinstance(instance, GroupLattice):
         claim = "prop-dist-cvx"
-        antecedent = all(map(_lattice_tests(instance, fun, m.tol)[0], instance.window))
+        antecedent = all(map(_tests(instance, fun, m.tol)[0], instance.window))
         checked = len(instance.window)
     else:
         claim = "thm3"
@@ -331,8 +325,8 @@ def _nn_conclusion(lat: GroupLattice, fun: Mapping, tol: float) -> tuple[int, di
     """The interior vertices of nonzero degree asserted, in order, and the
     witness of the first one where d(., F) = ``fun`` is not midpoint convex
     or not weighted-subharmonic (None when there is none)."""
-    convex_at, subharmonic_at = _lattice_tests(lat, fun, tol)
-    sites = sorted(lat.interior) if lat._mean_shifts else []  # as in thm4-cvx-sub
+    convex_at, subharmonic_at = _tests(lat, fun, tol)
+    sites = lat._mean_sites
     for fired, x in enumerate(sites, 1):
         mp = convex_at(x)
         if not mp:
@@ -341,20 +335,6 @@ def _nn_conclusion(lat: GroupLattice, fun: Mapping, tol: float) -> tuple[int, di
         if not cmp:
             return fired, _mean_witness(cmp, vertex=format_vertex(x))
     return len(sites), None
-
-
-def _lattice_tests(lat: GroupLattice, f: Mapping, tol: float) -> tuple:
-    """(convex_at, subharmonic_at) of f on ``lat``: x -> True, or the
-    midpoint verdict of f at x; interior x -> True, or the weighted mean
-    comparison there.  The plain passes over f (``lattice._plain_passes``,
-    which validates f now) settle most x; where they do not, this module's
-    ``is_midpoint_convex_at`` and ``is_subharmonic_at`` decide on ``lat``
-    and give the witness."""
-    midpoint, mean = _plain_passes(lat, f)
-    return (
-        lambda x: midpoint(x) or is_midpoint_convex_at(lat, f, x, tol=tol),
-        lambda x: mean(x) or is_subharmonic_at(lat, f, x, weighted=True, tol=tol),
-    )
 
 
 def _outside_witness(extra) -> dict:
@@ -385,7 +365,7 @@ def verify_dist_to_point_midpoint_convex(
     checked = fired = 0
     for a in points:
         fun = {v: spec.norm_value(_sub(v, a)) for v in lat.window}
-        convex_at = _lattice_tests(lat, fun, tol)[0]
+        convex_at = _tests(lat, fun, tol)[0]
         for x in lat.window:
             checked += 1
             fired += 1

@@ -1,19 +1,27 @@
 """The per-function midpoint and mean passes against the per-site library
-checks, on larger lattice windows, for thm4-cvx-sub, lem-dist-pt and prop-nn.
+checks, on larger lattice windows, for thm4-cvx-sub, lem-dist-pt and prop-nn,
+and the lattice's neighbours against the edges of a graph built point by
+point.
 
     PYTHONPATH=src python tests/check_lattice_pass_at_scale.py
 
 thm4-cvx-sub, lem-dist-pt and the prop-nn conclusion read each function
-once and settle most sites with one plain midpoint pass, and thm4-cvx-sub
-and prop-nn most weighted means with one plain mean pass
-(``lattice._plain_passes``); a mean the pass leaves open is compared on
-the lattice's own neighbours.  The loops of ``tests/lattice_oracle.py``
-call ``is_midpoint_convex_at`` at every site and compare every mean on
-``eager_graph``.  On 5x5x5 windows in the l1, linf and l2 norms and on
-15x15 l2 windows with radius 1.5 and 2.5, thm4-cvx-sub takes 20 max-affine
-samples and the same samples divided by 3 in floats (which the plain
-passes leave to the tolerance at some sites), and lem-dist-pt 10 base
-points.  prop-nn takes single sets (points, boxes and random sets) on the
+through ``lattice._tests``: it reads the function once and settles most
+sites with one plain midpoint pass, and thm4-cvx-sub and prop-nn most
+weighted means with one plain mean pass (``lattice._plain_passes``); a
+mean the pass leaves open is compared on the lattice's own neighbours.
+The loops of ``tests/lattice_oracle.py`` call ``is_midpoint_convex_at`` at
+every site and compare every mean on ``eager_graph``.
+
+First, at every point of each window below, of a 25x25 linf window with
+radius 2 and of a 2-D window offset by 10**400, ``GroupLattice.neighbors``
+(which looks the points x + z up in the window's index) must list the
+neighbours of ``eager_graph``, in the same order and with weights of the
+same value and type.  Then, on 5x5x5 windows in the l1, linf and l2 norms
+and on 15x15 l2 windows with radius 1.5 and 2.5, thm4-cvx-sub takes 20
+max-affine samples and the same samples divided by 3 in floats (which
+the plain passes leave to the tolerance at some sites), and lem-dist-pt
+10 base points.  prop-nn takes single sets (points, boxes and random sets) on the
 15x15 windows and on 41-point lines, and the all-subsets sweep on lines of
 11 points and on 3x3 and 3x4 windows.  Each runs at the default tolerance
 and at tolerance 0; reports and witness value types must agree, sample by
@@ -43,6 +51,7 @@ from graphconvex import (  # noqa: E402
 from graphconvex.extreal import DEFAULT_TOL  # noqa: E402
 from lattice_oracle import (  # noqa: E402
     dist_pt_per_site,
+    eager_graph,
     nn_per_site,
     nn_sweep_per_site,
     outcome,
@@ -56,6 +65,10 @@ LATTICES = (
     ("l2", 1.5, ((-2, 2),) * 3),
     ("l2", 1.5, ((-7, 7),) * 2),
     ("l2", 2.5, ((-7, 7),) * 2),
+)
+NEIGHBOR_LATTICES = LATTICES + (
+    ("linf", 2, ((0, 24),) * 2),
+    ("l2", 1.5, ((10**400, 10**400 + 6), (-3, 3))),
 )
 NN_SETS, NN_LINES = 6, (("l1", 1, ((-20, 20),)), ("l2", 2, ((-20, 20),)))
 NN_SWEEPS = (
@@ -72,8 +85,23 @@ def mismatch(what, got, expected) -> int:
     return 1
 
 
+def check_neighbors() -> int:
+    for norm, radius, window in NEIGHBOR_LATTICES:
+        lat = build_lattice(LatticeSpec(len(window), norm, radius, window))
+        g = eager_graph(lat.spec, lat._tol)
+        for x in lat.window:
+            got = [(y, w, type(w)) for y, w in lat.neighbors(x).items()]
+            expected = [(y, w, type(w)) for y, w in g.neighbors(x).items()]
+            if got != expected:
+                return mismatch(f"{lat!r} neighbors of {x}", got, expected)
+        print(f"{norm} r={radius}, {len(lat.window)} points: neighbors agree")
+    return 0
+
+
 def main() -> int:
     start = time.perf_counter()
+    if check_neighbors():
+        return 1
     sites = 0
     for (norm, radius, window), tol in itertools.product(LATTICES, TOLS):
         lat = build_lattice(LatticeSpec(len(window), norm, radius, window))

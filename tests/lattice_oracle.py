@@ -4,21 +4,24 @@ passes must reproduce, and point-by-point lattice constructions.
 ``theorems.verify_pointwise_implication`` (hypothesis "midpoint", claim
 thm4-cvx-sub), ``verify_dist_to_point_midpoint_convex`` (lem-dist-pt), the
 lattice antecedent of ``verify_dist_convex_implies_set_convex``
-(prop-dist-cvx) and the conclusion of prop-nn read each function once into
-window order and settle most sites with one plain midpoint pass
-(``lattice._plain_passes``).  The loops here call the library check
-``is_midpoint_convex_at`` at every site instead, so each call validates f
-and scans the whole box of x with the tolerance, with no plain pass
-first; they are the verifiers' loops as they were before that pass.  Both
+(prop-dist-cvx) and the conclusion of prop-nn take their tests from
+``lattice._tests``, which reads each function once into window order and
+settles most sites with one plain midpoint pass (``lattice._plain_passes``).
+The loops here call the library check ``is_midpoint_convex_at`` at every
+site instead, so each call validates f and scans the whole box of x with
+the tolerance, with no plain pass first; they are the verifiers' loops as
+they were before that pass.  Both
 read the window through the same pickers (``GroupLattice._offsets``), so
 the tuple-arithmetic oracle of ``test_properties`` is what checks those.
 Reports, witnesses and errors must be equal.
 
 thm4-cvx-sub and prop-nn also settle most weighted means with one plain
-pass over the same window-order values, and leave the rest to
-``is_subharmonic_at`` on the lattice, which reads ``GroupLattice.neighbors``;
-``thm4_per_site`` and ``nn_per_site`` compare the mean at every site on
-``eager_graph``, so they share no adjacency code with the library.
+pass over the same window-order values (the one other reader of the flat
+layout), and leave the rest to ``compare_to_neighborhood_mean`` on the
+lattice, which reads ``GroupLattice.neighbors``, and that looks each x + z
+up in the window's index; ``thm4_per_site`` and ``nn_per_site`` compare the
+mean at every site on ``eager_graph``, so they share no adjacency code with
+the library.
 ``eager_graph`` and ``reach_interior`` build the graph and the interior
 point by point, over the whole window, and ``max_affine_oracle`` computes
 the max-affine samples point by point, one dict entry per window point.

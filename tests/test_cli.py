@@ -13,7 +13,7 @@ import pytest
 from jsonschema import validate
 
 import graphconvex
-from graphconvex import cli, theorems
+from graphconvex import cli, lattice, theorems
 from graphconvex.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,6 +106,15 @@ def test_hull_text(square_file, tmp_path, capsys):
     code, out = run(capsys, "hull", "--graph", square_file, "--set", str(s))
     assert code == 0
     assert out == "input: 0 2\nhull: 0 1 2 3\ngrew: yes\n"
+
+
+def test_hull_on_int_weights_beyond_float_range(tmp_path, capsys):
+    w = 10**400  # 401 digits, no float
+    (tmp_path / "g.txt").write_text(f"e 0 1 {w}\ne 1 2 {w}\n")
+    (tmp_path / "s.txt").write_text("0\n2\n")
+    files = ["--graph", str(tmp_path / "g.txt"), "--set", str(tmp_path / "s.txt")]
+    code, out = run(capsys, "hull", *files)
+    assert (code, out) == (0, "input: 0 2\nhull: 0 1 2\ngrew: yes\n")
 
 
 def test_hull_json_and_one_step(square_file, tmp_path, capsys):
@@ -251,8 +260,8 @@ def test_check_midpoint_rows_match_the_per_vertex_check(interior_only, monkeypat
             row.update(z=format_vertex(w.z), lhs=w.lhs, rhs=w.rhs)
         expected.append(row)
     called = []
-    real = cli.is_midpoint_convex_at
-    monkeypatch.setattr(cli, "is_midpoint_convex_at",
+    real = lattice.is_midpoint_convex_at
+    monkeypatch.setattr(lattice, "is_midpoint_convex_at",
                         lambda lat, f, x, tol: called.append(x) or real(lat, f, x, tol=tol))
     argv = ["check", "midpoint", "--lattice", "l1", "--window", "0:8", "--fn", str(fn)]
     code, payload = run_json(capsys, *argv, *(["--interior-only"] if interior_only else []))

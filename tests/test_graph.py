@@ -53,8 +53,20 @@ def test_rejects_bad_weights():
         Graph([(1, 2, math.inf)])
     with pytest.raises(ValueError, match="weight"):
         Graph([(1, 2, True)])  # == 1, but no weight a graph file can spell
+    for w in (math.nan, -math.inf, -10**400):  # -10**400 has no float
+        with pytest.raises(ValueError, match="weight must be finite and positive"):
+            Graph([(1, 2, w)])
     with pytest.raises(ValueError):
         Graph([(1, 2, 3, 4)])
+
+
+def test_int_weights_beyond_float_range_are_exact():
+    # neither weight has a float, so the weight check must compare ints exactly
+    assert Graph([(0, 1, 10**400)]).distance(0, 1) == 10**400
+    big = 2**1100
+    m = Graph([(0, 1, big), (1, 2, big)]).metric()
+    assert m.row(0) == [0, big, 2 * big] and all(type(d) is int for d in m.row(0))
+    assert m.certified and m.shells(0) == {0: 0b1, big: 0b10, 2 * big: 0b100}
 
 
 def test_neighbors_view_is_read_only():

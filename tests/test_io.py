@@ -102,6 +102,14 @@ def test_parse_graph_error_line_numbers():
     assert err.value.line == 1
 
 
+def test_parse_graph_keeps_int_weights_beyond_float_range():
+    w = 10**400
+    assert parse_graph(f"e a b {w}\ne b c {w}\n").distance("a", "c") == 2 * w
+    for token in ("inf", "nan", "1e400", f"-{w}"):
+        with pytest.raises(FormatError, match="weight must be finite and positive"):
+            parse_graph(f"e a b {token}\n")
+
+
 @pytest.mark.parametrize("text, line, message", [
     # several faults: the first in line order wins, whichever check finds it
     ("e a a\nv b\ne b c zero\n", 1, "self-loop at a"),

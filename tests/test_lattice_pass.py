@@ -34,7 +34,6 @@ from graphconvex import (
     is_midpoint_convex_at,
     is_subharmonic_at,
     max_affine_samples,
-    theorems,
     verify_dist_convex_implies_set_convex,
     verify_dist_to_point_midpoint_convex,
     sweep_max_affine,
@@ -46,6 +45,7 @@ from graphconvex import (
 from graphconvex.extreal import report_value
 from graphconvex.graph import UnknownVertexError
 from graphconvex.io import format_vertex
+import graphconvex.lattice as lattice_module
 from graphconvex.lattice import NORMS, _add, _plain_passes
 
 from lattice_oracle import (
@@ -181,7 +181,7 @@ def test_prop_nn_matches_the_per_site_loop(lat, data):
 def test_prop_nn_library_checks_match_the_per_site_loop(monkeypatch):
     # the plain passes settle no site, so every asserted site goes to the
     # library checks on the lattice
-    monkeypatch.setattr(theorems, "_plain_passes", lambda lat, f: (lambda x: False,) * 2)
+    monkeypatch.setattr(lattice_module, "_plain_passes", lambda lat, f: (lambda x: False,) * 2)
     for lat in every_lattice():
         corner = tuple(lo for lo, _ in lat.spec.window)
         box = set(itertools.product(*(range(lo, lo + 2) for lo, _ in lat.spec.window)))
@@ -238,13 +238,13 @@ def test_thm4_validates_f_before_the_first_site(monkeypatch):
     # a bad value away from the first site is still found before that site
     # is decided, as when every site validated f
     compared = []
-    real = theorems.is_subharmonic_at
+    real = lattice_module.compare_to_neighborhood_mean
 
     def spy(*args, **kwargs):
         compared.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(theorems, "is_subharmonic_at", spy)
+    monkeypatch.setattr(lattice_module, "compare_to_neighborhood_mean", spy)
     lat = lattice("l1", 1, ((-3, 3), (-3, 3)))
     for bad in ((3, 3), (9, 9)):  # a window corner, and a point outside the window
         f = convex_function(lat, 0)

@@ -22,6 +22,7 @@ from graphconvex import (
     set_distance_function,
     theorems,
 )
+import graphconvex.lattice as lattice_module
 
 from subset_oracle import kernel_and_fold, random_weighted_graph, seeded
 
@@ -112,7 +113,7 @@ def test_prop_nn_refutations_fold_alike(monkeypatch):
     # every point at distance 1 from F, with |F| as the right side: the first
     # refuted set in mask order must give the witness, and every set its
     # firings
-    real = theorems.is_midpoint_convex_at
+    real = lattice_module.is_midpoint_convex_at
 
     def failing(lat, f, x, tol=None):
         if f[x] == 1:
@@ -120,9 +121,9 @@ def test_prop_nn_refutations_fold_alike(monkeypatch):
             return MidpointVerdict(False, x, MidpointWitness((1,), 2, size))
         return real(lat, f, x, tol=tol)
 
-    monkeypatch.setattr(theorems, "is_midpoint_convex_at", failing)
+    monkeypatch.setattr(lattice_module, "is_midpoint_convex_at", failing)
     # the plain passes settle no site, so every site reaches the library checks
-    monkeypatch.setattr(theorems, "_plain_passes", lambda lat, f: (lambda x: False,) * 2)
+    monkeypatch.setattr(lattice_module, "_plain_passes", lambda lat, f: (lambda x: False,) * 2)
     report = assert_same("prop-nn", lattice("l1", 1, ((0, 6),)))
     assert report.verdict == "refuted"
     assert report.witness == {"vertex": "(1)", "z": "(1)", "lhs": 2, "rhs": 1}

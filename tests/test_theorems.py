@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from graphconvex import theorems
+from graphconvex import lattice, theorems
 from graphconvex import (
     ClaimReport,
     Graph,
@@ -185,12 +185,12 @@ def test_refuted_pointwise_reports_are_pinned(monkeypatch, lettered_square):
     }
     assert list(report["witness"]) == ["vertex", "f_value", "neighborhood_mean"]
 
-    monkeypatch.setattr(theorems, "is_subharmonic_at", fail_at((0,)))
+    monkeypatch.setattr(lattice, "compare_to_neighborhood_mean", fail_at((0,)))
     # the plain mean pass settles every site of this f, so it is made to
     # settle none and each site reaches the comparison above
-    real_passes = theorems._plain_passes
+    real_passes = lattice._plain_passes
     monkeypatch.setattr(
-        theorems, "_plain_passes", lambda lat, f: (real_passes(lat, f)[0], lambda x: False))
+        lattice, "_plain_passes", lambda lat, f: (real_passes(lat, f)[0], lambda x: False))
     lat = lattice_1d()
     report = verify_pointwise_implication(lat, {v: 2 * v[0] + 1 for v in lat.window}, "midpoint")
     report = report.as_dict()
