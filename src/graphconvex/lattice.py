@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -81,8 +82,9 @@ class LatticeSpec:
         if norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}; expected one of {NORMS}")
         object.__setattr__(self, "norm", norm)
-        if not isinstance(self.radius, (int, float)) or not math.isfinite(self.radius) or self.radius <= 0:
-            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
+        r = self.radius  # compared with float norms: no bool, nothing past float range
+        if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r <= sys.float_info.max:
+            raise ValueError(f"radius must be positive and finite as a float, got {r!r}")
         window = tuple(tuple(int(b) for b in axis) for axis in self.window)
         if len(window) != self.dimension:
             raise ValueError("window must give one (lo, hi) range per dimension")

@@ -34,9 +34,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import repeat
-from operator import add, le, mul
+from operator import add, le, mul, or_
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import generators
@@ -173,7 +173,8 @@ def pairing_hypothesis(g: Graph, z) -> tuple | None:
     returned every time.  Odd degree (and degree zero, where neighborhood
     means are undefined) yields None.
     """
-    nbrs = [v for v in g.vertices if g.adjacent(z, v)]
+    adj = g.neighbors(z)
+    nbrs = [v for v in g.vertices if v in adj]
     if not nbrs or len(nbrs) % 2:
         return None
     pairs: list[tuple] = []
@@ -181,10 +182,10 @@ def pairing_hypothesis(g: Graph, z) -> tuple | None:
     def extend(remaining: list) -> bool:
         if not remaining:
             return True
-        a = remaining[0]
+        a, adj_a = remaining[0], g.neighbors(remaining[0])
         for k in range(1, len(remaining)):
             b = remaining[k]
-            if not g.adjacent(a, b):
+            if b not in adj_a:
                 pairs.append((a, b))
                 if extend(remaining[1:k] + remaining[k + 1 :]):
                     return True
@@ -485,11 +486,13 @@ def exhaustive_small_graph_sweep(
     On each graph the functions are the tuples of
     ``itertools.product(values, repeat=n)`` in the vertex order of the
     graph, and bit b of each mask of :func:`_sweep_masks` stands for the
-    b-th of them, so at most 4,000,000 functions fit one graph.  The
-    witness is the lowest function that refutes at some site, at its first
-    such site in vertex order; the counts are those of a scan that visits
-    the functions in order, and the sites of each in vertex order, and
-    stops there.
+    b-th of them, so at most 4,000,000 functions fit one graph.  The value
+    masks and violation rules are built once per sweep, so each graph pays
+    only for its between-pairs, read from its breadth-first shells, and the
+    mask algebra.  The witness is the lowest function that refutes at some
+    site, at its first such site in vertex order; the counts are those of a
+    scan that visits the functions in order, and the sites of each in
+    vertex order, and stops there.
     """
     log = _logger()
     claim, hyp = _graph_hypothesis(hypothesis)
@@ -505,7 +508,7 @@ def exhaustive_small_graph_sweep(
         count = len(graphs)
     label = f"{count} graphs, f in {values}^X"
     checked = fired = 0
-    start, last_n = time.perf_counter(), None
+    start, last_n, tables = time.perf_counter(), None, {}
     for swept, g in enumerate(graphs):
         if g.vertex_count != last_n:
             last_n = g.vertex_count
@@ -520,7 +523,7 @@ def exhaustive_small_graph_sweep(
         sites = [k for k, z in enumerate(g.vertices) if hyp(g, z)]
         if not sites:
             continue
-        site_checked, site_fired, witness = _implication_sweep(g, values, sites)
+        site_checked, site_fired, witness = _implication_sweep(g, values, sites, tables)
         checked += site_checked
         fired += site_fired
         if witness is not None:
@@ -528,12 +531,13 @@ def exhaustive_small_graph_sweep(
     return ClaimReport.settled(claim, label, checked, fired)
 
 
-def _implication_sweep(g: Graph, values, sites) -> tuple[int, int, dict | None]:
+def _implication_sweep(g: Graph, values, sites, tables=None) -> tuple[int, int, dict | None]:
     """Checked sites, firings and the first witness of "convex at z implies
     subharmonic at z" over every function into ``values``, at the vertex
     indices ``sites`` (ascending) of g, in the order of
-    :func:`exhaustive_small_graph_sweep`."""
-    total, convex, not_sub = _sweep_masks(g, values, sites)
+    :func:`exhaustive_small_graph_sweep`; ``tables`` as :func:`_sweep_masks`
+    takes them."""
+    total, convex, not_sub = _sweep_masks(g, values, sites, tables)
     refutation = _first_refutation(convex, not_sub)
     if refutation is None:
         return total * len(sites), sum(c.bit_count() for c in convex), None
@@ -564,7 +568,7 @@ def _first_refutation(convex, not_sub) -> tuple[int, int, int] | None:
 # -- the bit-parallel sweep kernel ---------------------------------------------------
 
 
-def _sweep_masks(g: Graph, values, sites) -> tuple[int, list[int], list[int]]:
+def _sweep_masks(g: Graph, values, sites, tables=None) -> tuple[int, list[int], list[int]]:
     """Convexity and subharmonicity at each site of g for every function
     into ``values`` at once, in exact ints (unit weights, plain means).
 
@@ -573,60 +577,80 @@ def _sweep_masks(g: Graph, values, sites) -> tuple[int, list[int], list[int]]:
     ``values`` keep the caller's order, duplicates included.  Returns the
     number of functions and, per site, the mask of functions convex there
     and the mask of functions not subharmonic there.
+
+    The between-pairs (i, j) of a site k are read exactly from the
+    breadth-first shells: for each i at finite distance from k, the j > i
+    of :meth:`Metric.through` (i, k), k excluded, so a disconnected g
+    sweeps too.  The neighbours of k are its shell at distance 1.
+    ``tables`` keeps what depends on ``values`` alone: the value masks of
+    the last vertex count and the violation rule of each pair of
+    distances.  A sweep passes one dict, for its one ``values``, to all its
+    calls, so each is built once per sweep; without one, a call builds its
+    own.
     """
-    n, q = g.vertex_count, len(values)
+    if not g.is_unit_weight:
+        raise ValueError("prepared sweeps require unit weights")
+    n, q, xs = g.vertex_count, len(values), sorted(set(values))
     total = q**n
     full = (1 << total) - 1
-    between_pairs, nbrs_at = _prepare_unit(g)
-    xs = sorted(set(values))
-    # at[i][x]: the functions with f(i) = x.  Vertex i is digit i of b in
-    # base q, most significant first, so its pattern is a block of q**(n-1-i)
-    # bits per value index, repeated every q**(n-i) bits.
-    at = []
-    for i in range(n):
-        stride = q ** (n - 1 - i)
-        period: dict[int, int] = {}
-        for v, x in enumerate(values):
-            period[x] = period.get(x, 0) | ((1 << stride) - 1) << v * stride
-        at.append({x: _tile(p, q * stride, total) for x, p in period.items()})
-    rules: dict[tuple, list] = {}
+    tables = {} if tables is None else tables
+    if tables.get("n") != n:
+        # at[i] = (eq, below): eq[a] has f(i) = xs[a], below[t] has f(i) in
+        # xs[:t].  Vertex i is digit i of b in base q, most significant
+        # first, so its pattern is a block of q**(n-1-i) bits per value
+        # index, repeated every q**(n-i) bits.
+        tables["n"], at = n, []
+        for i in range(n):
+            stride = q ** (n - 1 - i)
+            period = dict.fromkeys(xs, 0)
+            for v, x in enumerate(values):
+                period[x] |= ((1 << stride) - 1) << v * stride
+            eq = [_tile(period[x], q * stride, total) for x in xs]
+            at.append((eq, list(itertools.accumulate(eq, or_, initial=0))))
+        tables["at"] = at
+    at, rules = tables["at"], tables.setdefault("rules", {})
+    m = g.metric()
+    if n and m.shells(0) is None:  # weights 1.0: the same distances from an int copy
+        m = Graph([e[:2] for e in g.edges()], g.vertices).metric()
     convex, not_sub = [], []
     for k in sites:
+        rk, shells = m.row(k), m.shells(k)
+        others = reduce(or_, shells.values()) & ~(1 << k)
         # broken[a]: functions where some pair (i, j) around k breaks
         # d_ij f(k) <= d_jk f(i) + d_ik f(j) once f(k) = xs[a]
         broken = [0] * len(xs)
-        for i, j, dij, djk, dik in between_pairs(k, range(n)):
-            rule = rules.get((dij, djk, dik))
-            if rule is None:
-                rule = rules[dij, djk, dik] = _violation_rule(xs, dij, djk, dik)
-            at_i, at_j = at[i], at[j]
-            below = [0]
-            for x in xs:
-                below.append(below[-1] | at_j[x])
-            for a, terms in enumerate(rule):
-                for b, t in terms:
-                    broken[a] |= at_i[xs[b]] & below[t]
-        at_k = at[k]
+        for i in _bit_indices(others):
+            at_i, dik = at[i][0], rk[i]
+            for j in _bit_indices(m.through(i, k) & others >> i + 1 << i + 1):
+                rule = rules.get((dik, rk[j]))
+                if rule is None:
+                    rule = rules[dik, rk[j]] = _violation_rule(xs, dik + rk[j], rk[j], dik)
+                below_j = at[j][1]
+                for a, terms in enumerate(rule):
+                    for b, t in terms:
+                        broken[a] |= at_i[b] & below_j[t]
+        at_k = at[k][0]
         bad = 0
-        for a, x in enumerate(xs):
-            bad |= at_k[x] & broken[a]
+        for a in range(len(xs)):
+            bad |= at_k[a] & broken[a]
         convex.append(full ^ bad)
         # sums[s]: functions whose neighbours of k sum to s
-        nlist, deg = nbrs_at[k]
+        nlist = list(_bit_indices(shells.get(1, 0)))
         sums = {0: full}
         for i in nlist:
+            at_i = at[i][0]
             nxt: dict[int, int] = {}
-            for s, m in sums.items():
-                for x in xs:
-                    nxt[s + x] = nxt.get(s + x, 0) | m & at[i][x]
+            for s, mask in sums.items():
+                for a, x in enumerate(xs):
+                    nxt[s + x] = nxt.get(s + x, 0) | mask & at_i[a]
             sums = nxt
         ordered = sorted(sums)
         bad = low = t = 0
-        for x in xs:
-            while t < len(ordered) and ordered[t] < deg * x:
+        for a, x in enumerate(xs):
+            while t < len(ordered) and ordered[t] < len(nlist) * x:
                 low |= sums[ordered[t]]
                 t += 1
-            bad |= at_k[x] & low
+            bad |= at_k[a] & low
         not_sub.append(bad)
     return total, convex, not_sub
 
@@ -660,16 +684,6 @@ def _function_at(values, n: int, b: int) -> list:
         b, r = divmod(b, len(values))
         fvals.append(values[r])
     return fvals[::-1]
-
-
-def _prepare_unit(g: Graph):
-    """The betweenness pairs of the unit-weight metric and the neighbor index
-    lists, for exact integer sweeps."""
-    if not g.is_unit_weight:
-        raise ValueError("prepared sweeps require unit weights")
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs_at = [([index[u] for u in g.neighbors(v)], g.degree(v)) for v in g.vertices]
-    return g.metric().between_pairs, nbrs_at
 
 
 def _sweep_witness(g: Graph, fvals, k: int, reason: str) -> dict:

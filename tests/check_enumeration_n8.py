@@ -8,9 +8,14 @@ orderings inside each refinement cell), that there are 11,117 classes,
 that the library's forms of C_9 and the Petersen graph equal the oracle's
 (9! and 10! orderings), and that the thm1 and thm2 sweeps over every
 function into {0, 1, 2} on all n = 8 graphs are verified with their
-pinned counts.  Too slow for the tier-1 suite (about 40 s on a 2-core VM
-with CPython 3.11, most of it the oracle), so pytest does not collect it;
-exits 1 on the first mismatch.
+pinned counts.  Too slow for the tier-1 suite, so pytest does not collect
+it; exits 1 on the first mismatch.
+
+Each line ends with the check's own duration and the time since the start.
+On a 2-core VM with CPython 3.11 the whole run takes about 29 s: about
+13 s for the class list (mostly the oracle's), 1 and 11 s for the C_9 and
+Petersen forms, 0.3 s to build the 11,117 graphs, and 1.2 and 2.3 s for
+the thm1 and thm2 sweeps.
 """
 
 import sys
@@ -39,6 +44,7 @@ def checks():
             yield (f"{name}: form {form}, pinned {pinned}",
                    form == pinned == oracle.canonical_form(n, mask))
     graphs = connected_unit_graphs(8)
+    yield f"{len(graphs)} graphs built", len(graphs) == CLASSES
     for hypothesis, counts in SWEEPS.items():
         report = exhaustive_small_graph_sweep(hypothesis, graphs=graphs, values=(0, 1, 2))
         got = (report.checked, report.hypothesis_fired)
@@ -48,9 +54,11 @@ def checks():
 
 
 def main() -> int:
-    start = time.perf_counter()
+    start = last = time.perf_counter()
     for line, passed in checks():
-        stamp = f"{time.perf_counter() - start:.1f} s"
+        now = time.perf_counter()
+        stamp = f"{now - last:.2f} s, at {now - start:.1f} s"
+        last = now
         if not passed:
             print(f"MISMATCH {line}, {stamp}")
             return 1

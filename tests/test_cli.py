@@ -389,6 +389,22 @@ def test_verify_thm1_flagless_sweeps_values(square_file, capsys):
     assert payload["checked"] == 4 * 16
 
 
+@pytest.mark.parametrize("claim", ["thm1", "thm2"])
+def test_verify_flagless_sweeps_a_disconnected_graph(claim, tmp_path, capsys):
+    # two paths and an isolated vertex: the sites are the two middles, and
+    # no between-pair crosses components
+    g = tmp_path / "two-paths.g"
+    g.write_text("v 6\ne 0 1\ne 1 2\ne 3 4\ne 4 5\n")
+    code, payload = run_json(capsys, "verify", claim, "--graph", str(g))
+    assert code == 0
+    assert (payload["verdict"], payload["checked"], payload["hypothesis_fired"]) == (
+        "verified", 4374, 2592)
+    # weights 1.0: the same unit metric, with float rows
+    g.write_text("v 6\ne 0 1 1.0\ne 1 2 1.0\ne 3 4 1.0\ne 4 5 1.0\n")
+    code, payload = run_json(capsys, "verify", claim, "--graph", str(g))
+    assert (code, payload["checked"], payload["hypothesis_fired"]) == (0, 4374, 2592)
+
+
 def test_verify_lem_deg2(square_file, capsys):
     code, out = run(capsys, "verify", "lem-deg2", "--graph", square_file)
     assert code == 0

@@ -44,6 +44,12 @@ def test_spec_validation():
         LatticeSpec(1, "l1", 0, ((0, 1),))
     with pytest.raises(ValueError, match="radius"):
         LatticeSpec(1, "l1", math.inf, ((0, 1),))
+    # an int past float range, and a bool, which
+    # graphs reject as an edge weight
+    with pytest.raises(ValueError, match="radius"):
+        LatticeSpec(1, "l1", 10**400, ((0, 3),))
+    with pytest.raises(ValueError, match="radius"):
+        LatticeSpec(1, "l1", True, ((0, 3),))
     with pytest.raises(ValueError, match="window"):
         LatticeSpec(2, "l1", 1, ((0, 1),))
     with pytest.raises(ValueError, match="empty window"):

@@ -2,21 +2,31 @@
 
 ``implication_oracle`` and ``degree2_oracle`` are the inner loops that
 ``exhaustive_small_graph_sweep`` and ``_degree2_sweep`` ran before the mask
-kernel, kept unchanged as a reference: one function at a time, one site at
-a time, in ``itertools.product`` order.
+kernel, kept as a reference: one function at a time, one site at a time,
+in ``itertools.product`` order.  They take their between-pairs from the
+tolerant scan of ``Metric.between_pairs`` and their neighbours from the
+graph, not from the distance shells the kernel reads.
 """
 
 import itertools
 
 import pytest
 
-from graphconvex import cycle, grid, pairing_hypothesis, path, triangle_free_hypothesis
+from graphconvex import (
+    Graph,
+    cycle,
+    grid,
+    king_grid,
+    pairing_hypothesis,
+    path,
+    triangle_free_hypothesis,
+    triangular_tiling,
+)
 from graphconvex.enumeration import connected_unit_graphs
 from graphconvex.theorems import (
     ClaimReport,
     _degree2_sweep,
     _implication_sweep,
-    _prepare_unit,
     _sweep_masks,
     _sweep_witness,
 )
@@ -26,11 +36,32 @@ GRAPHS = [g for n in range(1, 6) for g in connected_unit_graphs(n)]
 VALUES = [(0, 1, 2), (2, 0, 1), (-1, 0, 1, 1), (0, 1, 3), ()]
 
 
+# graphs the enumeration never yields: two components, an isolated vertex,
+# and unit weights given as the float 1.0
+UNUSUAL = [
+    Graph([(0, 1), (1, 2), (3, 4), (4, 5)], vertices=range(7)),
+    Graph([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]),
+    Graph([(0, 1), (0, 2), (0, 3)], vertices=range(5)),
+    Graph([], vertices=range(3)),
+    Graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0), (4, 5, 1.0)]),
+]
+
+
+def pairs_and_neighbours(g):
+    """Per vertex index k: the between-pairs of k from the tolerant scan,
+    and the indices of k's neighbours with their count."""
+    m, n = g.metric(), g.vertex_count
+    return [
+        (list(m.between_pairs(k, range(n))), ([m.index[u] for u in g.neighbors(z)], g.degree(z)))
+        for k, z in enumerate(g.vertices)
+    ]
+
+
 def implication_oracle(g, values, sites):
     """checked, fired and the first witness of thm1/thm2 on g at ``sites``."""
-    between_pairs, nbrs_at = _prepare_unit(g)
+    at = pairs_and_neighbours(g)
     n = g.vertex_count
-    data = [(k, list(between_pairs(k, range(n))), nbrs_at[k]) for k in sites]
+    data = [(k, *at[k]) for k in sites]
     checked = fired = 0
     for fvals in itertools.product(values, repeat=n):
         for k, plist, (nlist, deg) in data:
@@ -55,8 +86,7 @@ def implication_oracle(g, values, sites):
 def degree2_oracle(g, values) -> ClaimReport:
     """The lem-deg2 value sweep on g, at every vertex."""
     n = g.vertex_count
-    between_pairs, nbrs_at = _prepare_unit(g)
-    pairs_at = [list(between_pairs(k, range(n))) for k in range(n)]
+    pairs_at, nbrs_at = zip(*pairs_and_neighbours(g))
     checked = fired = 0
     for fvals in itertools.product(values, repeat=n):
         conv = []
@@ -121,6 +151,27 @@ def test_kernel_matches_the_loops_on_every_graph_up_to_five_vertices(values):
     assert refuted > 0 if values else refuted == 0
 
 
+@pytest.mark.parametrize("values", VALUES, ids=repr)
+def test_kernel_matches_the_loops_on_graphs_the_enumeration_skips(values):
+    # between-pairs come from the shells of each i at finite distance from
+    # the site only, so other components and isolated vertices add none
+    for g in UNUSUAL:
+        for sites in _site_lists(g):
+            assert _implication_sweep(g, values, sites) == implication_oracle(g, values, sites), (
+                g, sites)
+        assert _degree2_sweep(g, values) == degree2_oracle(g, values), g
+
+
+def test_tables_carry_over_between_vertex_counts():
+    # one sweep's tables: masks rebuilt whenever the vertex count changes,
+    # rules kept, and every graph still matches its own sweep
+    tables = {}
+    for g in [cycle(5), path(3), *UNUSUAL, cycle(4), cycle(5)]:
+        sites = range(g.vertex_count)
+        assert _sweep_masks(g, (0, 1, 2), sites, tables) == _sweep_masks(g, (0, 1, 2), sites), g
+        assert tables["n"] == g.vertex_count
+
+
 def test_kernel_refutation_counts_on_an_edge():
     report = _degree2_sweep(path(2), (0, 1))
     assert (report.verdict, report.checked, report.hypothesis_fired) == ("refuted", 4, 3)
@@ -156,9 +207,44 @@ def test_subharmonic_everywhere_is_exactly_the_constants(values):
 
 
 def test_between_pairs_never_has_the_middle_as_an_end():
-    for g in [*GRAPHS, cycle(6), grid(3, 4)]:
-        between_pairs, _ = _prepare_unit(g)
-        n = g.vertex_count
-        for k in range(n):
-            pairs = list(between_pairs(k, range(n)))
+    for g in [*GRAPHS, *UNUSUAL, cycle(6), grid(3, 4)]:
+        for k, (pairs, _) in enumerate(pairs_and_neighbours(g)):
             assert all(k not in (i, j) for i, j, *_ in pairs), (g, k)
+
+
+def backtracking_pairs(g, z):
+    """The partition ``pairing_hypothesis`` must return: backtracking over
+    z's neighbours in vertex order, each adjacency asked of the graph."""
+    nbrs = [v for v in g.vertices if g.adjacent(z, v)]
+    if not nbrs or len(nbrs) % 2:
+        return None
+    pairs = []
+
+    def extend(remaining):
+        if not remaining:
+            return True
+        a = remaining[0]
+        for k in range(1, len(remaining)):
+            b = remaining[k]
+            if not g.adjacent(a, b):
+                pairs.append((a, b))
+                if extend(remaining[1:k] + remaining[k + 1 :]):
+                    return True
+                pairs.pop()
+        return False
+
+    return tuple(pairs) if extend(nbrs) else None
+
+
+def test_pairing_hypothesis_matches_the_backtracking():
+    tilings = [grid(4, 4), triangular_tiling(5, 5), king_grid(4, 4)]
+    graphs = [g for n in range(1, 7) for g in connected_unit_graphs(n)]
+    found = sites = 0
+    for g in [*graphs, *tilings, *UNUSUAL]:
+        for z in g.vertices:
+            want = backtracking_pairs(g, z)
+            assert pairing_hypothesis(g, z) == want, (g, z)
+            found += want is not None
+            sites += 1
+    # None exactly where the copy finds no partition, and both occur
+    assert 0 < found < sites
