@@ -23,20 +23,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, combinations, compress, repeat
 from operator import is_not, or_
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .extreal import INF, approx_eq, approx_le, check_values, exact_add, exact_div, scaled
-from .graph import Metric, UnknownVertexError, _bit_indices
+from .graph import Metric, UnknownVertexError, _bit_indices, _Record
 
 VertexFunction = Mapping[Any, float]
 
 
-@dataclass(frozen=True)
-class ConvexityWitness:
+class ConvexityWitness(NamedTuple):
     """A violated instance of the two-point inequality at some vertex."""
 
     x: Any
@@ -45,35 +43,28 @@ class ConvexityWitness:
     rhs: Any  # the distance-weighted combination of f(x) and f(y)
 
 
-class _Witness:
-    """The ``witness`` field of :class:`ConvexityVerdict`.  A verdict built
-    with a :class:`functools.partial` in place of its witness calls it the
-    first time the field is read, once, and keeps what it returns."""
-
-    def __get__(self, verdict, owner=None):
-        if verdict is None:
-            return None  # the field's default
-        w = verdict.__dict__["witness"]
-        if isinstance(w, partial):
-            w = verdict.__dict__["witness"] = w()
-        return w
-
-    def __set__(self, verdict, value) -> None:
-        # reached only from __init__: the frozen class refuses any other set
-        verdict.__dict__["witness"] = value
-
-
-@dataclass(frozen=True)
-class ConvexityVerdict:
+class ConvexityVerdict(_Record):
     """Whether f is convex at ``vertex``, and if not, the first violating
     pair in the metric's vertex order.  :func:`is_convex_at` may settle
-    ``ok`` before it has looked for that pair; the pair is then found the
-    first time ``witness`` is read, so a caller that only tests the verdict
-    never pays for it.  Equality, hash and repr read the witness."""
+    ``ok`` before it has looked for that pair: it then passes a
+    :class:`functools.partial` in place of the witness, which is called the
+    first time ``witness`` is read, once, so a caller that only tests the
+    verdict never pays for it.  An immutable record with the fields ``ok``,
+    ``vertex`` and ``witness``; equality, hash and repr read the witness."""
 
-    ok: bool
-    vertex: Any
-    witness: ConvexityWitness | None = _Witness()
+    __slots__ = ("ok", "vertex", "_witness")
+    __match_args__ = ("ok", "vertex", "witness")
+
+    def __init__(self, ok: bool, vertex: Any, witness: ConvexityWitness | None = None):
+        self._set(ok, vertex, witness)
+
+    @property
+    def witness(self) -> ConvexityWitness | None:
+        w = self._witness
+        if isinstance(w, partial):
+            w = w()
+            object.__setattr__(self, "_witness", w)
+        return w
 
     def __bool__(self) -> bool:
         return self.ok

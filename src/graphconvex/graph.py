@@ -37,6 +37,44 @@ def sort_vertices(vertices: Iterable) -> list:
     return out
 
 
+class _Record:
+    """Base of an immutable record whose fields ``__match_args__`` names, in
+    order, for records that a NamedTuple cannot hold: one that validates
+    at construction, or reads a field lazily.  Equality with records of its
+    own class, hash, repr and pickling read the fields; setting or deleting
+    an attribute raises AttributeError.  ``_set`` fills the slots."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Metric:
     """Distance oracle over a fixed, deterministically ordered vertex
     universe, and the betweenness relation it induces.

@@ -50,48 +50,45 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import add, le, mul, sub
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, check_values, exact_add
-from .graph import Graph, Metric, UnknownVertexError, _picker
+from .graph import Graph, Metric, UnknownVertexError, _picker, _Record
 from .subharmonic import compare_to_neighborhood_mean
 
 NORMS = ("l1", "l2", "linf")
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(_Record):
     """Dimension, norm name ('l1', 'l2', 'linf'), radius and window box.
 
-    ``window`` holds one inclusive (lo, hi) pair per dimension.
+    ``window`` holds one inclusive (lo, hi) pair per dimension.  The norm
+    name is stored in lower case and the window as a tuple of int pairs.
+    An immutable record: equality and hash compare the four fields.
     """
 
-    dimension: int
-    norm: str
-    radius: int | float
-    window: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("dimension", "norm", "radius", "window")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension: int, norm: str, radius: int | float,
+                 window: tuple[tuple[int, int], ...]):
+        if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        norm = self.norm.lower()
-        if norm not in NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}; expected one of {NORMS}")
-        object.__setattr__(self, "norm", norm)
-        r = self.radius  # compared with float norms: no bool, nothing past float range
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r <= sys.float_info.max:
-            raise ValueError(f"radius must be positive and finite as a float, got {r!r}")
-        window = tuple(tuple(int(b) for b in axis) for axis in self.window)
-        if len(window) != self.dimension:
+        if norm.lower() not in NORMS:
+            raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+        # compared with float norms: no bool, nothing past float range
+        if (isinstance(radius, bool) or not isinstance(radius, (int, float))
+                or not 0 < radius <= sys.float_info.max):
+            raise ValueError(f"radius must be positive and finite as a float, got {radius!r}")
+        window = tuple(tuple(int(b) for b in axis) for axis in window)
+        if len(window) != dimension:
             raise ValueError("window must give one (lo, hi) range per dimension")
         for lo, hi in window:
             if hi < lo:
                 raise ValueError(f"empty window axis {lo}:{hi}")
-        object.__setattr__(self, "window", window)
+        self._set(dimension, norm.lower(), radius, window)
 
     # -- the group side -----------------------------------------------------
 
@@ -115,7 +112,7 @@ class LatticeSpec:
 
     def ball_offsets(self, tol: float = DEFAULT_TOL) -> tuple:
         """All integer vectors with norm <= radius, the zero vector included."""
-        return _ball_offsets(self, tol)
+        return _ball_offsets(self, tol, False)
 
     def describe(self) -> str:
         box = "x".join(f"[{lo},{hi}]" for lo, hi in self.window)
@@ -123,10 +120,15 @@ class LatticeSpec:
 
 
 @lru_cache(maxsize=64)
-def _ball_offsets(spec: LatticeSpec, tol: float) -> tuple:
+def _ball_offsets(spec: LatticeSpec, tol: float, clipped: bool) -> tuple:
     # Every norm here dominates the sup norm, so the radius box suffices.
+    # Clipped, each axis stops one past the window's extent along it: no
+    # such z joins two window points, and the one-past z keeps the interior
+    # empty exactly when the whole ball leaves no room for it.
     bound = int(math.floor(spec.radius + tol))
-    axes = [range(-bound, bound + 1)] * spec.dimension
+    axes = [range(-r, r + 1) for r in (
+        min(bound, hi - lo + 1) if clipped else bound for lo, hi in spec.window
+    )]
     return tuple(
         z for z in itertools.product(*axes)
         if approx_le(spec.norm_value(z), spec.radius, tol)
@@ -145,7 +147,7 @@ class GroupLattice:
         self.spec = spec
         self.window: tuple = tuple(spec.points())
         self._index = {x: i for i, x in enumerate(self.window)}
-        self._ball = spec.ball_offsets(tol)
+        self._ball = _ball_offsets(spec, tol, True)  # the z that can join window points
         span = [max(abs(z[i]) for z in self._ball) for i in range(spec.dimension)]
         interior = tuple(itertools.product(*(
             range(lo + s, hi - s + 1) for (lo, hi), s in zip(spec.window, span)
@@ -256,15 +258,13 @@ def group_metric(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> Metric:
     return Metric(pts, dist, tol, None if spec.norm == "l2" else row_source)
 
 
-@dataclass(frozen=True)
-class MidpointWitness:
+class MidpointWitness(NamedTuple):
     z: tuple
     lhs: Any  # 2 f(x)
     rhs: Any  # f(x + z) + f(x - z)
 
 
-@dataclass(frozen=True)
-class MidpointVerdict:
+class MidpointVerdict(NamedTuple):
     ok: bool
     vertex: Any
     witness: MidpointWitness | None = None
@@ -369,15 +369,13 @@ def _half_box(reach: tuple, strides: tuple) -> tuple:
     return box, tuple(sum(map(mul, z, strides)) for z in box)
 
 
-@dataclass(frozen=True)
-class NearestNeighborWitness:
+class NearestNeighborWitness(NamedTuple):
     y1: tuple
     y2: tuple
     z: tuple
 
 
-@dataclass(frozen=True)
-class NearestNeighborVerdict:
+class NearestNeighborVerdict(NamedTuple):
     ok: bool
     witness: NearestNeighborWitness | None = None
 

@@ -15,9 +15,8 @@ sides count as equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .extreal import (
     DEFAULT_TOL, INF, approx_eq, check_tolerance, check_value, exact_add, exact_div, scaled,
@@ -25,8 +24,7 @@ from .extreal import (
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class MeanComparison:
+class MeanComparison(NamedTuple):
     """Outcome of comparing f(x) with its (possibly weighted) neighborhood mean.
 
     ``verdict`` is one of ``"harmonic"`` (equality), ``"subharmonic"``

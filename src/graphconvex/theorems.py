@@ -32,12 +32,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, le, mul, or_
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from . import generators
 from .convexity import (
@@ -105,8 +105,7 @@ SWEEP_CAP = 4_000_000
 SUBSET_CAP = 12
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     """Outcome of checking one claim on one instance (or aggregated sweep).
 
     ``checked`` counts assertion sites scanned, ``hypothesis_fired`` how many
@@ -494,7 +493,6 @@ def exhaustive_small_graph_sweep(
     scan that visits the functions in order, and the sites of each in
     vertex order, and stops there.
     """
-    log = _logger()
     claim, hyp = _graph_hypothesis(hypothesis)
     if not all(isinstance(v, int) for v in values):
         raise ValueError("values must be ints for the exact sweep")
@@ -512,7 +510,7 @@ def exhaustive_small_graph_sweep(
     for swept, g in enumerate(graphs):
         if g.vertex_count != last_n:
             last_n = g.vertex_count
-            log.info(
+            _info(
                 "%s sweep: n=%d after %d graphs, checked=%d fired=%d, %.2f s",
                 claim, last_n, swept, checked, fired, time.perf_counter() - start,
             )
@@ -891,18 +889,18 @@ def _nearest_neighbor_test(lat: GroupLattice, tol: float):
     return test
 
 
-def _logger():
-    """This module's logger."""
-    # imported here: logging would add about 5 ms to every import of the
-    # package, the CLI's included
-    import logging
-
-    return logging.getLogger(__name__)
+def _info(msg: str, *args) -> None:
+    """An INFO record on this module's logger.  Until something imports
+    logging, no handler or level is set that could show it, so it is
+    dropped without paying the import (about 5 ms)."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(msg, *args)
 
 
 def _log_sweep(report: ClaimReport, start: float) -> None:
     """One INFO record on this module's logger for a finished sweep."""
-    _logger().info(
+    _info(
         "%s sweep: %s, checked=%d fired=%d, %s, %.2f s",
         report.claim, report.instance, report.checked, report.hypothesis_fired,
         report.verdict, time.perf_counter() - start,
@@ -954,16 +952,26 @@ def max_affine_samples(spec, rng: random.Random, count: int = 200) -> Iterator[t
 # -- counterexample search ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchWitness:
-    """A found counterexample: which instance, which function, which vertex."""
-
+class _SearchFields(NamedTuple):
     instance: str
     function: str
     vertex: Any
     graph: Graph
     values: dict
-    detail: dict = field(default_factory=dict)
+    detail: dict
+
+
+class SearchWitness(_SearchFields):
+    """A found counterexample: which instance, which function, which vertex.
+    ``detail`` defaults to a new empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, instance: str, function: str, vertex: Any, graph: Graph, values: dict,
+                detail: dict | None = None):
+        return super().__new__(
+            cls, instance, function, vertex, graph, values, {} if detail is None else detail
+        )
 
     def as_dict(self) -> dict:
         return {

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -682,6 +683,31 @@ def test_lattice_radius_defaults_to_one(capsys):
     code, payload = run_json(capsys, "verify", "thm4-cvx-sub", *ON_LINE, "--count", "1")
     assert code == 0
     assert payload["instance"].startswith("GroupLattice(l1 lattice r=1.0 window [-2,2])")
+
+
+@pytest.mark.parametrize("argv, diameter", [
+    (["verify", "lem-dist-pt", "--lattice", "l1", "--window", "0:3"], 3),
+    (["check", "subharmonic", "--lattice", "l1", "--window", "0:3,0:3"], 6),
+])
+@pytest.mark.parametrize("radius", ["1e6", "1e300"])
+def test_a_radius_past_the_window_acts_as_diameter_plus_one(
+    tmp_path, capsys, argv, diameter, radius
+):
+    # Only offsets up to one past each axis's extent can matter: the box of
+    # the whole ball overflowed at 1e300 and ran for minutes at 1e6.
+    fn = tmp_path / "f.fn"
+    fn.write_text("".join(f"({x},{y}) {x * y % 3}\n" for x in range(4) for y in range(4)))
+    if argv[0] == "check":
+        argv = [*argv, "--fn", str(fn)]
+    reports = {}
+    for r in (radius, str(diameter + 1)):
+        start = time.perf_counter()
+        with pytest.warns(UserWarning, match="window has no interior vertex"):
+            code, payload = run_json(capsys, *argv, "--radius", r)
+        assert time.perf_counter() - start < 1
+        assert f"r={float(r)} window" in payload.pop("instance")
+        reports[r] = code, payload
+    assert reports[radius] == reports[str(diameter + 1)]
 
 
 def test_docs_list_the_claim_table():

@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -453,21 +454,28 @@ def witness_searches(monkeypatch):
     return runs
 
 
-def test_convexity_verdict_keeps_its_dataclass_behaviour(witness_searches):
+def test_convexity_verdict_keeps_its_record_behaviour(witness_searches):
     m = cycle(4).metric()
     lazy = is_convex_at(m, {0: 0, 1: 1, 2: 2, 3: 1}, 2)  # refuted by neighbours 1 and 3
     assert not lazy and witness_searches == []
     eager = ConvexityVerdict(False, 2, ConvexityWitness(1, 3, 2, 1))
-    assert [fl.name for fl in dataclasses.fields(ConvexityVerdict)] == ["ok", "vertex", "witness"]
-    assert repr(lazy) == repr(eager)
+    assert ConvexityVerdict.__match_args__ == ("ok", "vertex", "witness")
+    match lazy:
+        case ConvexityVerdict(ok, vertex, witness):
+            pass
+    assert (ok, vertex, witness) == (False, 2, (1, 3, 2, 1))
+    assert repr(lazy) == repr(eager) == (
+        "ConvexityVerdict(ok=False, vertex=2, witness=ConvexityWitness(x=1, y=3, lhs=2, rhs=1))"
+    )
     assert lazy == eager and hash(lazy) == hash(eager)
     assert lazy != ConvexityVerdict(False, 2, ConvexityWitness(3, 1, 2, 1))
-    assert dataclasses.astuple(lazy) == (False, 2, (1, 3, 2, 1))
+    assert lazy != (False, 2, eager.witness)  # a record, not a tuple
+    assert copy.copy(lazy) == pickle.loads(pickle.dumps(lazy)) == eager
     assert witness_searches == [(2, True)]  # found once, for all of the above
     for name in ("ok", "vertex", "witness"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(lazy, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(lazy, name)
     assert lazy.witness == eager.witness
     plain = ConvexityVerdict(True, 0)

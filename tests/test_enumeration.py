@@ -207,13 +207,35 @@ def test_enumeration_logs_one_record_per_vertex_count(caplog):
     assert messages[-1].endswith(" s")
 
 
+def run_fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this checkout."""
+    src = str(Path(graphconvex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_enumeration_leaves_logging_unimported():
     """Before logging is imported nothing can show the progress record, so
     enumerating in a fresh process does not import it."""
-    src = str(Path(graphconvex.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, graphconvex; graphconvex.connected_unit_graphs(5); "
             "print('logging' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert run_fresh(code) == "False\n"
+
+
+def test_import_and_sweeps_stay_lean():
+    """Importing the package and the CLI and running one sweep of each kind
+    loads none of dataclasses, inspect and logging, unless the bare
+    interpreter had them already: the records are plain classes, and a
+    sweep's log record is dropped while nothing has imported logging."""
+    code = "\n".join([
+        "import sys",
+        "bare = set(sys.modules)",
+        "import graphconvex, graphconvex.cli",
+        "graphconvex.verify_degree2_equivalence(graphconvex.cycle(6))",
+        "graphconvex.exhaustive_small_graph_sweep('triangle_free', max_n=4, values=(0, 1))",
+        "graphconvex.sweep_subsets_dist_convex(graphconvex.path(5))",
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules) - bare))",
+    ])
+    assert run_fresh(code) == "[]\n"
