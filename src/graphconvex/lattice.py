@@ -122,9 +122,9 @@ class LatticeSpec(_Record):
 @lru_cache(maxsize=64)
 def _ball_offsets(spec: LatticeSpec, tol: float, clipped: bool) -> tuple:
     # Every norm here dominates the sup norm, so the radius box suffices.
-    # Clipped, each axis stops one past the window's extent along it: no
-    # such z joins two window points, and the one-past z keeps the interior
-    # empty exactly when the whole ball leaves no room for it.
+    # Clipped, each axis stops one past the window's extent along it: a
+    # longer z joins no two window points, and the z one past keeps the
+    # interior empty exactly when the whole ball would.
     bound = int(math.floor(spec.radius + tol))
     axes = [range(-r, r + 1) for r in (
         min(bound, hi - lo + 1) if clipped else bound for lo, hi in spec.window
