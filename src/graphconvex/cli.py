@@ -43,11 +43,12 @@ import json
 import random
 import shutil
 import sys
+import warnings
 
 from . import generators
 from .convexity import betweenness_closure, convex_hull, is_convex_at
 from .extreal import DEFAULT_TOL, check_tolerance, report_value
-from .graph import Graph, UnknownVertexError, sort_vertices
+from .graph import UnknownVertexError, sort_vertices
 from .io import (
     format_graph,
     format_vertex,
@@ -236,7 +237,8 @@ def _gen_arguments(p_gen) -> None:
     p.add_argument("--connected", action="store_true")
     p = add_parser("lattice")
     _add_output(p)
-    p.add_argument("--norm", choices=NORMS, default="l1")
+    p.add_argument("--norm", choices=NORMS, default="l1", dest="lattice")
+    p.set_defaults(graph=None)  # the instance loader reads --graph beside --norm
     p.add_argument("--dim", type=int)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--window", required=True, metavar="SPEC")
@@ -311,9 +313,7 @@ def _cmd_gen(args, parser) -> tuple[str, int]:
         make = generators.random_connected_graph if args.connected else generators.random_graph
         g = make(args.n, args.p, rng)
     else:  # lattice
-        window = _parse_window(args.window, args.dim, parser)
-        spec = LatticeSpec(len(window), args.norm, args.radius, window)
-        lat = build_lattice(spec, args.tolerance)
+        lat = _load_instance(args, parser, "lattice").lattice
         g = lat.graph
         interior = lat.interior
     text = format_graph(g)
@@ -347,6 +347,12 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
     weighted = bool(args.weighted)
     if kind in ("midpoint", "nn-property") and inst.lattice is None:
         parser.error(f"{kind} needs a lattice instance")
+    if weighted and kind not in ("subharmonic", "harmonic"):
+        parser.error(f"{kind} does not take --weighted")
+    if args.interior_only and inst.lattice is None:
+        parser.error("--interior-only needs a lattice instance")
+    if args.interior_only and kind in ("set-convex", "nn-property"):
+        parser.error(f"{kind} does not take --interior-only")
     if kind == "set-convex":
         members = parse_vertex_set(_read_text(_need(args, parser, "set")), inst.universe)
         missing = betweenness_closure(inst.metric, members) - frozenset(members)
@@ -414,13 +420,7 @@ def _check_row(kind, inst, fun, z, weighted, tol, convex_at) -> dict:
 
 def _cmd_verify(args, parser) -> tuple[dict, int]:
     kind, reads, check, (options, suite) = theorems.CLAIMS[args.claim]
-    _require_one_instance(args, parser)
-    if kind == "graph":
-        inst = _graph_instance(args, parser)
-        universe, label = inst.vertices, _graph_label(args)
-    else:
-        inst = _lattice_instance(args, parser)
-        universe, label = inst.window, None
+    inst = _load_instance(args, parser, kind)
     for flag in ("fn", "set"):
         if getattr(args, flag) and flag != reads:
             parser.error(f"claim {args.claim} does not read --{flag}")
@@ -429,14 +429,15 @@ def _cmd_verify(args, parser) -> tuple[dict, int]:
         if getattr(args, flag) is not None and (path or flag not in options):
             with_file = f" with --{reads}" if path else ""
             parser.error(f"claim {args.claim} does not read --{flag}{with_file}")
-    opts = argparse.Namespace(
-        tol=args.tolerance, label=label, values=lambda: _parse_values(args.values, parser),
+    opts = argparse.Namespace(  # a lattice report names the lattice by its repr
+        tol=args.tolerance, label=None if inst.lattice else inst.label,
+        values=lambda: _parse_values(args.values, parser),
         count=20 if args.count is None else args.count, seed=args.seed or 0)
     if path:
         parse = parse_vertex_function if reads == "fn" else parse_vertex_set
-        report = check(inst, parse(_read_text(path), universe), opts)
+        report = check(inst.means_on, parse(_read_text(path), inst.universe), opts)
     else:
-        report = suite(inst, opts)
+        report = suite(inst.means_on, opts)
     return {"report": "claim", **report.as_dict()}, 0 if report.verdict == "verified" else 1
 
 
@@ -481,19 +482,27 @@ _COMMANDS = {
 
 class _Instance:
     """A graph or lattice target plus the handles each command needs;
-    ``means_on`` is that graph or lattice, whose neighbours give the means."""
+    ``means_on`` is that graph or lattice, whose neighbours give the means,
+    and ``metric`` its metric, built the first time it is read."""
 
-    def __init__(self, label, metric, universe, domain, means_on):
+    def __init__(self, label, means_on, universe, domain, tol):
         self.label = label
-        self.metric = metric
+        self.means_on = means_on
         self.universe = universe
         self.domain = domain
-        self.means_on = means_on
+        self.tol = tol
         self.lattice = means_on if isinstance(means_on, GroupLattice) else None
 
+    @functools.cached_property
+    def metric(self):
+        return self.means_on.metric(self.tol)
 
-def _require_one_instance(args, parser) -> None:
-    """One instance, given once, and stdin read by at most one input."""
+
+def _load_instance(args, parser, kind: str | None = None) -> _Instance:
+    """The one instance of ``hull``, ``check``, ``verify`` (``kind``: the
+    "graph" or "lattice" its claim needs) and ``gen lattice``, given once,
+    with stdin read by at most one input.  A lattice's warning is printed
+    as one ``warning:`` line on stderr."""
     stdin = [f"--{flag}" for flag in ("graph", "fn", "set") if getattr(args, flag, None) == "-"]
     if len(stdin) > 1:
         parser.error(f"only one input may be read from stdin ('-'), got {' and '.join(stdin)}")
@@ -501,44 +510,29 @@ def _require_one_instance(args, parser) -> None:
         parser.error("give either --graph or --lattice, not both")
     if args.graph and (args.window, args.dim, args.radius) != (None, None, None):
         parser.error("--window, --dim and --radius describe a lattice; --graph takes none of them")
-
-
-def _load_instance(args, parser) -> _Instance:
-    _require_one_instance(args, parser)
+    if kind == "graph" and not args.graph:
+        parser.error("this claim needs --graph FILE")
+    if kind == "lattice" and not args.lattice:
+        parser.error("this operation needs --lattice NORM --window SPEC")
     if args.graph:
         g = parse_graph(_read_text(args.graph))
-        return _Instance(
-            _graph_label(args), g.metric(args.tolerance), g.vertices, g.vertices, g,
-        )
-    if args.lattice:
-        lat = _lattice_instance(args, parser)
-        # hull takes no --interior-only
-        domain = sorted(lat.interior) if getattr(args, "interior_only", False) else lat.window
-        return _Instance(
-            lat.spec.describe(), lat.metric(args.tolerance), lat.window, domain, lat,
-        )
-    parser.error("give --graph FILE or --lattice NORM --window SPEC")
-
-
-def _graph_instance(args, parser) -> Graph:
-    if not args.graph:
-        parser.error("this claim needs --graph FILE")
-    return parse_graph(_read_text(args.graph))
-
-
-def _graph_label(args) -> str:
-    return "<stdin>" if args.graph == "-" else args.graph
-
-
-def _lattice_instance(args, parser) -> GroupLattice:
+        label = "<stdin>" if args.graph == "-" else args.graph
+        return _Instance(label, g, g.vertices, g.vertices, args.tolerance)
     if not args.lattice:
-        parser.error("this operation needs --lattice NORM --window SPEC")
-    if not args.window:
+        parser.error("give --graph FILE or --lattice NORM --window SPEC")
+    if args.window is None:  # an empty spec is a bad spec
         parser.error("--lattice needs --window SPEC")
     window = _parse_window(args.window, args.dim, parser)
     radius = 1.0 if args.radius is None else args.radius
     spec = LatticeSpec(len(window), args.lattice, radius, window)
-    return build_lattice(spec, args.tolerance)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lat = build_lattice(spec, args.tolerance)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    # hull, verify and gen take no --interior-only
+    domain = sorted(lat.interior) if getattr(args, "interior_only", False) else lat.window
+    return _Instance(spec.describe(), lat, lat.window, domain, args.tolerance)
 
 
 def _parse_window(text: str, dim: int | None, parser) -> tuple:

@@ -359,11 +359,12 @@ def _hull_tables(m: Metric):
     for i in range(n):
         for j in range(i + 1, n):
             dij = rows[i][j]
-            if math.isinf(dij):
+            if dij == INF:  # == INF, not math.isinf: an int may be beyond float range
                 continue
             mask = 0
             for k in range(n):
-                if approx_eq(dij, rows[i][k] + rows[k][j], tol):
+                dik, dkj = rows[i][k], rows[k][j]
+                if dik != INF and dkj != INF and approx_eq(dij, dik + dkj, tol):
                     mask |= 1 << k
             between[i][j] = mask
     convex_masks = []

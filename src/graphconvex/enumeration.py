@@ -32,12 +32,11 @@ the 108,331 children.
 from __future__ import annotations
 
 import itertools
-import sys
 import time
 from functools import lru_cache
 from typing import Iterator
 
-from .graph import Graph, _bit_indices
+from .graph import Graph, _bit_indices, _info
 
 
 def connected_unit_graphs(n: int) -> list[Graph]:
@@ -70,16 +69,10 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
         for form in _child_forms(n, parent):
             seen.add(form)
             forms += 1
-    # Until something imports logging, no handler or level is set that could
-    # show an INFO record, so the record is dropped without paying the
-    # import (about 5 ms).
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).info(
-            "n=%d: %d classes from %d children, %d canonicalized, %.2f s",
-            n, len(seen), len(parents) * ((1 << n - 1) - 1), forms,
-            time.perf_counter() - start,
-        )
+    _info(
+        __name__, "n=%d: %d classes from %d children, %d canonicalized, %.2f s",
+        n, len(seen), len(parents) * ((1 << n - 1) - 1), forms, time.perf_counter() - start,
+    )
     return tuple(sorted(seen))
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from functools import reduce
 from itertools import islice, repeat
 from operator import and_, itemgetter, or_
@@ -190,6 +191,15 @@ class Metric:
                     yield i, j, dij, rk[j], dik
 
 
+def _info(name: str, msg: str, *args) -> None:
+    """An INFO record on the logger ``name``.  Until something imports
+    logging, no handler or level is set that could show it, so it is
+    dropped without paying the import (about 5 ms)."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).info(msg, *args)
+
+
 def _bit_indices(mask: int) -> Iterator[int]:
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -217,7 +227,8 @@ class Graph:
     every weight is a plain int, both yield the row's distance shells, and
     all distance arithmetic stays in exact ints; any float weight (1.0
     included) switches that source's distances to floats, without shells.
-    A bool weight is rejected.
+    A bool weight is rejected, and so is an int weight beyond float range
+    in a graph with a float weight.
     """
 
     def __init__(self, edges: Iterable = (), vertices: Iterable = ()):
@@ -225,6 +236,7 @@ class Graph:
         for v in vertices:
             adj.setdefault(v, {})
         unit = ints = True  # every weight == 1 / is a plain int
+        floats, huge = False, None  # a float weight / the first int edge beyond float range
         for edge in edges:
             if len(edge) == 2:
                 u, v = edge
@@ -243,12 +255,21 @@ class Graph:
                     )
                 unit = unit and w == 1
                 ints = ints and type(w) is int
+                if isinstance(w, float):
+                    floats = True
+                elif huge is None and w > sys.float_info.max:
+                    huge = u, v
             adj.setdefault(u, {})
             adj.setdefault(v, {})
             if v in adj[u]:
                 raise ValueError(f"duplicate edge {u!r}-{v!r}")
             adj[u][v] = w
             adj[v][u] = w
+        if floats and huge is not None:  # their sums would overflow a float
+            raise ValueError(
+                f"edge {huge[0]!r}-{huge[1]!r}: an int weight beyond float range "
+                "cannot meet a float weight"
+            )
         self._order: tuple = tuple(sort_vertices(adj))
         self._adj: dict[Any, Mapping] = {v: MappingProxyType(adj[v]) for v in self._order}
         self._index = {v: i for i, v in enumerate(self._order)}

@@ -65,24 +65,27 @@ NORMS = ("l1", "l2", "linf")
 class LatticeSpec(_Record):
     """Dimension, norm name ('l1', 'l2', 'linf'), radius and window box.
 
-    ``window`` holds one inclusive (lo, hi) pair per dimension.  The norm
-    name is stored in lower case and the window as a tuple of int pairs.
-    An immutable record: equality and hash compare the four fields.
+    ``window`` holds one inclusive (lo, hi) pair per dimension.  The
+    dimension and the bounds must be ints (not bool).  The norm name is
+    stored in lower case and the window as a tuple of int pairs.  An
+    immutable record: equality and hash compare the four fields.
     """
 
     __slots__ = __match_args__ = ("dimension", "norm", "radius", "window")
 
     def __init__(self, dimension: int, norm: str, radius: int | float,
                  window: tuple[tuple[int, int], ...]):
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if norm.lower() not in NORMS:
+        if not _is_int(dimension) or dimension < 1:
+            raise ValueError(f"dimension must be at least 1, as an int, got {dimension!r}")
+        if not isinstance(norm, str) or norm.lower() not in NORMS:
             raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
         # compared with float norms: no bool, nothing past float range
         if (isinstance(radius, bool) or not isinstance(radius, (int, float))
                 or not 0 < radius <= sys.float_info.max):
             raise ValueError(f"radius must be positive and finite as a float, got {radius!r}")
-        window = tuple(tuple(int(b) for b in axis) for axis in window)
+        window = tuple(map(tuple, window))
+        if not all(_is_int(b) for axis in window for b in axis):
+            raise ValueError(f"window bounds must be ints, got {window!r}")
         if len(window) != dimension:
             raise ValueError("window must give one (lo, hi) range per dimension")
         for lo, hi in window:
@@ -117,6 +120,11 @@ class LatticeSpec(_Record):
     def describe(self) -> str:
         box = "x".join(f"[{lo},{hi}]" for lo, hi in self.window)
         return f"{self.norm} lattice r={self.radius} window {box}"
+
+
+def _is_int(x) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @lru_cache(maxsize=64)

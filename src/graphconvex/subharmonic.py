@@ -8,9 +8,10 @@ variant uses the edge weights:
 
 with unit weights this is the plain neighborhood mean.  Comparisons clear
 the denominator (M_x * f(x) vs the weighted sum), so unit-weight graphs
-with integer values are decided in exact ints.  A value of +inf at x is
-subharmonic only when some neighbor value is +inf as well; two infinite
-sides count as equal.
+with integer values are decided in exact ints.  Both sums fold left to
+right by ``exact_add`` on every Python version, exact where an int beyond
+float range meets a float.  A value of +inf at x is subharmonic only when
+some neighbor value is +inf as well; two infinite sides count as equal.
 """
 
 from __future__ import annotations
@@ -61,18 +62,10 @@ def compare_to_neighborhood_mean(
         raise ValueError(f"degree zero at vertex {x!r}: no neighborhood mean")
     fx = _value(f, x)
     total = acc = 0
-    try:
-        for y, w in nbrs.items():
-            c = w if weighted else 1
-            total += c
-            acc += c * _value(f, y)  # c > 0, so no 0*inf can arise
-        lhs = total * fx
-    except OverflowError:  # an int beyond float range met a float: sum exactly
-        total = acc = 0
-        for y, w in nbrs.items():
-            c = w if weighted else 1
-            total, acc = exact_add(total, c), exact_add(acc, scaled(c, _value(f, y)))
-        lhs = scaled(total, fx)
+    for y, w in nbrs.items():
+        c = w if weighted else 1
+        total, acc = exact_add(total, c), exact_add(acc, scaled(c, _value(f, y)))
+    lhs = scaled(total, fx)
     mean = INF if acc == INF else exact_div(acc, total)
     if approx_eq(lhs, acc, tol):
         verdict = "harmonic"
@@ -96,11 +89,8 @@ def laplacian(g: Graph, f: Mapping, x):
     values = [_value(f, y) for y in nbrs]
     if fx == INF or INF in values:
         return INF
-    try:
-        return sum(w * (v - fx) for w, v in zip(nbrs.values(), values))
-    except OverflowError:  # an int beyond float range met a float: sum exactly
-        terms = (scaled(w, exact_add(v, -fx)) for w, v in zip(nbrs.values(), values))
-        return reduce(exact_add, terms, 0)
+    terms = (scaled(w, exact_add(v, -fx)) for w, v in zip(nbrs.values(), values))
+    return reduce(exact_add, terms, 0)
 
 
 def is_harmonic_at(

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 import time
 from functools import partial, reduce
 from itertools import repeat
@@ -50,9 +49,9 @@ from .convexity import (
 )
 from .enumeration import _iter_connected_unit_graphs, count_connected_graphs
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, report_value
-from .graph import Graph, Metric, _bit_indices, _picker
+from .graph import Graph, Metric, _bit_indices, _info, _picker
 from .io import format_graph, format_vertex
-from .lattice import GroupLattice, _sub, _tests, has_nearest_neighbor_property
+from .lattice import GroupLattice, _is_int, _sub, _tests, has_nearest_neighbor_property
 from .lattice import is_midpoint_convex_at  # noqa: F401  uncalled; perfbench/selfcheck.py reads it
 from .subharmonic import is_subharmonic_at
 
@@ -415,8 +414,7 @@ def verify_degree2_equivalence(g: Graph, values=(0, 1, 2)) -> ClaimReport:
         raise ValueError("degree-2 equivalence needs a 2-regular graph")
     if any(g.in_triangle(v) for v in g.vertices):
         raise ValueError("degree-2 equivalence needs a triangle-free graph")
-    if not all(isinstance(v, int) for v in values):
-        raise ValueError("values must be ints for the exact sweep")
+    _require_int_values(values)
     n = g.vertex_count
     if len(values) ** n > SWEEP_CAP:
         raise ValueError("value sweep too large")
@@ -494,8 +492,7 @@ def exhaustive_small_graph_sweep(
     vertex order, and stops there.
     """
     claim, hyp = _graph_hypothesis(hypothesis)
-    if not all(isinstance(v, int) for v in values):
-        raise ValueError("values must be ints for the exact sweep")
+    _require_int_values(values)
     if graphs is None:
         count = sum(count_connected_graphs(n) for n in range(1, max_n + 1))
         graphs = (
@@ -511,7 +508,7 @@ def exhaustive_small_graph_sweep(
         if g.vertex_count != last_n:
             last_n = g.vertex_count
             _info(
-                "%s sweep: n=%d after %d graphs, checked=%d fired=%d, %.2f s",
+                __name__, "%s sweep: n=%d after %d graphs, checked=%d fired=%d, %.2f s",
                 claim, last_n, swept, checked, fired, time.perf_counter() - start,
             )
         if len(values) ** g.vertex_count > SWEEP_CAP:
@@ -889,19 +886,10 @@ def _nearest_neighbor_test(lat: GroupLattice, tol: float):
     return test
 
 
-def _info(msg: str, *args) -> None:
-    """An INFO record on this module's logger.  Until something imports
-    logging, no handler or level is set that could show it, so it is
-    dropped without paying the import (about 5 ms)."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).info(msg, *args)
-
-
 def _log_sweep(report: ClaimReport, start: float) -> None:
     """One INFO record on this module's logger for a finished sweep."""
     _info(
-        "%s sweep: %s, checked=%d fired=%d, %s, %.2f s",
+        __name__, "%s sweep: %s, checked=%d fired=%d, %s, %.2f s",
         report.claim, report.instance, report.checked, report.hypothesis_fired,
         report.verdict, time.perf_counter() - start,
     )
@@ -1019,6 +1007,8 @@ def search_counterexample(
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
+    if sampler not in SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r}")
     _require_non_negative(budget=budget, count=count)
     check_tolerance(tol)
     instances = _family_instances(family, seed, sizes, p, n)
@@ -1050,6 +1040,11 @@ def _evaluate_predicate(predicate, g, m, fun, z, tol) -> dict | None:
     if g.degree(z) > 0:
         detail["subharmonic"] = bool(is_subharmonic_at(g, fun, z, tol=tol))
     return detail
+
+
+def _require_int_values(values) -> None:
+    if not all(map(_is_int, values)):  # bool rejected, as Graph rejects bool weights
+        raise ValueError(f"values must be ints for the exact sweep, got {values!r}")
 
 
 def _require_non_negative(**params) -> None:
@@ -1089,9 +1084,7 @@ def _sampler_functions(sampler, g, m, rng_key, count: int) -> Iterator[tuple[str
         return integer_function_samples(g.vertices, random.Random(rng_key), count)
     if sampler == "indicator":
         return indicator_samples(g.vertices, random.Random(rng_key), count)
-    if sampler == "constant":
-        return ((f"const {c}", {v: c for v in g.vertices}) for c in (0, 1))
-    raise ValueError(f"unknown sampler {sampler!r}")
+    return ((f"const {c}", {v: c for v in g.vertices}) for c in (0, 1))  # constant
 
 
 # -- witness dicts -------------------------------------------------------------------

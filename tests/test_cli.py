@@ -118,6 +118,19 @@ def test_hull_on_int_weights_beyond_float_range(tmp_path, capsys):
     assert (code, out) == (0, "input: 0 2\nhull: 0 1 2\ngrew: yes\n")
 
 
+def test_hull_on_a_float_weight_beside_an_int_beyond_float_range_exits_two(tmp_path, capsys):
+    # the sums of such weights overflowed in Dijkstra: a traceback and exit 1
+    (tmp_path / "g.txt").write_text(f"e 0 1 {10**400}\ne 1 2 0.5\n")
+    (tmp_path / "s.txt").write_text("0\n2\n")
+    files = ["--graph", str(tmp_path / "g.txt"), "--set", str(tmp_path / "s.txt")]
+    assert main(["hull", *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: edge 0-1: an int weight beyond float range cannot meet a float weight\n"
+    )
+
+
 def test_hull_json_and_one_step(square_file, tmp_path, capsys):
     s = tmp_path / "s.txt"
     s.write_text("0\n2\n")
@@ -296,6 +309,45 @@ def test_check_interior_only_restricts_rows(tmp_path, capsys):
     )
     assert code == 0
     assert [r["vertex"] for r in payload["rows"]] == ["(-1)", "(0)", "(1)"]
+
+
+# the check kinds that read a set, and those that compare means
+SET_KINDS = ("set-convex", "nn-property")
+MEAN_KINDS = ("subharmonic", "harmonic")
+
+
+@pytest.mark.parametrize("kind", [k for k in cli.CHECK_KINDS if k not in MEAN_KINDS])
+def test_check_rejects_weighted_where_no_mean_is_taken(kind, capsys):
+    file = "--set" if kind in SET_KINDS else "--fn"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", kind, *ON_LINE, file, "unread", "--weighted"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {kind} does not take --weighted\n")
+
+
+@pytest.mark.parametrize("kind", cli.CHECK_KINDS)
+def test_check_rejects_interior_only_on_a_graph(kind, square_file, capsys):
+    file = "--set" if kind in SET_KINDS else "--fn"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", kind, "--graph", square_file, file, "unread", "--interior-only"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # midpoint and nn-property need a lattice whatever the flags
+    needs = kind if kind in ("midpoint", "nn-property") else "--interior-only"
+    assert captured.err.endswith(f"error: {needs} needs a lattice instance\n")
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_check_rejects_interior_only_for_a_set_kind(kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", kind, *ON_LINE, "--set", "unread", "--interior-only"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {kind} does not take --interior-only\n")
 
 
 BIG = 10**400  # far beyond float range
@@ -702,9 +754,12 @@ def test_a_radius_past_the_window_acts_as_diameter_plus_one(
     reports = {}
     for r in (radius, str(diameter + 1)):
         start = time.perf_counter()
-        with pytest.warns(UserWarning, match="window has no interior vertex"):
-            code, payload = run_json(capsys, *argv, "--radius", r)
+        code = main([*argv, "--radius", r, "--format", "json"])
         assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"warning: [^\n]*: window has no interior vertex; [^\n]*\n", captured.err)
+        payload = json.loads(captured.out)
+        validate(payload, SCHEMA)
         assert f"r={float(r)} window" in payload.pop("instance")
         reports[r] = code, payload
     assert reports[radius] == reports[str(diameter + 1)]
@@ -1081,6 +1136,24 @@ def test_bad_window_spec_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "lattice", "--window", "1:2,3:4", "--dim", "3"])
     assert exc.value.code == 2
+
+
+NO_INTERIOR = ["verify", "lem-dist-pt", "--lattice", "l1", "--window", "0:3", "--radius", "5"]
+NO_INTERIOR_WARNING = ("warning: l1 lattice r=5.0 window [0,3]: window has no interior vertex; "
+                       "pointwise mean claims are vacuous here\n")
+
+
+def test_a_lattice_without_interior_warns_in_one_line(capsys):
+    # the library's UserWarning printed a source location and a source line
+    code = main(NO_INTERIOR)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, NO_INTERIOR_WARNING)
+    assert captured.out.endswith("verdict: verified\n")
+    src = str(Path(graphconvex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "graphconvex", *NO_INTERIOR],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, captured.out, NO_INTERIOR_WARNING)
 
 
 def test_module_entry_point(capsys, monkeypatch):

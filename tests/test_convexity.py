@@ -127,6 +127,14 @@ def test_closure_and_hull_apply_the_tolerance_to_float_sums():
     assert brute_force_convex_hull(m, {0, 2}) == {0, 1, 2}
 
 
+def test_brute_force_hull_skips_unreachable_vertices_beyond_float_range():
+    # 10**400 + inf overflowed once a vertex at infinite distance was tried
+    m = Graph([(0, 1, 10**400), (1, 2, 10**400), (3, 4, 1)]).metric()
+    for members in ({0, 2}, {0, 3}, {3, 4}, {1}):
+        assert brute_force_convex_hull(m, members) == convex_hull(m, members)
+    assert brute_force_convex_hull(m, {0, 2}) == {0, 1, 2}
+
+
 def test_hull_on_grid_is_the_bounding_box():
     m = grid(5, 5).metric()
     hull = convex_hull(m, {(0, 0), (2, 2)})

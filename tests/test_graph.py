@@ -69,6 +69,17 @@ def test_int_weights_beyond_float_range_are_exact():
     assert m.certified and m.shells(0) == {0: 0b1, big: 0b10, 2 * big: 0b100}
 
 
+def test_an_int_weight_beyond_float_range_next_to_a_float_weight_is_rejected():
+    # their sums overflowed in Dijkstra, and exact rows would overflow in
+    # the interval and between-pair tests of a float metric instead
+    for edges, bad in (([(0, 1, 10**400), (1, 2, 0.5)], "0-1"),
+                       ([(1, 2, 0.5), (3, 4, 1), (5, 6, 10**400)], "5-6")):
+        with pytest.raises(ValueError, match=f"^edge {bad}: an int weight beyond float range"):
+            Graph(edges)
+    # a float weight next to ints within float range stays a float metric
+    assert Graph([(0, 1, 2**1000), (1, 2, 0.5)]).distance(0, 2) == 2.0**1000 + 0.5
+
+
 def test_neighbors_view_is_read_only():
     g = Graph([(1, 2)])
     with pytest.raises(TypeError):

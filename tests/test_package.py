@@ -92,6 +92,13 @@ def test_records_keep_their_behaviour(cls, fields, text, change, defaults):
     ((1, "l1", "1", ((0, 1),)), "radius must be positive and finite as a float, got '1'"),
     ((2, "l1", 1, ((0, 1),)), "window must give one (lo, hi) range per dimension"),
     ((1, "l1", 1, ((3, 2),)), "empty window axis 3:2"),
+    ((True, "l1", 1, ((0, 1),)), "dimension must be at least 1, as an int, got True"),
+    ((1.0, "l1", 1, ((0, 1),)), "dimension must be at least 1, as an int, got 1.0"),
+    ((1, 1, 1, ((0, 1),)), "unknown norm 1"),
+    ((1, None, 1, ((0, 1),)), "unknown norm None"),
+    ((1, "l1", 1, ((0, 2.7),)), "window bounds must be ints, got ((0, 2.7),)"),
+    ((1, "l1", 1, (("0", 3),)), "window bounds must be ints, got (('0', 3),)"),
+    ((1, "l1", 1, ((0, True),)), "window bounds must be ints, got ((0, True),)"),
 ])
 def test_lattice_spec_rejects_bad_fields(args, message):
     with pytest.raises(ValueError) as info:

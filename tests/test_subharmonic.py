@@ -70,6 +70,15 @@ def test_means_and_laplacian_stay_exact_beyond_float_range():
     assert laplacian(g, {0: big, 1: 0, 2: big}, 1) == 2 * big
 
 
+def test_laplacian_folds_left_to_right_like_the_comparison():
+    # sum() compensates float sums from Python 3.12 on, and gave 1.0 there
+    g = Graph([("x", "a"), ("x", "b"), ("x", "c")])
+    f = {"x": 0, "a": 1e16, "b": 1.0, "c": -1e16}
+    assert compare_to_neighborhood_mean(g, f, "x").verdict == "harmonic"
+    lap = laplacian(g, f, "x")
+    assert lap == 0.0 and type(lap) is float
+
+
 def test_means_and_laplacian_mixing_huge_ints_with_floats_are_exact():
     # each of these raised OverflowError in float arithmetic
     big = 10**400

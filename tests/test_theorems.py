@@ -337,6 +337,8 @@ def test_degree2_equivalence_validation():
         verify_degree2_equivalence(two_squares)
     with pytest.raises(ValueError, match="ints"):
         verify_degree2_equivalence(cycle(4), values=(0.5, 1))
+    with pytest.raises(ValueError, match="ints"):  # bool is an int subclass
+        verify_degree2_equivalence(cycle(4), values=(True, False))
     with pytest.raises(ValueError, match="too large"):
         verify_degree2_equivalence(cycle(14))
 
@@ -367,6 +369,8 @@ def test_sweep_validation():
         exhaustive_small_graph_sweep("nope", graphs=[cycle(4)])
     with pytest.raises(ValueError, match="ints"):
         exhaustive_small_graph_sweep("triangle_free", values=(0.5,), graphs=[cycle(4)])
+    with pytest.raises(ValueError, match="ints"):
+        exhaustive_small_graph_sweep("triangle_free", values=(True, False), graphs=[cycle(4)])
     with pytest.raises(ValueError, match="too large"):
         exhaustive_small_graph_sweep("triangle_free", graphs=[cycle(16)])
 
@@ -646,6 +650,8 @@ def test_search_rejects_unknown_names():
         search_counterexample("nope", "distance", budget=1)
     with pytest.raises(ValueError, match="sampler"):
         search_counterexample("cycle", "nope", budget=1)
+    with pytest.raises(ValueError, match="unknown sampler 'bogus'"):  # before any instance
+        search_counterexample("cycle", "bogus", 0)
 
 
 def test_search_rejects_unknown_keywords():
