@@ -27,12 +27,13 @@ stdout or ``-o FILE``.
 
 Parsing has one parser per command line.  A command line that starts
 with its command is parsed by that command's parser alone, which asks for
-the terminal width once, not once per argument.  The top-level parser
-(:func:`build_parser`) is built only for top-level help, for leftover
-arguments or a command line that does not start with a command, and for
-the usage errors a command reports, so usage lines and messages stay
-those of the full build.  No parser or parsed input outlives a call of
-:func:`main`.
+the terminal width once, not once per argument.  :func:`build_parser` is
+the full build, every subcommand with its arguments; it is built only for
+top-level help, for leftover arguments or a command line that does not
+start with a command, and for usage errors.  A command raises a usage
+error it finds after argparse, and :func:`main` reports it through the
+full build, so usage lines and messages stay those of argparse.  No parser
+or parsed input outlives a call of :func:`main`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import warnings
 from . import generators
 from .convexity import betweenness_closure, convex_hull, is_convex_at
 from .extreal import DEFAULT_TOL, check_tolerance, report_value
-from .graph import UnknownVertexError, sort_vertices
+from .graph import sort_vertices
 from .io import (
     format_graph,
     format_vertex,
@@ -84,22 +85,25 @@ CHECK_KINDS = (
 def main(argv: list[str] | None = None) -> int:
     argv = _glue_window(sys.argv[1:] if argv is None else list(argv))
     args = _parse(argv)
-    parser = _TopLevel(argv)
     try:
-        payload, code = _COMMANDS[args.command][2](args, parser)
+        payload, code = _COMMANDS[args.command][2](args)
         text = _render(payload, getattr(args, "format", "text"))
         if args.output in (None, "-"):
             sys.stdout.write(text)
         else:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except UnknownVertexError as exc:
-        print(f"error: unknown vertex {format_vertex(exc.vertex)}", file=sys.stderr)
-        return 2
+    except _UsageError as exc:
+        build_parser().error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
+
+
+class _UsageError(Exception):
+    """A usage error a command finds after argparse; :func:`main` reports
+    it as argparse does.  Not a ValueError, which is an input error."""
 
 
 def _glue_window(argv: list[str]) -> list[str]:
@@ -119,8 +123,8 @@ def _glue_window(argv: list[str]) -> list[str]:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``argv`` parsed by its command's parser alone, under the prog
     :func:`build_parser` gives that subparser, when it starts with the
-    command and leaves nothing over; else by the top-level parser, which
-    reports leftover arguments as the full build does."""
+    command and leaves nothing over; else by the full build, which
+    reports leftover arguments."""
     if argv and argv[0] in _COMMANDS:
         add_arguments = _COMMANDS[argv[0]][1]
         # one terminal query for every formatter argparse makes (one per argument)
@@ -134,38 +138,21 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         if not extras:
             args.command = argv[0]
             return args
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
-class _TopLevel:
-    """The top-level parser of ``argv`` as the commands use it: they only
-    report usage errors, and :meth:`error` builds the parser only then."""
-
-    def __init__(self, argv: list[str]):
-        self.argv = argv
-
-    def error(self, message: str):
-        build_parser(self.argv).error(message)
-
-
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser for ``argv``: every subcommand listed, and
-    only the one argparse dispatches on given its arguments.
-
-    It is built only for errors and for an ``argv`` that does not start
-    with a command: one that does is parsed by its command's parser alone
-    (:func:`_parse`).  The dispatched subcommand is the first token naming
-    a command, as the top-level parser has no option that takes a value."""
-    command = next((tok for tok in argv if tok in _COMMANDS), None)
+def build_parser() -> argparse.ArgumentParser:
+    """The full build: the top-level parser, every subcommand with its
+    arguments.  It is built only for top-level help, leftover arguments
+    and usage errors: a command line that starts with its command is
+    parsed by that command's parser alone (:func:`_parse`)."""
     parser = argparse.ArgumentParser(
         prog="graphconvex",
         description="Convexity and subharmonicity checks on graphs and norm lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == command:
-            add_arguments(p)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -292,15 +279,16 @@ def _search_arguments(p) -> None:
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--predicate", choices=PREDICATES, default=PREDICATES[0])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20, help="functions per instance")
+    # None when not given, so a family or sampler that does not read them can reject them
+    p.add_argument("--count", type=int, help="functions per instance")
     p.add_argument("--n", type=int, help="size for the random family")
-    p.add_argument("--p", type=float, default=0.5, help="edge probability")
+    p.add_argument("--p", type=float, help="edge probability")
 
 
 # -- commands: each returns (payload, exit code) ----------------------------------
 
 
-def _cmd_gen(args, parser) -> tuple[str, int]:
+def _cmd_gen(args) -> tuple[str, int]:
     fam = args.family
     interior = None
     if fam in _GEN_SIZED:
@@ -313,7 +301,7 @@ def _cmd_gen(args, parser) -> tuple[str, int]:
         make = generators.random_connected_graph if args.connected else generators.random_graph
         g = make(args.n, args.p, rng)
     else:  # lattice
-        lat = _load_instance(args, parser, "lattice").lattice
+        lat = _load_instance(args, "lattice").lattice
         g = lat.graph
         interior = lat.interior
     text = format_graph(g)
@@ -323,8 +311,8 @@ def _cmd_gen(args, parser) -> tuple[str, int]:
     return text, 0
 
 
-def _cmd_hull(args, parser) -> tuple[dict, int]:
-    inst = _load_instance(args, parser)
+def _cmd_hull(args) -> tuple[dict, int]:
+    inst = _load_instance(args)
     members = parse_vertex_set(_read_text(args.set), inst.universe)
     close = betweenness_closure if args.one_step else convex_hull
     hull = close(inst.metric, members)
@@ -339,29 +327,29 @@ def _cmd_hull(args, parser) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_check(args, parser) -> tuple[dict, int]:
+def _cmd_check(args) -> tuple[dict, int]:
     kind = args.kind
     tol = args.tolerance
-    inst = _load_instance(args, parser)
+    inst = _load_instance(args)
     rows: list[dict] = []
     weighted = bool(args.weighted)
     if kind in ("midpoint", "nn-property") and inst.lattice is None:
-        parser.error(f"{kind} needs a lattice instance")
+        raise _UsageError(f"{kind} needs a lattice instance")
     if weighted and kind not in ("subharmonic", "harmonic"):
-        parser.error(f"{kind} does not take --weighted")
+        raise _UsageError(f"{kind} does not take --weighted")
     if args.interior_only and inst.lattice is None:
-        parser.error("--interior-only needs a lattice instance")
+        raise _UsageError("--interior-only needs a lattice instance")
     if args.interior_only and kind in ("set-convex", "nn-property"):
-        parser.error(f"{kind} does not take --interior-only")
+        raise _UsageError(f"{kind} does not take --interior-only")
     if kind == "set-convex":
-        members = parse_vertex_set(_read_text(_need(args, parser, "set")), inst.universe)
+        members = parse_vertex_set(_read_text(_need(args, "set")), inst.universe)
         missing = betweenness_closure(inst.metric, members) - frozenset(members)
         row = {"vertex": None, "verdict": "violated" if missing else "ok"}
         if missing:
             row["missing"] = [format_vertex(v) for v in sort_vertices(missing)]
         rows.append(row)
     elif kind == "nn-property":
-        members = parse_vertex_set(_read_text(_need(args, parser, "set")), inst.universe)
+        members = parse_vertex_set(_read_text(_need(args, "set")), inst.universe)
         verdict = has_nearest_neighbor_property(inst.lattice, members, tol=tol)
         row = {"vertex": None, "verdict": "ok" if verdict else "violated"}
         if not verdict:
@@ -370,7 +358,7 @@ def _cmd_check(args, parser) -> tuple[dict, int]:
             row["z"] = format_vertex(w.z)
         rows.append(row)
     else:
-        fun = parse_vertex_function(_read_text(_need(args, parser, "fn")), inst.universe)
+        fun = parse_vertex_function(_read_text(_need(args, "fn")), inst.universe)
         convex_at = None  # subharmonic and harmonic rows compare means instead
         if kind == "fn-convex":
             convex_at = functools.partial(is_convex_at, inst.metric, fun)
@@ -418,20 +406,20 @@ def _check_row(kind, inst, fun, z, weighted, tol, convex_at) -> dict:
     }
 
 
-def _cmd_verify(args, parser) -> tuple[dict, int]:
+def _cmd_verify(args) -> tuple[dict, int]:
     kind, reads, check, (options, suite) = theorems.CLAIMS[args.claim]
-    inst = _load_instance(args, parser, kind)
+    inst = _load_instance(args, kind)
     for flag in ("fn", "set"):
         if getattr(args, flag) and flag != reads:
-            parser.error(f"claim {args.claim} does not read --{flag}")
+            raise _UsageError(f"claim {args.claim} does not read --{flag}")
     path = getattr(args, reads) if reads else None
     for flag in ("values", "count", "seed"):
         if getattr(args, flag) is not None and (path or flag not in options):
             with_file = f" with --{reads}" if path else ""
-            parser.error(f"claim {args.claim} does not read --{flag}{with_file}")
+            raise _UsageError(f"claim {args.claim} does not read --{flag}{with_file}")
     opts = argparse.Namespace(  # a lattice report names the lattice by its repr
         tol=args.tolerance, label=None if inst.lattice else inst.label,
-        values=lambda: _parse_values(args.values, parser),
+        values=lambda: _parse_values(args.values),
         count=20 if args.count is None else args.count, seed=args.seed or 0)
     if path:
         parse = parse_vertex_function if reads == "fn" else parse_vertex_set
@@ -441,7 +429,12 @@ def _cmd_verify(args, parser) -> tuple[dict, int]:
     return {"report": "claim", **report.as_dict()}, 0 if report.verdict == "verified" else 1
 
 
-def _cmd_search(args, parser) -> tuple[dict, int]:
+def _cmd_search(args) -> tuple[dict, int]:
+    for flag in ("n", "p"):  # read by the random family alone
+        if getattr(args, flag) is not None and args.family != "random":
+            raise _UsageError(f"family {args.family} does not read --{flag}")
+    if args.count is not None and args.sampler not in ("random-int", "indicator"):
+        raise _UsageError(f"sampler {args.sampler} does not read --count")
     witness = search_counterexample(
         args.family,
         args.sampler,
@@ -449,8 +442,8 @@ def _cmd_search(args, parser) -> tuple[dict, int]:
         predicate=args.predicate,
         seed=args.seed,
         tol=args.tolerance,
-        count=args.count,
-        p=args.p,
+        count=20 if args.count is None else args.count,
+        p=0.5 if args.p is None else args.p,
         n=args.n,
     )
     payload = {
@@ -498,31 +491,32 @@ class _Instance:
         return self.means_on.metric(self.tol)
 
 
-def _load_instance(args, parser, kind: str | None = None) -> _Instance:
+def _load_instance(args, kind: str | None = None) -> _Instance:
     """The one instance of ``hull``, ``check``, ``verify`` (``kind``: the
     "graph" or "lattice" its claim needs) and ``gen lattice``, given once,
     with stdin read by at most one input.  A lattice's warning is printed
     as one ``warning:`` line on stderr."""
     stdin = [f"--{flag}" for flag in ("graph", "fn", "set") if getattr(args, flag, None) == "-"]
     if len(stdin) > 1:
-        parser.error(f"only one input may be read from stdin ('-'), got {' and '.join(stdin)}")
+        raise _UsageError(f"only one input may be read from stdin ('-'), got {' and '.join(stdin)}")
     if args.graph and args.lattice:
-        parser.error("give either --graph or --lattice, not both")
+        raise _UsageError("give either --graph or --lattice, not both")
     if args.graph and (args.window, args.dim, args.radius) != (None, None, None):
-        parser.error("--window, --dim and --radius describe a lattice; --graph takes none of them")
+        raise _UsageError(
+            "--window, --dim and --radius describe a lattice; --graph takes none of them")
     if kind == "graph" and not args.graph:
-        parser.error("this claim needs --graph FILE")
+        raise _UsageError("this claim needs --graph FILE")
     if kind == "lattice" and not args.lattice:
-        parser.error("this operation needs --lattice NORM --window SPEC")
+        raise _UsageError("this operation needs --lattice NORM --window SPEC")
     if args.graph:
         g = parse_graph(_read_text(args.graph))
         label = "<stdin>" if args.graph == "-" else args.graph
         return _Instance(label, g, g.vertices, g.vertices, args.tolerance)
     if not args.lattice:
-        parser.error("give --graph FILE or --lattice NORM --window SPEC")
+        raise _UsageError("give --graph FILE or --lattice NORM --window SPEC")
     if args.window is None:  # an empty spec is a bad spec
-        parser.error("--lattice needs --window SPEC")
-    window = _parse_window(args.window, args.dim, parser)
+        raise _UsageError("--lattice needs --window SPEC")
+    window = _parse_window(args.window, args.dim)
     radius = 1.0 if args.radius is None else args.radius
     spec = LatticeSpec(len(window), args.lattice, radius, window)
     with warnings.catch_warnings(record=True) as caught:
@@ -535,7 +529,7 @@ def _load_instance(args, parser, kind: str | None = None) -> _Instance:
     return _Instance(spec.describe(), lat, lat.window, domain, args.tolerance)
 
 
-def _parse_window(text: str, dim: int | None, parser) -> tuple:
+def _parse_window(text: str, dim: int | None) -> tuple:
     try:
         if ":" not in text:
             n = int(text)
@@ -550,25 +544,25 @@ def _parse_window(text: str, dim: int | None, parser) -> tuple:
             a, b = part.split(":")
             ranges.append((int(a), int(b)))
     except ValueError:
-        parser.error(f"bad window spec {text!r}")
+        raise _UsageError(f"bad window spec {text!r}")
     if dim is not None and dim != len(ranges):
-        parser.error(f"window has {len(ranges)} axes but --dim is {dim}")
+        raise _UsageError(f"window has {len(ranges)} axes but --dim is {dim}")
     return tuple(ranges)
 
 
-def _parse_values(text: str | None, parser) -> tuple:
+def _parse_values(text: str | None) -> tuple:
     if not text:
         return (0, 1, 2)
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        parser.error(f"bad value list {text!r}")
+        raise _UsageError(f"bad value list {text!r}")
 
 
-def _need(args, parser, name: str) -> str:
+def _need(args, name: str) -> str:
     value = getattr(args, name)
     if not value:
-        parser.error(f"this operation needs --{name} FILE")
+        raise _UsageError(f"this operation needs --{name} FILE")
     return value
 
 

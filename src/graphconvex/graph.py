@@ -227,8 +227,9 @@ class Graph:
     every weight is a plain int, both yield the row's distance shells, and
     all distance arithmetic stays in exact ints; any float weight (1.0
     included) switches that source's distances to floats, without shells.
-    A bool weight is rejected, and so is an int weight beyond float range
-    in a graph with a float weight.
+    A bool weight is rejected.  In a graph with a float weight, so is an
+    int weight beyond float range, and weights whose float sum passes the
+    float maximum.
     """
 
     def __init__(self, edges: Iterable = (), vertices: Iterable = ()):
@@ -270,6 +271,11 @@ class Graph:
                 f"edge {huge[0]!r}-{huge[1]!r}: an int weight beyond float range "
                 "cannot meet a float weight"
             )
+        # no shortest path is longer than the sum of all weights; each edge
+        # sits in two neighbour maps, so each entry adds half its weight
+        if floats and math.isinf(sum(w / 2 for nbrs in adj.values() for w in nbrs.values())):
+            raise ValueError("the edge weights sum beyond float range, so float path lengths "
+                             "would overflow")
         self._order: tuple = tuple(sort_vertices(adj))
         self._adj: dict[Any, Mapping] = {v: MappingProxyType(adj[v]) for v in self._order}
         self._index = {v: i for i, v in enumerate(self._order)}

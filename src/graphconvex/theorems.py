@@ -584,7 +584,7 @@ def _sweep_masks(g: Graph, values, sites, tables=None) -> tuple[int, list[int], 
     own.
     """
     if not g.is_unit_weight:
-        raise ValueError("prepared sweeps require unit weights")
+        raise ValueError("structural hypotheses assume unit edge weights")
     n, q, xs = g.vertex_count, len(values), sorted(set(values))
     total = q**n
     full = (1 << total) - 1
@@ -1024,8 +1024,6 @@ def search_counterexample(
 
 
 def _evaluate_predicate(predicate, g, m, fun, z, tol) -> dict | None:
-    if z not in fun:
-        return None
     if predicate == "convex-not-subharmonic":
         if g.degree(z) == 0:
             return None

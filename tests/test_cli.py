@@ -131,6 +131,17 @@ def test_hull_on_a_float_weight_beside_an_int_beyond_float_range_exits_two(tmp_p
     )
 
 
+def test_hull_on_float_weights_whose_sum_overflows_exits_two(tmp_path, capsys):
+    # the path 0-1-2 read as unreachable: "hull: 0 2" and exit 0
+    (tmp_path / "g.txt").write_text("e 0 1 1e308\ne 1 2 1e308\n")
+    (tmp_path / "s.txt").write_text("0\n2\n")
+    files = ["--graph", str(tmp_path / "g.txt"), "--set", str(tmp_path / "s.txt")]
+    for argv in (["hull", *files], ["check", "set-convex", *files]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: the edge weights sum beyond float range, "
+                                           "so float path lengths would overflow\n")
+
+
 def test_hull_json_and_one_step(square_file, tmp_path, capsys):
     s = tmp_path / "s.txt"
     s.write_text("0\n2\n")
@@ -894,24 +905,15 @@ def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
-def _full_parser(argv):
-    """The full build: every subcommand listed, the dispatched one with
-    its arguments, assembled here from the argument builders as the
-    reference every command line's outcome must match."""
-    parser = build_parser([])
-    command = next((tok for tok in argv if tok in cli._COMMANDS), None)
-    if command is not None:
-        cli._COMMANDS[command][1](_subparsers(parser).choices[command])
-    return parser
-
-
-def test_build_parser_adds_only_the_chosen_subcommand():
-    # every subcommand listed, one built, wherever the command stands
-    for argv in (["hull", "--set", "s"], ["-h", "hull"]):
-        sub = _subparsers(build_parser(argv))
-        assert list(sub.choices) == list(cli._COMMANDS)
-        assert "set" in {a.dest for a in sub.choices["hull"]._actions}
-        assert "claim" not in {a.dest for a in sub.choices["verify"]._actions}
+def test_build_parser_gives_every_subcommand_its_arguments():
+    sub = _subparsers(build_parser())
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for name, (_, add_arguments, _) in cli._COMMANDS.items():
+        reference = argparse.ArgumentParser()
+        add_arguments(reference)
+        built = sub.choices[name]
+        assert [a.option_strings or a.dest for a in built._actions] == \
+            [a.option_strings or a.dest for a in reference._actions]
 
 
 def _outcome(argv, capsys):
@@ -926,17 +928,16 @@ def _outcome(argv, capsys):
 
 def _full_build_outcome(argv, capsys, monkeypatch):
     """:func:`_outcome` with every parser, the command-line parse and the
-    usage errors alike, built with every subcommand listed
-    (:func:`_full_parser`)."""
+    usage errors alike, the full build (:func:`build_parser`)."""
     built = []
 
-    def full(argv):
-        built.append(_full_parser(argv))
+    def full():
+        built.append(build_parser())
         return built[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "build_parser", full)
-        patch.setattr(cli, "_parse", lambda argv: full(argv).parse_args(argv))
+        patch.setattr(cli, "_parse", lambda argv: full().parse_args(argv))
         reference = _outcome(argv, capsys)
     assert built, "the reference run built no parser"
     for parser in built:
@@ -947,9 +948,11 @@ def _full_build_outcome(argv, capsys, monkeypatch):
 @pytest.fixture()
 def cli_files(tmp_path, monkeypatch):
     """Run in a directory holding a graph ``g`` (the 4-cycle), a set ``s``
-    and a function ``f`` on it, constant so that it passes every check."""
+    and a function ``f`` on it, constant so that it passes every check,
+    and ``w4``, the 4-cycle with one edge of weight 2."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g").write_text("e 0 1\ne 1 2\ne 2 3\ne 3 0\n")
+    (tmp_path / "w4").write_text("e 0 1 2\ne 1 2\ne 2 3\ne 3 0\n")
     (tmp_path / "s").write_text("0\n2\n")
     (tmp_path / "f").write_text("0 0\n1 0\n2 0\n3 0\n")
 
@@ -1002,6 +1005,74 @@ def test_one_subparser_reads_like_the_full_build_at_40_columns(argv, cli_files, 
     got = _outcome(argv, capsys)
     assert got == _full_build_outcome(argv, capsys, monkeypatch)
     assert got[1] or got[2]
+
+
+USAGE_80 = "usage: graphconvex [-h] {gen,hull,check,verify,search} ...\n"
+LATE_USAGE_ERRORS = [
+    (["hull", "--set", "s"], "give --graph FILE or --lattice NORM --window SPEC"),
+    (["gen", "lattice", "--window", "1:x"], "bad window spec '1:x'"),
+    (["hull", "--lattice", "l1", "--window", "0", "--set", "s"], "bad window spec '0'"),
+    (["verify", "thm1", "--graph", "g", "--values", "1,a"], "bad value list '1,a'"),
+    (["check", "fn-convex", "--graph", "g"], "this operation needs --fn FILE"),
+    (["check", "set-convex", "--graph", "g"], "this operation needs --set FILE"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LATE_USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in LATE_USAGE_ERRORS])
+def test_a_usage_error_after_argparse_prints_the_usage_line(argv, message, cli_files, capsys,
+                                                             monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(argv, capsys) == (2, "", f"{USAGE_80}graphconvex: error: {message}\n")
+
+
+SEARCH_UNREAD = [
+    (["grid", "--sampler", "distance", "--budget", "1", "--n", "5", "--p", "0.9", "--count", "3"],
+     "family grid does not read --n"),
+    (["cycle", "--sampler", "constant", "--p", "0.9"], "family cycle does not read --p"),
+    (["path", "--sampler", "indicator", "--n", "5"], "family path does not read --n"),
+    (["random", "--sampler", "distance", "--count", "3"], "sampler distance does not read --count"),
+    (["random", "--sampler", "constant", "--count", "3"], "sampler constant does not read --count"),
+]
+
+
+@pytest.mark.parametrize("argv, message", SEARCH_UNREAD,
+                         ids=[" ".join(argv) for argv, _ in SEARCH_UNREAD])
+def test_search_rejects_an_option_it_does_not_read(argv, message, capsys, monkeypatch):
+    # they were ignored, with exit 0
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(["search", *argv], capsys) == (
+        2, "", f"{USAGE_80}graphconvex: error: {message}\n")
+
+
+SEARCH_READ = [
+    (["random", "--sampler", "random-int", "--n", "5", "--p", "0.9", "--count", "3"],
+     {"n": 5, "p": 0.9, "count": 3}),
+    (["random", "--sampler", "indicator"], {"n": None, "p": 0.5, "count": 20}),
+    (["cycle", "--sampler", "distance"], {"n": None, "p": 0.5, "count": 20}),
+]
+
+
+@pytest.mark.parametrize("argv, read", SEARCH_READ, ids=[" ".join(argv) for argv, _ in SEARCH_READ])
+def test_search_passes_the_options_it_reads(argv, read, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "search_counterexample", lambda *args, **kw: seen.append(kw))
+    assert main(["search", *argv]) == 0
+    assert [{key: kw[key] for key in read} for kw in seen] == [read]
+
+
+UNIT_WEIGHT_ERRORS = [
+    (["verify", "lem-deg2", "--graph", "w4"], "degree-2 equivalence assumes unit weights"),
+    *((["verify", claim, "--graph", "w4", *fn], "structural hypotheses assume unit edge weights")
+      for claim in ("thm1", "thm2") for fn in ([], ["--fn", "f"])),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNIT_WEIGHT_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in UNIT_WEIGHT_ERRORS])
+def test_a_unit_weight_claim_on_a_weighted_graph_exits_two(argv, message, cli_files, capsys):
+    # the thm1 and thm2 suites named a sweep preparation that no longer exists
+    assert _outcome(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -1064,7 +1135,7 @@ def test_verify_validation_error_exits_two(tmp_path, capsys):
     (["search", "random", "--sampler", "constant", "--n", "0"], "at least one vertex"),
     (["search", "cycle", "--sampler", "distance", "--budget", "-1"],
      "budget must be non-negative, got -1"),
-    (["search", "cycle", "--sampler", "distance", "--count", "-1"],
+    (["search", "cycle", "--sampler", "random-int", "--count", "-1"],
      "count must be non-negative, got -1"),
     (["verify", "lem-dist-pt", "--lattice", "l1", "--window", "-2:2", "--count", "-1"],
      "count must be non-negative, got -1"),

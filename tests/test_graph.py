@@ -80,6 +80,18 @@ def test_an_int_weight_beyond_float_range_next_to_a_float_weight_is_rejected():
     assert Graph([(0, 1, 2**1000), (1, 2, 0.5)]).distance(0, 2) == 2.0**1000 + 0.5
 
 
+def test_float_weights_whose_sum_passes_the_float_maximum_are_rejected():
+    # d(0, 2) read as inf, so 0 and 2 looked disconnected and their hull {0, 2}
+    for edges in ([(0, 1, 1e308), (1, 2, 1e308)], [(0, 1, 1e308), (1, 2, 10**308)],
+                  [(0, 1, 1.7e308), (2, 3, 0.5), (1, 2, 1.7e308)]):
+        with pytest.raises(ValueError, match="^the edge weights sum beyond float range"):
+            Graph(edges)
+    g = Graph([(0, 1, 1e308), (1, 2, 0.5e308)])
+    assert (g.distance(0, 2), g.is_connected) == (1.5e308, True)
+    # int weights alone stay exact beyond float range
+    assert Graph([(0, 1, 10**308), (1, 2, 10**308)]).distance(0, 2) == 2 * 10**308
+
+
 def test_neighbors_view_is_read_only():
     g = Graph([(1, 2)])
     with pytest.raises(TypeError):
