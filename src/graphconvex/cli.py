@@ -518,7 +518,9 @@ def _load_instance(args, kind: str | None = None) -> _Instance:
         raise _UsageError("--lattice needs --window SPEC")
     window = _parse_window(args.window, args.dim)
     radius = 1.0 if args.radius is None else args.radius
-    spec = LatticeSpec(len(window), args.lattice, radius, window)
+    # a size window with --dim below 1 has no axes; the spec names the --dim given
+    dim = len(window) if args.dim is None else args.dim
+    spec = LatticeSpec(dim, args.lattice, radius, window)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         lat = build_lattice(spec, args.tolerance)

@@ -118,13 +118,13 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     the first violating pair.  Vertices without a value are skipped; if z
     itself has none there is nothing to check and the verdict is ok.  On a
     certified metric (int-weighted graphs, l1 and linf windows) with every
-    value a plain int, z's neighbours are tried first
-    (:func:`_neighbours_refute`): when two of them refute convexity, the
-    verdict is False at once, and the first violating pair is searched for,
-    on a copy of f, only when the verdict's ``witness`` is read.  That pair
-    is found exactly on the metric's shells (:func:`_int_violation`).  Any
-    other metric or value (floats, l2, a hand-built metric, fractions,
-    +inf) takes the scan of every between-pair.
+    value a plain int, the verdict is False at once when two neighbours of
+    z refute convexity (:func:`_neighbours_refute`); the first violating
+    pair is then probed for (:func:`_int_violation`), on a copy of f, only
+    when the verdict's ``witness`` is read.  Every other site of such data
+    takes the ranked pass (:func:`_ranked_violation`), and any other metric
+    or value (floats, l2, a hand-built metric, fractions, +inf) the scan of
+    every between-pair.
     """
     if z not in m.index:
         raise UnknownVertexError(z)
@@ -133,9 +133,10 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
         return ConvexityVerdict(True, z)
     k = m.index[z]
     m.row(k)  # reading a certified row certifies the metric
-    if ints and m.certified and _neighbours_refute(m, k, f):
-        return ConvexityVerdict(False, z, partial(_first_witness, m, dict(f), k, ints))
-    witness = _first_witness(m, f, k, ints)
+    search = _ranked_violation if ints and m.certified else None
+    if search and _neighbours_refute(m, k, f):
+        return ConvexityVerdict(False, z, partial(_first_witness, m, dict(f), k, _int_violation))
+    witness = _first_witness(m, f, k, search)
     return ConvexityVerdict(witness is None, z, witness)
 
 
@@ -168,13 +169,15 @@ def _neighbours_refute(m: Metric, k: int, f: VertexFunction) -> bool:
     return False
 
 
-def _first_witness(m: Metric, f: VertexFunction, k: int, ints: bool) -> ConvexityWitness | None:
+def _first_witness(m: Metric, f: VertexFunction, k: int, search) -> ConvexityWitness | None:
     """The witness of the first violating pair at k in vertex order, or
-    None when f is convex at k; ``ints`` as :func:`check_values` gives it."""
+    None when f is convex at k.  On int data over a certified metric
+    ``search(m, k, f)`` finds the pair; with ``search`` None every
+    between-pair in f's domain is scanned."""
     verts = m.vertices
     fz = f[verts[k]]
-    if ints and m.certified:
-        pairs = _int_violation(m, k, f)
+    if search:
+        pairs = search(m, k, f)
     else:
         pairs = m.between_pairs(k, [i for i, v in enumerate(verts) if v in f])
     for i, j, dij, dkj, dik in pairs:
@@ -189,66 +192,47 @@ def _first_witness(m: Metric, f: VertexFunction, k: int, ints: bool) -> Convexit
 def _int_violation(m: Metric, k: int, f: VertexFunction) -> list:
     """The first violating between-pair at k of the plain-int function f
     on the certified metric m, in the form and order of
-    :meth:`Metric.between_pairs`, as a list of at most one tuple.
-
-    k is convex at once when no value of f is smaller than f(k).
-    Otherwise the candidates i are probed in order: the j > i with k
-    between them are :meth:`Metric.through` (i, k), tested
-    lowest first with (d(i, k) + d(k, j)) f(k) > d(k, j) f(i) + d(i, k) f(j),
-    so the first hit is the first violating pair, found with no lcm and no
-    sort.  The probe charges its work in shell ANDs: 16 plus the shells of
-    k per i, and 3 per partner tested (as timed on a 2-core VM with
-    CPython 3.11).  Once the charge passes 16 plus the vertex count, about
-    what setting up the ranked pass costs, :func:`_ranked_violation` takes
-    over after the last i probed, with slopes scaled by the lcm of the
-    distances of k's shells.  Most violations fall to the probe within a
-    few candidates, and a convex k pays about one set-up more.
+    :meth:`Metric.between_pairs`, as a list of at most one tuple, at a site
+    that :func:`_neighbours_refute` refuted.  The candidates i are probed
+    in order: the j > i with k between them, :meth:`Metric.through` (i, k),
+    are tested lowest first with (d(i, k) + d(k, j)) f(k) > d(k, j) f(i) +
+    d(i, k) f(j), so the first hit is the first violating pair, found with
+    no sort, by the refuting neighbour pair at the latest.
     """
+    rk, verts = m.row(k), m.vertices
+    vals = list(map(f.get, verts))  # None off the domain
+    fz, vals[k] = vals[k], None
+    for i, fi in enumerate(vals):
+        dik = rk[i]
+        if fi is None or dik == INF:
+            continue
+        for j in _bit_indices(m.through(i, k) >> i + 1 << i + 1):  # k between i and j > i
+            fj, dkj = vals[j], rk[j]
+            if fj is not None and (dik + dkj) * fz > dkj * fi + dik * fj:
+                return [(i, j, dik + dkj, dkj, dik)]
+    return []
+
+
+def _ranked_violation(m: Metric, k: int, f: VertexFunction) -> list:
+    """:func:`_int_violation` at a site that no neighbour pair refuted,
+    most often a convex one, which one sort settles.  k is convex at once
+    when no value of f is smaller than f(k).  Otherwise, with slopes
+    a(i) = (f(k) - f(i)) / d(i, k), a between-pair (i, j) violates the
+    inequality exactly when a(i) + a(j) > 0.  Scaled to ints by the lcm of
+    k's shell distances and sorted once, the j with a(j) > -a(i) form one
+    suffix mask.  The j > i in it are tested for k between i and j lowest
+    first, cut to :meth:`Metric.through` (i, k) when they outnumber the shells."""
     rk, verts = m.row(k), m.vertices
     vals = list(map(f.get, verts))  # None off the domain
     fz, vals[k] = vals[k], None
     if fz <= min(f.values()):  # every slope is at most 0
         return []
     shell_k = m.shells(k)
-    work, budget, per_i = 0, len(vals) + 16, len(shell_k) + 16  # in shell ANDs
-    for i, fi in enumerate(vals):
-        dik = rk[i]
-        if fi is None or dik == INF:
-            continue
-        later = m.through(i, k) >> i + 1 << i + 1  # the j > i with k between i and j
-        work += per_i + 3 * later.bit_count()
-        while later:  # the lowest j first
-            low = later & -later
-            j = low.bit_length() - 1
-            fj = vals[j]
-            if fj is not None:
-                dkj = rk[j]
-                if (dik + dkj) * fz > dkj * fi + dik * fj:
-                    return [(i, j, dik + dkj, dkj, dik)]
-            later ^= low
-        if work > budget:
-            break
-    else:
-        return []
     if sum(map(int.bit_count, shell_k.values())) < len(verts):  # some j out of reach
         vals = [None if d == INF else v for v, d in zip(vals, rk)]
-    # every pair left has both ends after i
-    cands = list(compress(range(i + 1, len(vals)), map(is_not, vals[i + 1 :], repeat(None))))
+    cands = list(compress(range(len(vals)), map(is_not, vals, repeat(None))))
     scales = _shell_scales(tuple(shell_k))
-    return _ranked_violation(m, k, cands, [(fz - vals[j]) * scales[rk[j]] for j in cands])
-
-
-def _ranked_violation(m: Metric, k: int, cands: list, slopes: list) -> list:
-    """:func:`_int_violation` over the pairs of ``cands``.
-
-    With slopes a(i) = (f(k) - f(i)) / d(i, k), a between-pair (i, j)
-    violates the inequality exactly when a(i) + a(j) > 0.  ``slopes`` holds
-    them scaled to ints by one common multiple of the distances; sorted
-    once, the j with a(j) > -a(i) form one suffix mask of that order.
-    Those j > i are tested for k between i and j lowest first, after
-    keeping only :meth:`Metric.through` (i, k) when there are more of them
-    than shells.
-    """
+    slopes = [(fz - vals[j]) * scales[rk[j]] for j in cands]
     size = len(slopes)
     order = sorted(range(size), key=slopes.__getitem__)
     keys = list(map(slopes.__getitem__, order))
@@ -256,12 +240,11 @@ def _ranked_violation(m: Metric, k: int, cands: list, slopes: list) -> list:
         return []
     # acc[q]: the candidates at the q highest sorted positions
     acc = [0, *accumulate([1 << cands[p] for p in reversed(order)], or_)]
-    rk, n_shells = m.row(k), len(m.shells(k))
     for i, s in zip(cands, slopes):
         later = acc[size - bisect_right(keys, -s)] >> i + 1 << i + 1
         if not later:
             continue
-        if later.bit_count() > n_shells:  # cheaper to keep only the j between
+        if later.bit_count() > len(shell_k):  # cheaper to keep only the j between
             later &= m.through(i, k)
         ri, d = m.row(i), rk[i]
         while later:  # the lowest j first

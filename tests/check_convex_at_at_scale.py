@@ -13,14 +13,17 @@ random int functions each, some on about 90 % of the vertices; and of the
 15x15 l1 and linf windows for d(., a) and a random int function.  These
 metrics are all certified (their rows come with distance shells, which
 have gaps under weights 1-3), so int data first tries the pairs of z's
-neighbours, then the probe and the ranked pass.  Each verdict's truth is
+neighbours: a site that two of them refute is probed for its first pair,
+and every other site goes to the ranked pass.  Each verdict's truth is
 read before its witness, as the claim checkers and ``search`` read it, so
 a site that two neighbours refute has had no pair search when its
 witness is read; the verdict, the pair and both sides of the witness
 must agree, the search must run at most once, and each metric must end
-certified.  Prints per case the sites refuted by a neighbour pair.
-Too slow for the tier-1 suite (about 9 s on a 2-core VM with CPython
-3.11), so pytest does not collect it; exits 1 on the first mismatch.
+certified.  Prints per case the sites refuted by a neighbour pair and
+the sites decided by the ranked pass.  Too slow for the tier-1 suite
+(about 4 s on a 2-core VM with CPython 3.11.7), so pytest does not collect
+it; exits 1 on the first mismatch, or when either path decided no site
+over the whole run.
 """
 
 import random
@@ -77,18 +80,24 @@ def cases():
 
 
 def main() -> int:
-    searches = []  # one entry per first-pair search run
-    search = convexity._first_witness
+    searches, ranked = [], []  # one entry per first-pair search, per ranked pass run
+    search, rank = convexity._first_witness, convexity._ranked_violation
 
     def counted(*args):
         searches.append(args[2])
         return search(*args)
 
-    convexity._first_witness = counted
+    def ranked_counted(*args):
+        ranked.append(args[1])
+        return rank(*args)
+
+    convexity._first_witness, convexity._ranked_violation = counted, ranked_counted
+    totals = [0, 0]  # sites refuted by a neighbour pair, sites decided by the ranked pass
     for label, instance, f in cases():
         start = time.perf_counter()
         m = instance.metric()
         violations = by_neighbours = 0
+        ranked.clear()
         for z in m.vertices:
             searches.clear()
             verdict = is_convex_at(m, f, z)
@@ -110,7 +119,14 @@ def main() -> int:
             return 1
         print(f"{label}: {len(m.vertices)} sites agree, {violations} violations, "
               f"{by_neighbours} refuted by a neighbour pair, "
+              f"{len(ranked)} decided by the ranked pass, "
               f"{time.perf_counter() - start:.1f} s")
+        totals[0] += by_neighbours
+        totals[1] += len(ranked)
+    if not all(totals):
+        print(f"MISMATCH: {totals[0]} sites refuted by a neighbour pair and "
+              f"{totals[1]} decided by the ranked pass over the whole run; both paths must run")
+        return 1
     return 0
 
 

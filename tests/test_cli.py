@@ -1209,6 +1209,24 @@ def test_bad_window_spec_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("dim", ["-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "lattice"],
+    ["verify", "thm4-cvx-sub", "--lattice", "l1"],
+    ["check", "midpoint", "--lattice", "l1", "--fn", "f.txt"],
+    ["hull", "--lattice", "l1", "--set", "s.txt"],
+], ids=lambda argv: argv[0])
+def test_a_size_window_reports_the_dim_given(argv, dim, tmp_path, capsys, monkeypatch):
+    # a size window with --dim below 1 has no axes, which read as dimension 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text("(0) 0\n")
+    (tmp_path / "s.txt").write_text("(0)\n")
+    assert main([*argv, "--window", "3", "--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: dimension must be at least 1, as an int, got {dim}\n")
+
+
 NO_INTERIOR = ["verify", "lem-dist-pt", "--lattice", "l1", "--window", "0:3", "--radius", "5"]
 NO_INTERIOR_WARNING = ("warning: l1 lattice r=5.0 window [0,3]: window has no interior vertex; "
                        "pointwise mean claims are vacuous here\n")

@@ -135,6 +135,13 @@ def test_brute_force_hull_skips_unreachable_vertices_beyond_float_range():
     assert brute_force_convex_hull(m, {0, 2}) == {0, 1, 2}
 
 
+def test_brute_force_hull_checks_its_cap_and_members():
+    with pytest.raises(ValueError, match="limited to 14 vertices, got 15"):
+        brute_force_convex_hull(path(15).metric(), {0})
+    with pytest.raises(UnknownVertexError):
+        brute_force_convex_hull(path(4).metric(), {0, 9})
+
+
 def test_hull_on_grid_is_the_bounding_box():
     m = grid(5, 5).metric()
     hull = convex_hull(m, {(0, 0), (2, 2)})
@@ -453,8 +460,8 @@ def witness_searches(monkeypatch):
     runs = []
     real = convexity._first_witness
 
-    def counting(m, f, k, ints):
-        w = real(m, f, k, ints)
+    def counting(m, f, k, search):
+        w = real(m, f, k, search)
         runs.append((m.vertices[k], w is not None))
         return w
 

@@ -88,6 +88,11 @@ def test_isomorphism_class_counts():
         assert count_connected_graphs(n) == expected
 
 
+def test_counting_needs_a_vertex():
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        count_connected_graphs(0)
+
+
 def test_classes_match_the_networkx_atlas():
     """Every connected graph of the atlas (all graphs up to 7 vertices),
     canonicalized, gives exactly the enumerated classes."""

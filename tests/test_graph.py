@@ -5,7 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from graphconvex import (
-    Graph, Metric, UnknownVertexError, cycle, grid, path, random_graph, sort_vertices,
+    Graph, Metric, UnknownVertexError, cycle, grid, int_path, king_grid, path, random_graph,
+    sort_vertices, triangular_tiling,
 )
 
 
@@ -19,6 +20,25 @@ def test_vertices_are_sorted_and_immutable():
     assert g.vertices == (1, 2, 3, 5)
     assert g.vertex_count == 4
     assert g.edge_count == 2
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cycle(2), "a cycle needs at least 3 vertices"),
+    (lambda: path(0), "a path needs at least 1 vertex"),
+    (lambda: int_path(3, 2), "empty integer range"),
+    (lambda: grid(0, 3), "grid dimensions must be positive"),
+    (lambda: king_grid(2, -1), "grid dimensions must be positive"),
+    (lambda: triangular_tiling(2, 0), "grid dimensions must be positive"),
+], ids=["cycle", "path", "int_path", "grid", "king_grid", "triangular_tiling"])
+def test_generators_reject_empty_sizes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_membership_reads_the_vertices():
+    g = Graph([(0, 1)], vertices=[3])
+    assert 0 in g and 3 in g
+    assert 5 not in g
 
 
 def test_mixed_vertex_types_get_a_stable_order():

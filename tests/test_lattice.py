@@ -256,6 +256,12 @@ def test_nn_property_2d():
     assert (verdict.witness.y1, verdict.witness.y2) == ((0, 0), (1, 1))
 
 
+def test_midpoint_check_rejects_a_point_off_the_window():
+    lat = make()
+    with pytest.raises(UnknownVertexError):
+        is_midpoint_convex_at(lat, dict.fromkeys(lat.window, 0), (9,))
+
+
 def test_nn_property_validates_members():
     lat = make()
     with pytest.raises(UnknownVertexError):

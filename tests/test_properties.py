@@ -9,8 +9,9 @@ tests also draw from {0.1, 0.2, 0.3}, whose sums are not: two paths of
 equal length may differ in the last bits, so the oracle compares lengths
 with its own relative tolerance, and the library must apply its own.  The
 tests of the exact int path draw weights from {1, 2, 3} and compare
-witnesses exactly, value types included; those of its probe and ranked
-pass on certified metrics use unit weights only.
+witnesses exactly, value types included; those of its probe (at sites
+two neighbours refute) and its ranked pass (at every other site) on
+certified metrics use unit weights only.
 
 The lattice oracles scan the whole window, while the library visits
 only the vectors that can matter; verdicts, first witnesses and set
@@ -346,7 +347,8 @@ def ranked_passes(monkeypatch):
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_convex_at_matches_pair_scan_on_certified_metrics(seed, ranked_passes):
     # unit weights give breadth-first rows with shells, a certified metric:
-    # int data is probed pair by pair, then ranked where the probe runs dry
+    # int data is probed pair by pair at sites that two neighbours refute,
+    # and ranked at every other site
     rng = random.Random(f"certified:{seed}")
     g, d = build(100, GRID_EDGES)
     a = rng.randrange(100)
@@ -375,23 +377,26 @@ def test_exact_convex_at_matches_pair_scan_on_certified_metrics(seed, ranked_pas
 
 
 def test_convex_at_pins_a_probed_and_a_ranked_site(ranked_passes):
-    # d(., 45) on the 10x10 grid: at 6 the probe meets the first violating
-    # pair at its first candidate; at 1 it runs dry first, and the ranked
-    # pass finds the pair from where the probe stopped
+    # d(., 45) on the 10x10 grid at 6: its neighbours 5 and 16 refute
+    # convexity, and the probe meets the first violating pair at its first
+    # candidate; with 5 and 16 off the domain no neighbour pair refutes 6,
+    # and the ranked pass finds the first violating pair over all candidates
     g, d = build(100, GRID_EDGES)
     m = g.metric()
-    f = {v: d(v, 45) for v in range(100)}
-    for z, pair, ranked in ((6, (0, 16), []), (1, (2, 10), [1])):
-        verdict = is_convex_at(m, f, z)
-        assert typed_witness(verdict) == exact_scan(d, f, z)
+    full = {v: d(v, 45) for v in range(100)}
+    holes = {v: fv for v, fv in full.items() if v not in (5, 16)}
+    for f, pair, ranked in ((full, (0, 16), []), (holes, (0, 26), [6])):
+        verdict = is_convex_at(m, f, 6)
+        assert typed_witness(verdict) == exact_scan(d, f, 6)
         assert (verdict.witness.x, verdict.witness.y) == pair
         assert ranked_passes == ranked
 
 
 def test_ranked_pass_scales_slopes_to_the_eccentricity(ranked_passes):
-    # on the path 0..4 at 2 (eccentricity 2) the probe clears 0 and hands
-    # over; the first violating pair (1, 4) then rests on the slope of 4,
-    # (f(2) - f(4)) / 2, which lcm(1, 2) must scale exactly
+    # on the path 0..4 at 2 (eccentricity 2) no neighbour pair refutes
+    # convexity, so the ranked pass decides; the first violating pair
+    # (1, 4) rests on the slope of 4, (f(2) - f(4)) / 2, which lcm(1, 2)
+    # must scale exactly
     g, d = build(5, [(i, i + 1, 1) for i in range(4)])
     f = dict(enumerate((3, 1, 0, 0, -3)))
     verdict = is_convex_at(g.metric(), f, 2)

@@ -61,6 +61,12 @@ def test_laplacian_frozen_values(lettered_square):
     assert laplacian(lettered_square, f, "z") == 0
 
 
+def test_laplacian_is_undefined_at_an_isolated_vertex():
+    g = Graph([(0, 1)], vertices=[2])
+    with pytest.raises(ValueError, match="degree zero at vertex 2: laplacian undefined"):
+        laplacian(g, {0: 0, 1: 1, 2: 2}, 2)
+
+
 def test_means_and_laplacian_stay_exact_beyond_float_range():
     big = 10**400
     g = path(3)

@@ -632,6 +632,8 @@ def test_search_convex_not_subharmonic_needs_a_triangle():
     assert none is None  # triangle-free cycles cannot trip the predicate
     # an empty size list means no instances, not the default sizes
     assert search_counterexample("cycle", "distance", budget=5, sizes=()) is None
+    # the one vertex of path(1) has no neighbour, so it is no site
+    assert search_counterexample("path", "constant", budget=1, sizes=[1]) is None
 
 
 def test_search_is_deterministic():
