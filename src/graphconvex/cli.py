@@ -553,7 +553,7 @@ def _parse_window(text: str, dim: int | None) -> tuple:
 
 
 def _parse_values(text: str | None) -> tuple:
-    if not text:
+    if text is None:
         return (0, 1, 2)
     try:
         return tuple(int(tok) for tok in text.split(","))

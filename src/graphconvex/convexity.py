@@ -122,9 +122,10 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     z refute convexity (:func:`_neighbours_refute`); the first violating
     pair is then probed for (:func:`_int_violation`), on a copy of f, only
     when the verdict's ``witness`` is read.  Every other site of such data
-    takes the ranked pass (:func:`_ranked_violation`), and any other metric
-    or value (floats, l2, a hand-built metric, fractions, +inf) the scan of
-    every between-pair.
+    takes the ranked pass (:func:`_ranked_violation`), which settles a convex
+    site from its values below f(z) alone, and any other metric or value
+    (floats, l2, a hand-built metric, fractions, +inf) the scan of every
+    between-pair.
     """
     if z not in m.index:
         raise UnknownVertexError(z)
@@ -220,8 +221,12 @@ def _ranked_violation(m: Metric, k: int, f: VertexFunction) -> list:
     a(i) = (f(k) - f(i)) / d(i, k), a between-pair (i, j) violates the
     inequality exactly when a(i) + a(j) > 0.  Scaled to ints by the lcm of
     k's shell distances and sorted once, the j with a(j) > -a(i) form one
-    suffix mask.  The j > i in it are tested for k between i and j lowest
-    first, cut to :meth:`Metric.through` (i, k) when they outnumber the shells."""
+    suffix mask.  Such a pair has an end p with a(p) > 0, so these ends are
+    tried first, highest slope first, with one :meth:`Metric.through` (p, k)
+    each: k is convex when no suffix mask of theirs meets it.  At the first
+    that does, the ordered loop finds the first pair: for each i, the j > i
+    in its mask are tested for k between i and j lowest first, cut to
+    through(i, k) when they outnumber the shells."""
     rk, verts = m.row(k), m.vertices
     vals = list(map(f.get, verts))  # None off the domain
     fz, vals[k] = vals[k], None
@@ -240,6 +245,11 @@ def _ranked_violation(m: Metric, k: int, f: VertexFunction) -> list:
         return []
     # acc[q]: the candidates at the q highest sorted positions
     acc = [0, *accumulate([1 << cands[p] for p in reversed(order)], or_)]
+    for q in reversed(order[bisect_right(keys, 0):]):  # the ends p with a(p) > 0, highest first
+        if acc[size - bisect_right(keys, -slopes[q])] & m.through(cands[q], k):
+            break  # k is violated: find its first pair in order
+    else:
+        return []  # every violating pair has such an end, so k is convex
     for i, s in zip(cands, slopes):
         later = acc[size - bisect_right(keys, -s)] >> i + 1 << i + 1
         if not later:

@@ -19,10 +19,15 @@ read before its witness, as the claim checkers and ``search`` read it, so
 a site that two neighbours refute has had no pair search when its
 witness is read; the verdict, the pair and both sides of the witness
 must agree, the search must run at most once, and each metric must end
-certified.  Prints per case the sites refuted by a neighbour pair and
-the sites decided by the ranked pass.  Too slow for the tier-1 suite
-(about 4 s on a 2-core VM with CPython 3.11.7), so pytest does not collect
-it; exits 1 on the first mismatch, or when either path decided no site
+certified.  A violating pair has an end i with f(i) < f(z), so at a
+convex site the ranked pass may call ``Metric.through`` at most once per
+such i at finite distance from z, its positive-slope candidates.  Prints
+per case the sites refuted by a neighbour pair, the sites decided by the
+ranked pass, and over its convex sites the ``through`` calls beside the
+positive-slope candidates.  Too slow for the tier-1 suite (about 4 s on a
+2-core VM with CPython 3.11.7), so pytest does not collect it; exits 1 on
+the first mismatch, when a convex site calls ``through`` more often than
+it has positive-slope candidates, or when either path decided no site
 over the whole run.
 """
 
@@ -31,7 +36,7 @@ import sys
 import time
 from fractions import Fraction
 
-from graphconvex import Graph, LatticeSpec, build_lattice, convexity, is_convex_at
+from graphconvex import INF, Graph, LatticeSpec, Metric, build_lattice, convexity, is_convex_at
 
 VALUES = (range(-3, 4), range(6), (-3, 3, 2**53 + 1), range(-50, 51))
 
@@ -80,26 +85,35 @@ def cases():
 
 
 def main() -> int:
-    searches, ranked = [], []  # one entry per first-pair search, per ranked pass run
-    search, rank = convexity._first_witness, convexity._ranked_violation
+    searches, throughs = [], []  # one entry per first-pair search, per Metric.through call
+    ranked = []  # per ranked pass run, the through calls it made
+    search, rank, through = convexity._first_witness, convexity._ranked_violation, Metric.through
 
     def counted(*args):
         searches.append(args[2])
         return search(*args)
 
     def ranked_counted(*args):
-        ranked.append(args[1])
-        return rank(*args)
+        before = len(throughs)
+        pairs = rank(*args)
+        ranked.append(len(throughs) - before)
+        return pairs
+
+    def through_counted(*args):
+        throughs.append(args[1])
+        return through(*args)
 
     convexity._first_witness, convexity._ranked_violation = counted, ranked_counted
+    Metric.through = through_counted
     totals = [0, 0]  # sites refuted by a neighbour pair, sites decided by the ranked pass
     for label, instance, f in cases():
         start = time.perf_counter()
         m = instance.metric()
-        violations = by_neighbours = 0
+        violations = by_neighbours = convex_calls = convex_ends = 0
         ranked.clear()
         for z in m.vertices:
             searches.clear()
+            passes = len(ranked)
             verdict = is_convex_at(m, f, z)
             ok = verdict.ok
             by_neighbours += not ok and not searches
@@ -114,12 +128,23 @@ def main() -> int:
                 print(f"MISMATCH {label} at {z!r}: {len(searches)} pair searches")
                 return 1
             violations += not ok
+            if ok and len(ranked) > passes:
+                rz = m.row(m.index[z])
+                ends = sum(fv < f[z] and rz[m.index[v]] != INF for v, fv in f.items())
+                if ranked[-1] > ends:
+                    print(f"MISMATCH {label} at {z!r}: convex, but the ranked pass called "
+                          f"Metric.through {ranked[-1]} times for {ends} positive-slope "
+                          "candidates")
+                    return 1
+                convex_calls += ranked[-1]
+                convex_ends += ends
         if not m.certified:
             print(f"MISMATCH {label}: the metric is not certified, so the pair scan decided")
             return 1
         print(f"{label}: {len(m.vertices)} sites agree, {violations} violations, "
               f"{by_neighbours} refuted by a neighbour pair, "
-              f"{len(ranked)} decided by the ranked pass, "
+              f"{len(ranked)} decided by the ranked pass, at its convex sites "
+              f"{convex_calls} through calls for {convex_ends} positive-slope candidates, "
               f"{time.perf_counter() - start:.1f} s")
         totals[0] += by_neighbours
         totals[1] += len(ranked)

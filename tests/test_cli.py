@@ -1013,6 +1013,7 @@ LATE_USAGE_ERRORS = [
     (["gen", "lattice", "--window", "1:x"], "bad window spec '1:x'"),
     (["hull", "--lattice", "l1", "--window", "0", "--set", "s"], "bad window spec '0'"),
     (["verify", "thm1", "--graph", "g", "--values", "1,a"], "bad value list '1,a'"),
+    (["verify", "lem-deg2", "--graph", "g", "--values", ""], "bad value list ''"),
     (["check", "fn-convex", "--graph", "g"], "this operation needs --fn FILE"),
     (["check", "set-convex", "--graph", "g"], "this operation needs --set FILE"),
 ]

@@ -405,6 +405,47 @@ def test_ranked_pass_scales_slopes_to_the_eccentricity(ranked_passes):
     assert ranked_passes == [2]
 
 
+@pytest.fixture
+def through_calls(monkeypatch):
+    """The (i, k) of every ``Metric.through`` call, in call order."""
+    real, seen = Metric.through, []
+
+    def through(m, i, k):
+        seen.append((i, k))
+        return real(m, i, k)
+
+    monkeypatch.setattr(Metric, "through", through)
+    return seen
+
+
+def test_a_convex_ranked_site_reads_through_once_per_lower_value(ranked_passes, through_calls):
+    # every violating pair has an end i with f(i) < f(k), so a convex site
+    # needs the j with k between i and j for those i alone, each once;
+    # d(., 45) on the 10x10 grid is convex at 40, with 41 values below f(40)
+    g, d = build(100, GRID_EDGES)
+    f = {v: d(v, 45) for v in range(100)}
+    verdict = is_convex_at(g.metric(), f, 40)
+    assert verdict.ok and verdict.witness is None
+    assert ranked_passes == [40]
+    lower = {v for v, fv in f.items() if fv < f[40]}
+    assert len(lower) == 41
+    ends = [i for i, _ in through_calls]
+    assert len(ends) == len(set(ends)) and set(ends) <= lower
+
+
+def test_the_first_positive_end_tried_need_not_end_the_first_pair(ranked_passes, through_calls):
+    # on the path 0..6 at 3 the highest slope is that of 6, which has
+    # partners, but the first violating pair in vertex order is (0, 4); no
+    # neighbour pair refutes 3 (f(2) + f(4) = 1 >= 2 f(3))
+    g, d = build(7, [(i, i + 1, 1) for i in range(6)])
+    f = dict(enumerate((-3, 0, 1, 0, 0, 0, -6)))
+    verdict = is_convex_at(g.metric(), f, 3)
+    assert ranked_passes == [3]
+    assert through_calls[0] == (6, 3)
+    assert typed_witness(verdict) == exact_scan(d, f, 3)
+    assert (verdict.witness.x, verdict.witness.y) == (0, 4)
+
+
 @PROPERTY
 @given(st.data())
 def test_exact_convex_at_matches_pair_scan_on_int_tables(data):
