@@ -25,8 +25,18 @@ connected graph leaves a connected graph on n - 1 vertices, whose class is
 one of the parents, so every class is still reached (canonical deletion:
 McKay, *Isomorph-Free Exhaustive Generation*, J. Algorithms 26 (1998)).
 Color order refines degree order, so a non-cut vertex of smaller degree
-rejects a child before refinement.  At n = 8 this canonicalizes 18,414 of
-the 108,331 children.
+rejects a child before refinement, and one of equal degree rejects it at
+the first refinement round that ranks it below the new vertex, since each
+round's order refines the one before.
+
+Twins of the parent are used too: u ~ v when N(u) - {v} = N(v) - {u}.  This
+is an equivalence, and every permutation inside a class is an automorphism
+of the parent.  Such a permutation, fixing the new vertex, maps the child
+of one subset onto the child of its image, and the filter depends only on
+the isomorphism class of the child with its new vertex, so only the subsets
+that meet each class in a prefix of its members (lowest first) are tried:
+every subset is the image of exactly one of them.  At n = 8 the twin rule
+skips 28,394 of the 108,331 children, and 13,566 are canonicalized.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from __future__ import annotations
 import itertools
 import time
 from functools import lru_cache
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .graph import Graph, _bit_indices, _info
 
@@ -42,11 +52,20 @@ from .graph import Graph, _bit_indices, _info
 def connected_unit_graphs(n: int) -> list[Graph]:
     """All connected unit-weight graphs on vertices 0..n-1, one per
     isomorphism class, in deterministic order."""
+    _require_vertex_count(n)
     return list(_iter_connected_unit_graphs(n))
 
 
 def count_connected_graphs(n: int) -> int:
+    _require_vertex_count(n)
     return len(_canonical_masks(n))
+
+
+def _require_vertex_count(n, name: str = "n") -> None:
+    """Reject a vertex count that is a bool or not an int, before the
+    cache of :func:`_canonical_masks` takes True for 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"{name} must be an int vertex count, got {n!r}")
 
 
 @lru_cache(maxsize=None)
@@ -63,35 +82,43 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
         return (0,)
     parents = _canonical_masks(n - 1)
     start = time.perf_counter()
-    seen: set[int] = set()
-    forms = 0
-    for parent in parents:
-        for form in _child_forms(n, parent):
-            seen.add(form)
-            forms += 1
+    skipped = 0
+
+    def forms() -> Iterator[int]:
+        nonlocal skipped
+        for parent in parents:
+            skipped += yield from _child_forms(n, parent)
+
+    found = list(forms())
+    seen = set(found)
     _info(
-        __name__, "n=%d: %d classes from %d children, %d canonicalized, %.2f s",
-        n, len(seen), len(parents) * ((1 << n - 1) - 1), forms, time.perf_counter() - start,
+        __name__, "n=%d: %d classes from %d children, %d skipped by the twin rule, "
+        "%d canonicalized, %.2f s", n, len(seen), len(parents) * ((1 << n - 1) - 1),
+        skipped, len(found), time.perf_counter() - start,
     )
     return tuple(sorted(seen))
 
 
-def _child_forms(n: int, parent: int) -> Iterator[int]:
+def _child_forms(n: int, parent: int) -> Generator[int, None, int]:
     """The canonical forms of the children of ``parent``, a graph on n - 1
     vertices, that pass the canonical-deletion filter: the new vertex n - 1
-    is joined to each nonempty subset of the old ones."""
+    is joined to each nonempty subset of the old ones that meets every twin
+    class in a prefix (see the module docstring).  Returns the number of
+    subsets skipped."""
     top = n - 1
     nbrs = _neighbors(top, parent)
     degree = [len(vs) for vs in nbrs]
     pieces = [_pieces_without(u, nbrs) for u in range(top)]
     subsets = _subsets(top)
-    for subset in range(1, 1 << top):
+    tried = _twin_prefixes(nbrs)
+    for subset in tried:
         new = subsets[subset]
         d = len(new)
         # A non-cut vertex u of smaller degree than the new vertex has a
         # smaller color and rejects the child at once; one of equal degree
-        # (a tie) is compared after refinement.  u is a non-cut vertex when
-        # every component of the parent minus u meets the new neighbors.
+        # (a tie) is compared at each refinement round.  u is a non-cut
+        # vertex when every component of the parent minus u meets the new
+        # neighbors.
         ties = []
         for u in range(top):
             du = degree[u] + (subset >> u & 1)
@@ -102,9 +129,37 @@ def _child_forms(n: int, parent: int) -> Iterator[int]:
         else:
             child = [vs + [top] if subset >> u & 1 else vs for u, vs in enumerate(nbrs)]
             child.append(new)
-            colors = _refine(child)
-            if not ties or min(colors[u] for u in ties) >= colors[top]:
+            colors = _refine(child, ties)
+            if colors is not None:
                 yield _least_mask(child, colors)
+    return (1 << top) - 1 - len(tried)
+
+
+def _twin_classes(nbrs) -> list[list[int]]:
+    """The classes of the twin relation, u ~ v when N(u) - {v} = N(v) - {u},
+    each in ascending order.  The relation is an equivalence, and every
+    permutation inside a class is an automorphism."""
+    around = [sum(1 << w for w in vs) for vs in nbrs]
+    classes: list[list[int]] = []
+    for u, row in enumerate(around):
+        for members in classes:
+            v = members[0]
+            if row & ~(1 << v) == around[v] & ~(1 << u):
+                members.append(u)
+                break
+        else:
+            classes.append([u])
+    return classes
+
+
+def _twin_prefixes(nbrs) -> list[int]:
+    """The nonempty vertex bitmasks that meet each twin class of the graph
+    in a prefix of its members."""
+    subsets = [0]
+    for members in _twin_classes(nbrs):
+        prefixes = list(itertools.accumulate(1 << u for u in members))
+        subsets += [s | p for s in subsets for p in prefixes]
+    return subsets[1:]
 
 
 def _canonical_form(n: int, mask: int) -> int:
@@ -157,19 +212,27 @@ def _pieces_without(u: int, nbrs) -> list[int]:
     return pieces
 
 
-def _refine(nbrs) -> list[int]:
+def _refine(nbrs, ties=()) -> list[int] | None:
     """Iterated color refinement; the final coloring is isomorphism-invariant.
 
     Each round ranks the keys (old color, sorted neighbor colors), so the
     new color order refines the old one; the first round starts from the
-    degrees.  When a round splits no cell, its ranks are final."""
+    degrees.  When a round splits no cell, its ranks are final.  ``ties``
+    are vertices of the same degree as the last vertex: at the first round
+    where one of them ranks below it the result is None, since later rounds
+    cannot reverse that order."""
     colors = [len(vs) for vs in nbrs]
     count = len(set(colors))
     while True:
-        keys = [(c, tuple(sorted([colors[u] for u in vs]))) for c, vs in zip(colors, nbrs)]
+        color = colors.__getitem__
+        keys = [(c, tuple(sorted(map(color, vs)))) for c, vs in zip(colors, nbrs)]
         ranked = sorted(set(keys))
         palette = dict(zip(ranked, range(len(ranked))))
         colors = [palette[key] for key in keys]
+        last = colors[-1]
+        for u in ties:
+            if colors[u] < last:
+                return None
         if len(ranked) == count:
             return colors
         count = len(ranked)

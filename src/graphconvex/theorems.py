@@ -47,7 +47,7 @@ from .convexity import (
     is_convex_set,
     set_distance_function,
 )
-from .enumeration import _iter_connected_unit_graphs, count_connected_graphs
+from .enumeration import _iter_connected_unit_graphs, _require_vertex_count, count_connected_graphs
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, report_value
 from .graph import Graph, Metric, _bit_indices, _info, _picker
 from .io import format_graph, format_vertex
@@ -493,6 +493,7 @@ def exhaustive_small_graph_sweep(
     """
     claim, hyp = _graph_hypothesis(hypothesis)
     _require_int_values(values)
+    _require_vertex_count(max_n, "max_n")
     if graphs is None:
         count = sum(count_connected_graphs(n) for n in range(1, max_n + 1))
         graphs = (

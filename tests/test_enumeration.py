@@ -22,7 +22,11 @@ import enumeration_oracle as oracle
 import pytest
 
 import graphconvex
-from graphconvex import connected_unit_graphs, count_connected_graphs
+from graphconvex import (
+    connected_unit_graphs,
+    count_connected_graphs,
+    exhaustive_small_graph_sweep,
+)
 from graphconvex.enumeration import (
     _canonical_form,
     _canonical_masks,
@@ -30,6 +34,7 @@ from graphconvex.enumeration import (
     _neighbors,
     _pairs,
     _refine,
+    _twin_classes,
 )
 
 ISO_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
@@ -91,6 +96,18 @@ def test_isomorphism_class_counts():
 def test_counting_needs_a_vertex():
     with pytest.raises(ValueError, match="need at least one vertex"):
         count_connected_graphs(0)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_vertex_counts_must_be_ints(n):
+    """A bool or a non-int is refused at the boundary: True is not taken for
+    1, and 2.0 or "3" do not fail deep inside with a TypeError."""
+    with pytest.raises(ValueError, match="must be an int vertex count"):
+        count_connected_graphs(n)
+    with pytest.raises(ValueError, match="must be an int vertex count"):
+        connected_unit_graphs(n)
+    with pytest.raises(ValueError, match="max_n must be an int vertex count"):
+        exhaustive_small_graph_sweep("triangle_free", max_n=n, values=(0, 1))
 
 
 def test_classes_match_the_networkx_atlas():
@@ -202,13 +219,48 @@ def test_each_graph_is_a_child_of_its_canonical_deletion():
         assert _canonical_form(n, mask) in set(_child_forms(n, deletion_parent(n, mask))), (n, mask)
 
 
+@pytest.mark.parametrize("name, n, edges, classes", [
+    ("K1,3", 4, [(0, 1), (0, 2), (0, 3)], [[0], [1, 2, 3]]),
+    ("K4", 4, list(combinations(range(4), 2)), [[0, 1, 2, 3]]),
+    ("C4", 4, [(0, 1), (1, 2), (2, 3), (3, 0)], [[0, 2], [1, 3]]),
+    ("P4", 4, [(0, 1), (1, 2), (2, 3)], [[0], [1], [2], [3]]),
+])
+def test_twin_classes(name, n, edges, classes):
+    """True twins (K4, adjacent) and false twins (the leaves of K1,3 and the
+    opposite corners of C4) share a class; P4 has none.  Swapping two
+    members of a class keeps the edge set."""
+    assert _twin_classes(_neighbors(n, oracle.mask_of(n, edges))) == classes, name
+    edge_set = {frozenset(e) for e in edges}
+    for members in classes:
+        for u, v in combinations(members, 2):
+            swap = {u: v, v: u}
+            assert {frozenset(swap.get(x, x) for x in e) for e in edge_set} == edge_set
+
+
+def test_every_canonical_deletion_child_is_tried():
+    """For every parent on at most 5 vertices, each nonempty subset whose
+    child has that parent as its canonical deletion gives a form among the
+    parent's child forms, though the twin rule tries fewer subsets."""
+    for n in range(2, 7):
+        for parent in _canonical_masks(n - 1):
+            edges = [p for k, p in enumerate(_pairs(n - 1)) if parent >> k & 1]
+            forms = set(_child_forms(n, parent))
+            for subset in range(1, 1 << n - 1):
+                child = oracle.mask_of(n, edges + [(u, n - 1) for u in range(n - 1)
+                                                   if subset >> u & 1])
+                if deletion_parent(n, child) == parent:
+                    assert _canonical_form(n, child) in forms, (n, parent, subset)
+
+
 def test_enumeration_logs_one_record_per_vertex_count(caplog):
     _canonical_masks.cache_clear()
     with caplog.at_level(logging.INFO, logger="graphconvex.enumeration"):
         _canonical_masks(5)
     messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.enumeration"]
     assert [m.split(":")[0] for m in messages] == ["n=2", "n=3", "n=4", "n=5"]
-    assert messages[-1].startswith("n=5: 21 classes from 90 children, 47 canonicalized, ")
+    assert messages[-1].startswith(
+        "n=5: 21 classes from 90 children, 37 skipped by the twin rule, 24 canonicalized, "
+    )
     assert messages[-1].endswith(" s")
 
 
