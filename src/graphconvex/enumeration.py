@@ -53,7 +53,7 @@ def connected_unit_graphs(n: int) -> list[Graph]:
     """All connected unit-weight graphs on vertices 0..n-1, one per
     isomorphism class, in deterministic order."""
     _require_vertex_count(n)
-    return list(_iter_connected_unit_graphs(n))
+    return [_from_mask(n, mask) for mask in _canonical_masks(n)]
 
 
 def count_connected_graphs(n: int) -> int:
@@ -168,11 +168,6 @@ def _canonical_form(n: int, mask: int) -> int:
     return _least_mask(nbrs, _refine(nbrs))
 
 
-def _iter_connected_unit_graphs(n: int) -> Iterator[Graph]:
-    """The graphs of :func:`connected_unit_graphs`, built one at a time."""
-    return (_from_mask(n, mask) for mask in _canonical_masks(n))
-
-
 def _from_mask(n: int, mask: int) -> Graph:
     pairs = _pairs(n)
     edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
@@ -186,6 +181,19 @@ def _neighbors(n: int, mask: int) -> list[list[int]]:
             nbrs[i].append(j)
             nbrs[j].append(i)
     return nbrs
+
+
+def _adjacency(n: int, mask: int) -> list[int]:
+    """Per vertex of the graph on 0..n-1 with edge mask ``mask``, the bitmask
+    of its neighbours: the masks ``Graph._masks`` keeps for the graph that
+    :func:`_from_mask` builds."""
+    adj = [0] * n
+    pairs = _pairs(n)
+    for k in _bit_indices(mask):
+        i, j = pairs[k]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
 
 
 @lru_cache(maxsize=None)

@@ -200,6 +200,30 @@ def _info(name: str, msg: str, *args) -> None:
         logging.getLogger(name).info(msg, *args)
 
 
+def _bfs_row(masks, i: int) -> tuple:
+    """``(row, shells)`` of vertex i of the unit-weight graph whose vertex v
+    has the neighbour bitmask ``masks[v]``, by breadth-first search, as
+    :attr:`Metric.row_source` describes them: int distances, +inf where
+    unreachable, and one shell per distance from 0 up, with no gap."""
+    row = [INF] * len(masks)
+    shells = {}
+    seen = layer = 1 << i
+    r = 0
+    while layer:  # layer: the vertices at distance r
+        shells[r] = layer
+        reached = 0
+        while layer:
+            low = layer & -layer
+            j = low.bit_length() - 1
+            row[j] = r
+            reached |= masks[j]
+            layer ^= low
+        layer = reached & ~seen
+        seen |= layer
+        r += 1
+    return row, shells
+
+
 def _bit_indices(mask: int) -> Iterator[int]:
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -281,7 +305,7 @@ class Graph:
         self._index = {v: i for i, v in enumerate(self._order)}
         self._unit, self._ints = unit, ints
         self._bfs = unit and ints  # every weight is the int 1
-        self._nbr_masks: list | None = None  # per index, its neighbours' bitmask; BFS only
+        self._nbr_masks: list | None = None  # per index, its neighbours' bitmask
         self._rows: list = [None] * len(self._order)  # index -> (row, shells)
         self._views: dict = {}  # vertex -> read-only mapping of its finite row
 
@@ -386,8 +410,8 @@ class Graph:
         return entry
 
     def _dijkstra(self, i: int) -> tuple:
-        """Fill row i: by BFS when every weight is the int 1, else by a
-        binary-heap Dijkstra; with its shells when every weight is a plain
+        """Fill row i: by :func:`_bfs_row` when every weight is the int 1,
+        else by a binary-heap Dijkstra; with its shells when every weight is a plain
         int, else without."""
         if not self._bfs:
             src = self._order[i]
@@ -414,26 +438,16 @@ class Graph:
             for u, d in done.items():
                 shells[d] = shells.get(d, 0) | 1 << index[u]
             return row, shells
+        return _bfs_row(self._masks(), i)
+
+    def _masks(self) -> list:
+        """Per vertex index, the bitmask of its neighbours' indices: bit u
+        of entry v marks an edge between the u-th and v-th vertex.  Built on
+        first use and kept; edge weights play no part."""
         masks = self._nbr_masks
         if masks is None:
             index = self._index
             masks = self._nbr_masks = [
                 sum(1 << index[u] for u in self._adj[v]) for v in self._order
             ]
-        row = [INF] * len(masks)
-        shells = {}
-        seen = layer = 1 << i
-        r = 0
-        while layer:  # layer: the vertices at distance r
-            shells[r] = layer
-            reached = 0
-            while layer:
-                low = layer & -layer
-                j = low.bit_length() - 1
-                row[j] = r
-                reached |= masks[j]
-                layer ^= low
-            layer = reached & ~seen
-            seen |= layer
-            r += 1
-        return row, shells
+        return masks

@@ -35,7 +35,7 @@ import random
 import time
 from functools import partial, reduce
 from itertools import repeat
-from operator import add, le, mul, or_
+from operator import add, and_, le, mul, or_
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from . import generators
@@ -47,9 +47,15 @@ from .convexity import (
     is_convex_set,
     set_distance_function,
 )
-from .enumeration import _iter_connected_unit_graphs, _require_vertex_count, count_connected_graphs
+from .enumeration import (
+    _adjacency,
+    _canonical_masks,
+    _from_mask,
+    _require_vertex_count,
+    count_connected_graphs,
+)
 from .extreal import DEFAULT_TOL, approx_le, check_tolerance, report_value
-from .graph import Graph, Metric, _bit_indices, _info, _picker
+from .graph import Graph, Metric, _bfs_row, _bit_indices, _info, _picker
 from .io import format_graph, format_vertex
 from .lattice import GroupLattice, _is_int, _sub, _tests, has_nearest_neighbor_property
 from .lattice import is_midpoint_convex_at  # noqa: F401  uncalled; perfbench/selfcheck.py reads it
@@ -161,7 +167,7 @@ def aggregate_reports(claim: str, instance: str, reports: Iterable[ClaimReport])
 
 def triangle_free_hypothesis(g: Graph, z) -> bool:
     """deg(z) > 1 and no two neighbors of z are adjacent."""
-    return g.degree(z) > 1 and not g.in_triangle(z)
+    return _triangle_free(g._masks(), _index_of(g, z))
 
 
 def pairing_hypothesis(g: Graph, z) -> tuple | None:
@@ -171,34 +177,61 @@ def pairing_hypothesis(g: Graph, z) -> tuple | None:
     returned every time.  Odd degree (and degree zero, where neighborhood
     means are undefined) yields None.
     """
-    adj = g.neighbors(z)
-    nbrs = [v for v in g.vertices if v in adj]
-    if not nbrs or len(nbrs) % 2:
+    pairs = _pairing(g._masks(), _index_of(g, z))
+    if pairs is None:
+        return None
+    verts = g.vertices
+    return tuple((verts[a], verts[b]) for a, b in pairs)
+
+
+def _index_of(g: Graph, z) -> int:
+    """The index of z in the vertex order of g; UnknownVertexError when z
+    is not a vertex of g."""
+    g._require(z)
+    return g._index[z]
+
+
+# The hypotheses on neighbour bitmasks: bit u of adj[v] marks an edge, and
+# vertex k is the site.
+
+
+def _triangle_free(adj, k: int) -> bool:
+    """deg(k) > 1 and no two neighbours of k adjacent."""
+    nbrs = adj[k]
+    return nbrs & (nbrs - 1) != 0 and not any(adj[u] & nbrs for u in _bit_indices(nbrs))
+
+
+def _pairing(adj, k: int) -> tuple | None:
+    """The index pairs of :func:`pairing_hypothesis`: the lowest neighbour
+    left is paired with each non-adjacent one in turn, lowest first."""
+    nbrs = adj[k]
+    if not nbrs or nbrs.bit_count() % 2:
         return None
     pairs: list[tuple] = []
 
-    def extend(remaining: list) -> bool:
+    def extend(remaining: int) -> bool:
         if not remaining:
             return True
-        a, adj_a = remaining[0], g.neighbors(remaining[0])
-        for k in range(1, len(remaining)):
-            b = remaining[k]
-            if b not in adj_a:
-                pairs.append((a, b))
-                if extend(remaining[1:k] + remaining[k + 1 :]):
-                    return True
-                pairs.pop()
+        low = remaining & -remaining
+        a = low.bit_length() - 1
+        remaining ^= low
+        for b in _bit_indices(remaining & ~adj[a]):
+            pairs.append((a, b))
+            if extend(remaining ^ 1 << b):
+                return True
+            pairs.pop()
         return False
 
     return tuple(pairs) if extend(nbrs) else None
 
 
 def _graph_hypothesis(hypothesis: str):
-    """Claim id and per-vertex test of a structural hypothesis."""
+    """Claim id and per-site test ``test(adj, k)`` of a structural
+    hypothesis, on neighbour bitmasks."""
     if hypothesis == "triangle_free":
-        return "thm1", triangle_free_hypothesis
+        return "thm1", _triangle_free
     if hypothesis == "pairing":
-        return "thm2", lambda g, z: pairing_hypothesis(g, z) is not None
+        return "thm2", lambda adj, k: _pairing(adj, k) is not None
     raise ValueError(f"unknown hypothesis {hypothesis!r}")
 
 
@@ -230,7 +263,8 @@ def verify_pointwise_implication(
             raise ValueError("structural hypotheses assume unit edge weights")
         claim, hyp = _graph_hypothesis(hypothesis)
         weighted = False
-        sites = [z for z in instance.vertices if hyp(instance, z)]
+        adj = instance._masks()
+        sites = [z for k, z in enumerate(instance.vertices) if hyp(adj, k)]
         convex_at = partial(is_convex_at, instance.metric(tol), f)
 
         def subharmonic_at(z):
@@ -443,7 +477,7 @@ def _degree2_sweep(g: Graph, values) -> ClaimReport:
     connected), and constants are convex everywhere.
     """
     n = g.vertex_count
-    total, convex, not_sub = _sweep_masks(g, values, range(n))
+    total, convex, not_sub = _sweep_masks(g._masks(), values, range(n))
     sub_everywhere = (1 << total) - 1
     for bad in not_sub:
         sub_everywhere &= ~bad
@@ -455,9 +489,7 @@ def _degree2_sweep(g: Graph, values) -> ClaimReport:
         )
     b, k, fired = refutation
     fired += (sub_everywhere & ((1 << b) - 1)).bit_count()
-    witness = _sweep_witness(
-        g, _function_at(values, n, b), k, "convex at z but not subharmonic at z"
-    )
+    witness = _refuted_at(g, values, b, k)
     return ClaimReport("lem-deg2", repr(g), (b + 1) * n, fired, "refuted", witness)
 
 
@@ -471,79 +503,112 @@ def exhaustive_small_graph_sweep(
     graphs: Iterable[Graph] | None = None,
 ) -> ClaimReport:
     """Run thm1/thm2 over every function into ``values`` on every connected
-    graph up to ``max_n`` vertices (one per isomorphism class).
+    graph up to ``max_n`` vertices (one per isomorphism class), or on each
+    of ``graphs``.
 
     All arithmetic is exact ints.  The returned report counts every
     hypothesis site scanned and every firing (site where the function was
     also convex); a single refutation aborts the sweep with its witness.
     Progress goes to this module's logger at INFO level, one record each
-    time the vertex count changes.  Without ``graphs``, each class is built
-    as a :class:`Graph` only when the sweep reaches it.
+    time the vertex count changes; from the second record on, each also
+    says how many pair and mean masks the vertex count just finished built
+    and reused.  Without ``graphs``, ``max_n`` below 1 raises ValueError,
+    and each class is swept on the adjacency bitmasks of its enumeration
+    mask: it is built as a :class:`Graph` only for a witness.
 
     On each graph the functions are the tuples of
     ``itertools.product(values, repeat=n)`` in the vertex order of the
     graph, and bit b of each mask of :func:`_sweep_masks` stands for the
     b-th of them, so at most 4,000,000 functions fit one graph.  The value
-    masks and violation rules are built once per sweep, so each graph pays
-    only for its between-pairs, read from its breadth-first shells, and the
-    mask algebra.  The witness is the lowest function that refutes at some
-    site, at its first such site in vertex order; the counts are those of a
-    scan that visits the functions in order, and the sites of each in
-    vertex order, and stops there.
+    masks and violation rules are built once per sweep, and when it covers
+    more than one graph, the violation mask of each between-pair and the
+    mean mask of each site once per vertex count.  So a graph pays for its
+    hypothesis sites, its breadth-first rows and between-pairs, and the
+    masks no graph of its size built before it.  The witness is the lowest
+    function that refutes at some site, at its first such site in vertex
+    order; the counts are those of a scan that visits the functions in
+    order, and the sites of each in vertex order, and stops there.
     """
     claim, hyp = _graph_hypothesis(hypothesis)
     _require_int_values(values)
     _require_vertex_count(max_n, "max_n")
-    if graphs is None:
+    streamed = graphs is None
+    if streamed:
+        if max_n < 1:
+            raise ValueError(f"max_n must be at least 1, got {max_n}")
         count = sum(count_connected_graphs(n) for n in range(1, max_n + 1))
-        graphs = (
-            g for n in range(1, max_n + 1) for g in _iter_connected_unit_graphs(n)
+        # (adjacency, source): the source of a class is its enumeration mask
+        instances = (
+            (_adjacency(n, mask), mask)
+            for n in range(1, max_n + 1) for mask in _canonical_masks(n)
         )
     else:
         graphs = list(graphs)
         count = len(graphs)
+        instances = ((g._masks(), g) for g in graphs)
     label = f"{count} graphs, f in {values}^X"
     checked = fired = 0
-    start, last_n, tables = time.perf_counter(), None, {}
-    for swept, g in enumerate(graphs):
-        if g.vertex_count != last_n:
-            last_n = g.vertex_count
+    # on one graph no mask key repeats, so only a longer sweep keeps a memo
+    start, last_n, tables = time.perf_counter(), None, {} if count > 1 else None
+    for swept, (adj, source) in enumerate(instances):
+        n = len(adj)
+        if n != last_n:
+            memo = "" if last_n is None else _memo_counts(tables, last_n)
             _info(
-                __name__, "%s sweep: n=%d after %d graphs, checked=%d fired=%d, %.2f s",
-                claim, last_n, swept, checked, fired, time.perf_counter() - start,
+                __name__, "%s sweep: n=%d after %d graphs, checked=%d fired=%d, %.2f s%s",
+                claim, n, swept, checked, fired, time.perf_counter() - start, memo,
             )
-        if len(values) ** g.vertex_count > SWEEP_CAP:
-            raise ValueError(
-                f"value sweep over {g.vertex_count} vertices is too large"
-            )
-        sites = [k for k, z in enumerate(g.vertices) if hyp(g, z)]
+            last_n = n
+        if len(values) ** n > SWEEP_CAP:
+            raise ValueError(f"value sweep over {n} vertices is too large")
+        sites = [k for k in range(n) if hyp(adj, k)]
         if not sites:
             continue
-        site_checked, site_fired, witness = _implication_sweep(g, values, sites, tables)
+        if not streamed and not source.is_unit_weight:
+            raise ValueError("structural hypotheses assume unit edge weights")
+        site_checked, site_fired, refutation = _implication_sweep(adj, values, sites, tables)
         checked += site_checked
         fired += site_fired
-        if witness is not None:
+        if refutation is not None:
+            g = _from_mask(n, source) if streamed else source
+            witness = _refuted_at(g, values, *refutation)
             return ClaimReport(claim, label, checked, fired, "refuted", witness)
     return ClaimReport.settled(claim, label, checked, fired)
 
 
-def _implication_sweep(g: Graph, values, sites, tables=None) -> tuple[int, int, dict | None]:
-    """Checked sites, firings and the first witness of "convex at z implies
-    subharmonic at z" over every function into ``values``, at the vertex
-    indices ``sites`` (ascending) of g, in the order of
+def _memo_counts(tables: dict, n: int) -> str:
+    """The tail of a progress record: the pair and mean masks that the
+    sweep's ``tables`` built and reused over the graphs on n vertices."""
+    if tables.get("n") == n:
+        pairs_reused, means_reused = tables["reused"]
+        counts = len(tables["pairs"]), pairs_reused, len(tables["means"]), means_reused
+    else:  # no graph on n vertices had a site
+        counts = 0, 0, 0, 0
+    return ("; n=%d: pair masks %d built, %d reused; mean masks %d built, %d reused"
+            % (n, *counts))
+
+
+def _implication_sweep(adj, values, sites, tables=None) -> tuple[int, int, tuple | None]:
+    """Checked sites, firings and the first refutation ``(b, k)``, function
+    b at vertex k, of "convex at z implies subharmonic at z" over every
+    function into ``values``, at the vertex indices ``sites`` (ascending)
+    of the graph with neighbour bitmasks ``adj``, in the order of
     :func:`exhaustive_small_graph_sweep`; ``tables`` as :func:`_sweep_masks`
     takes them."""
-    total, convex, not_sub = _sweep_masks(g, values, sites, tables)
+    total, convex, not_sub = _sweep_masks(adj, values, sites, tables)
     refutation = _first_refutation(convex, not_sub)
     if refutation is None:
         return total * len(sites), sum(c.bit_count() for c in convex), None
     b, p, fired = refutation
     fired += sum(c >> b & 1 for c in convex[: p + 1])
-    witness = _sweep_witness(
-        g, _function_at(values, g.vertex_count, b), sites[p],
-        "convex at z but not subharmonic at z",
-    )
-    return b * len(sites) + p + 1, fired, witness
+    return b * len(sites) + p + 1, fired, (b, sites[p])
+
+
+def _refuted_at(g: Graph, values, b: int, k: int) -> dict:
+    """The witness of function b of a value sweep of g, convex but not
+    subharmonic at the vertex with index k."""
+    return _sweep_witness(g, _function_at(values, g.vertex_count, b), k,
+                          "convex at z but not subharmonic at z")
 
 
 def _first_refutation(convex, not_sub) -> tuple[int, int, int] | None:
@@ -564,38 +629,46 @@ def _first_refutation(convex, not_sub) -> tuple[int, int, int] | None:
 # -- the bit-parallel sweep kernel ---------------------------------------------------
 
 
-def _sweep_masks(g: Graph, values, sites, tables=None) -> tuple[int, list[int], list[int]]:
-    """Convexity and subharmonicity at each site of g for every function
-    into ``values`` at once, in exact ints (unit weights, plain means).
+def _sweep_masks(adj, values, sites, tables=None) -> tuple[int, list[int], list[int]]:
+    """Convexity and subharmonicity at each site of a unit-weight graph for
+    every function into ``values`` at once, in exact ints (plain means).
+    The graph has vertices 0..n-1, and bit u of ``adj[v]`` marks the edge
+    u-v.
 
     Bit b of a mask stands for the b-th tuple of
-    ``itertools.product(values, repeat=n)``, in the vertex order of g;
-    ``values`` keep the caller's order, duplicates included.  Returns the
-    number of functions and, per site, the mask of functions convex there
-    and the mask of functions not subharmonic there.
+    ``itertools.product(values, repeat=n)``, the value at vertex v being
+    its v-th entry; ``values`` keep the caller's order, duplicates
+    included.  Returns the number of functions and, per site, the mask of
+    functions convex there and the mask of functions not subharmonic
+    there.
 
-    The between-pairs (i, j) of a site k are read exactly from the
-    breadth-first shells: for each i at finite distance from k, the j > i
-    of :meth:`Metric.through` (i, k), k excluded, so a disconnected g
-    sweeps too.  The neighbours of k are its shell at distance 1.
-    ``tables`` keeps what depends on ``values`` alone: the value masks of
-    the last vertex count and the violation rule of each pair of
-    distances.  A sweep passes one dict, for its one ``values``, to all its
-    calls, so each is built once per sweep; without one, a call builds its
-    own.
+    The rows and shells come from a :class:`Metric` whose row source is
+    the breadth-first search :func:`~graphconvex.graph._bfs_row` over
+    ``adj``.  The between-pairs (i, j) of a site k are read exactly from
+    them: for each i at finite distance from k, the j > i of
+    :meth:`Metric.through` (i, k), k excluded, so a disconnected graph
+    sweeps too.  The neighbours of k are ``adj[k]``.
+
+    ``tables`` is what one sweep, for its one ``values``, shares between
+    its calls: the violation rule of each pair of distances, and for the
+    last vertex count the value masks, the violation mask of each
+    between-pair keyed by (k, i, j, d_ik, d_jk), the not-subharmonic mask
+    of each site keyed by (k, adj[k]), and how many of those two kinds
+    were reused.  Each mask is built once per vertex count.  A call
+    without ``tables`` builds its own value masks and rules and memoizes
+    no pair or mean mask, since within one graph no key repeats.
     """
-    if not g.is_unit_weight:
-        raise ValueError("structural hypotheses assume unit edge weights")
-    n, q, xs = g.vertex_count, len(values), sorted(set(values))
+    n, q, xs = len(adj), len(values), sorted(set(values))
     total = q**n
     full = (1 << total) - 1
+    memo = tables is not None
     tables = {} if tables is None else tables
     if tables.get("n") != n:
         # at[i] = (eq, below): eq[a] has f(i) = xs[a], below[t] has f(i) in
         # xs[:t].  Vertex i is digit i of b in base q, most significant
         # first, so its pattern is a block of q**(n-1-i) bits per value
         # index, repeated every q**(n-i) bits.
-        tables["n"], at = n, []
+        at = []
         for i in range(n):
             stride = q ** (n - 1 - i)
             period = dict.fromkeys(xs, 0)
@@ -603,51 +676,73 @@ def _sweep_masks(g: Graph, values, sites, tables=None) -> tuple[int, list[int], 
                 period[x] |= ((1 << stride) - 1) << v * stride
             eq = [_tile(period[x], q * stride, total) for x in xs]
             at.append((eq, list(itertools.accumulate(eq, or_, initial=0))))
-        tables["at"] = at
+        tables.update(n=n, at=at, pairs={}, means={}, reused=[0, 0])
     at, rules = tables["at"], tables.setdefault("rules", {})
-    m = g.metric()
-    if n and m.shells(0) is None:  # weights 1.0: the same distances from an int copy
-        m = Graph([e[:2] for e in g.edges()], g.vertices).metric()
+    pairs, means = tables["pairs"], tables["means"]
+    pairs_reused = means_reused = 0
+    m = Metric(range(n), lambda u, v: m.row(u)[v], row_source=partial(_bfs_row, adj))
     convex, not_sub = [], []
     for k in sites:
         rk, shells = m.row(k), m.shells(k)
+        at_k = at[k][0]
         others = reduce(or_, shells.values()) & ~(1 << k)
-        # broken[a]: functions where some pair (i, j) around k breaks
-        # d_ij f(k) <= d_jk f(i) + d_ik f(j) once f(k) = xs[a]
-        broken = [0] * len(xs)
+        # broken[a]: functions where a pair (i, j) around k breaks
+        # d_ij f(k) <= d_jk f(i) + d_ik f(j) once f(k) = xs[a]; over all of
+        # k's pairs, or with the memo over one pair, whose mask goes to bad
+        broken, bad = [0] * len(xs), 0
         for i in _bit_indices(others):
             at_i, dik = at[i][0], rk[i]
             for j in _bit_indices(m.through(i, k) & others >> i + 1 << i + 1):
-                rule = rules.get((dik, rk[j]))
+                djk = rk[j]
+                if memo:
+                    key = k, i, j, dik, djk
+                    pair = pairs.get(key)
+                    if pair is not None:
+                        bad |= pair
+                        pairs_reused += 1
+                        continue
+                    broken = [0] * len(xs)
+                rule = rules.get((dik, djk))
                 if rule is None:
-                    rule = rules[dik, rk[j]] = _violation_rule(xs, dik + rk[j], rk[j], dik)
+                    rule = rules[dik, djk] = _violation_rule(xs, dik + djk, djk, dik)
                 below_j = at[j][1]
                 for a, terms in enumerate(rule):
                     for b, t in terms:
                         broken[a] |= at_i[b] & below_j[t]
-        at_k = at[k][0]
-        bad = 0
-        for a in range(len(xs)):
-            bad |= at_k[a] & broken[a]
+                if memo:
+                    pairs[key] = pair = reduce(or_, map(and_, at_k, broken), 0)
+                    bad |= pair
+        if not memo:
+            bad = reduce(or_, map(and_, at_k, broken), 0)
         convex.append(full ^ bad)
-        # sums[s]: functions whose neighbours of k sum to s
-        nlist = list(_bit_indices(shells.get(1, 0)))
-        sums = {0: full}
-        for i in nlist:
-            at_i = at[i][0]
-            nxt: dict[int, int] = {}
-            for s, mask in sums.items():
-                for a, x in enumerate(xs):
-                    nxt[s + x] = nxt.get(s + x, 0) | mask & at_i[a]
-            sums = nxt
-        ordered = sorted(sums)
-        bad = low = t = 0
-        for a, x in enumerate(xs):
-            while t < len(ordered) and ordered[t] < len(nlist) * x:
-                low |= sums[ordered[t]]
-                t += 1
-            bad |= at_k[a] & low
+        nbrs = adj[k]
+        bad = means.get((k, nbrs)) if memo else None
+        if bad is None:
+            # sums[s]: functions whose neighbours of k sum to s
+            degree, sums = nbrs.bit_count(), {0: full}
+            for i in _bit_indices(nbrs):
+                at_i = at[i][0]
+                nxt: dict[int, int] = {}
+                for s, mask in sums.items():
+                    for a, x in enumerate(xs):
+                        nxt[s + x] = nxt.get(s + x, 0) | mask & at_i[a]
+                sums = nxt
+            ordered = sorted(sums)
+            bad = low = t = 0
+            for a, x in enumerate(xs):
+                while t < len(ordered) and ordered[t] < degree * x:
+                    low |= sums[ordered[t]]
+                    t += 1
+                bad |= at_k[a] & low
+            if memo:
+                means[k, nbrs] = bad
+        else:
+            means_reused += 1
         not_sub.append(bad)
+    if memo:
+        reused = tables["reused"]
+        reused[0] += pairs_reused
+        reused[1] += means_reused
     return total, convex, not_sub
 
 

@@ -8,14 +8,20 @@ orderings inside each refinement cell), that there are 11,117 classes,
 that the library's forms of C_9 and the Petersen graph equal the oracle's
 (9! and 10! orderings), and that the thm1 and thm2 sweeps over every
 function into {0, 1, 2} on all n = 8 graphs are verified with their
-pinned counts.  Too slow for the tier-1 suite, so pytest does not collect
-it; exits 1 on the first mismatch.
+pinned counts.  Both claims are then swept streamed, from the class masks,
+with ``max_n=7`` and ``max_n=8``: the n <= 8 counts must be the n <= 7
+counts plus the pinned n = 8 counts of the built graphs, so the two entry
+paths of ``exhaustive_small_graph_sweep`` cannot drift apart.  Too slow
+for the tier-1 suite, so pytest does not collect it; exits 1 on the first
+mismatch.
 
 Each line ends with the check's own duration and the time since the start.
-On a 2-core VM with CPython 3.11 the whole run takes about 29 s: about
-13 s for the class list (mostly the oracle's), 1 and 11 s for the C_9 and
-Petersen forms, 0.3 s to build the 11,117 graphs, and 1.2 and 2.3 s for
-the thm1 and thm2 sweeps.
+On a 2-core VM with CPython 3.11 the whole run takes about 22 s: about
+10 s for the class list (mostly the oracle's), 0.7 and 9 s for the C_9
+and Petersen forms, 0.2 s to build the 11,117 graphs, 0.5 and 0.75 s for
+the thm1 and thm2 sweeps over them, and 0.04 and 0.06 s, then 0.5 and
+0.85 s, for the streamed thm1 and thm2 sweeps with ``max_n=7`` and
+``max_n=8``.
 """
 
 import sys
@@ -51,6 +57,17 @@ def checks():
         yield (f"{report.claim} on {report.instance}: {report.verdict}, "
                f"checked={got[0]} fired={got[1]}",
                report.verdict == "verified" and got == counts)
+    for hypothesis, counts in SWEEPS.items():
+        below = exhaustive_small_graph_sweep(hypothesis, max_n=7, values=(0, 1, 2))
+        yield (f"{below.claim} streamed on {below.instance}: {below.verdict}, "
+               f"checked={below.checked} fired={below.hypothesis_fired}",
+               below.verdict == "verified")
+        report = exhaustive_small_graph_sweep(hypothesis, max_n=8, values=(0, 1, 2))
+        got = (report.checked, report.hypothesis_fired)
+        want = (below.checked + counts[0], below.hypothesis_fired + counts[1])
+        yield (f"{report.claim} streamed on {report.instance}: {report.verdict}, "
+               f"checked={got[0]} fired={got[1]}, n <= 7 plus n = 8 gives {want}",
+               report.verdict == "verified" and got == want)
 
 
 def main() -> int:

@@ -5,7 +5,8 @@
 kernel, kept as a reference: one function at a time, one site at a time,
 in ``itertools.product`` order.  They take their between-pairs from the
 tolerant scan of ``Metric.between_pairs`` and their neighbours from the
-graph, not from the distance shells the kernel reads.
+graph, not from the breadth-first shells and neighbour bitmasks the kernel
+reads.
 """
 
 import itertools
@@ -22,11 +23,12 @@ from graphconvex import (
     triangle_free_hypothesis,
     triangular_tiling,
 )
-from graphconvex.enumeration import connected_unit_graphs
+from graphconvex.enumeration import _adjacency, _canonical_masks, connected_unit_graphs
 from graphconvex.theorems import (
     ClaimReport,
     _degree2_sweep,
     _implication_sweep,
+    _refuted_at,
     _sweep_masks,
     _sweep_witness,
 )
@@ -124,6 +126,13 @@ def degree2_oracle(g, values) -> ClaimReport:
     return ClaimReport.settled("lem-deg2", f"{g!r}, f in {values}^X", checked, fired)
 
 
+def kernel_sweep(g, values, sites):
+    """``_implication_sweep`` on the neighbour bitmasks of g, with its
+    refutation spelt as the oracle's witness."""
+    checked, fired, refutation = _implication_sweep(g._masks(), values, sites)
+    return checked, fired, refutation and _refuted_at(g, values, *refutation)
+
+
 def _site_lists(g):
     """The thm1 sites, the thm2 sites and every vertex, as index lists."""
     verts = g.vertices
@@ -140,7 +149,7 @@ def test_kernel_matches_the_loops_on_every_graph_up_to_five_vertices(values):
     for g in GRAPHS:
         for sites in _site_lists(g):
             want = implication_oracle(g, values, sites)
-            assert _implication_sweep(g, values, sites) == want, (g, sites)
+            assert kernel_sweep(g, values, sites) == want, (g, sites)
             refuted += want[2] is not None
         want = degree2_oracle(g, values)
         assert _degree2_sweep(g, values) == want, g
@@ -157,7 +166,7 @@ def test_kernel_matches_the_loops_on_graphs_the_enumeration_skips(values):
     # the site only, so other components and isolated vertices add none
     for g in UNUSUAL:
         for sites in _site_lists(g):
-            assert _implication_sweep(g, values, sites) == implication_oracle(g, values, sites), (
+            assert kernel_sweep(g, values, sites) == implication_oracle(g, values, sites), (
                 g, sites)
         assert _degree2_sweep(g, values) == degree2_oracle(g, values), g
 
@@ -168,8 +177,21 @@ def test_tables_carry_over_between_vertex_counts():
     tables = {}
     for g in [cycle(5), path(3), *UNUSUAL, cycle(4), cycle(5)]:
         sites = range(g.vertex_count)
-        assert _sweep_masks(g, (0, 1, 2), sites, tables) == _sweep_masks(g, (0, 1, 2), sites), g
+        assert _sweep_masks(g._masks(), (0, 1, 2), sites, tables) == _sweep_masks(
+            g._masks(), (0, 1, 2), sites), g
         assert tables["n"] == g.vertex_count
+    # the pair and mean masks memoized over every graph up to six vertices,
+    # each vertex a site, against a call per graph, which memoizes nothing;
+    # values with a duplicate too
+    for values in [(0, 1, 2), (2, 0, 2, 1)]:
+        tables, reused = {}, [0, 0]
+        for n in range(1, 7):
+            for mask in _canonical_masks(n):
+                adj = _adjacency(n, mask)
+                shared = _sweep_masks(adj, values, range(n), tables)
+                assert shared == _sweep_masks(adj, values, range(n)), (values, n, mask)
+            reused = [a + b for a, b in zip(reused, tables["reused"])]
+        assert all(reused), values
 
 
 def test_kernel_refutation_counts_on_an_edge():
@@ -177,7 +199,7 @@ def test_kernel_refutation_counts_on_an_edge():
     assert (report.verdict, report.checked, report.hypothesis_fired) == ("refuted", 4, 3)
     assert report.witness["vertex"] == "1"
     assert report.witness["f"] == {"0": 0, "1": 1}
-    assert _implication_sweep(path(2), (0, 1), [0, 1]) == implication_oracle(
+    assert kernel_sweep(path(2), (0, 1), [0, 1]) == implication_oracle(
         path(2), (0, 1), [0, 1]
     )
 
@@ -194,7 +216,7 @@ def test_subharmonic_everywhere_is_exactly_the_constants(values):
     # is constant, and constants are convex everywhere
     for g in GRAPHS:
         n = g.vertex_count
-        total, convex, not_sub = _sweep_masks(g, values, range(n))
+        total, convex, not_sub = _sweep_masks(g._masks(), values, range(n))
         sub_everywhere = (1 << total) - 1
         for bad in not_sub:
             sub_everywhere &= ~bad
@@ -236,11 +258,23 @@ def backtracking_pairs(g, z):
     return tuple(pairs) if extend(nbrs) else None
 
 
+# every graph up to seven vertices, as its enumeration mask and as a Graph
+CLASSES = [(mask, g) for n in range(1, 8)
+           for mask, g in zip(_canonical_masks(n), connected_unit_graphs(n))]
+
+HYPOTHESIS_GRAPHS = [g for _, g in CLASSES] + [
+    grid(4, 4), triangular_tiling(5, 5), king_grid(4, 4), *UNUSUAL]
+
+
+def test_streamed_adjacency_is_the_graph_bitmasks():
+    # so the hypotheses on a Graph decide the streamed sweep's sites too
+    for mask, g in CLASSES:
+        assert _adjacency(g.vertex_count, mask) == g._masks(), g
+
+
 def test_pairing_hypothesis_matches_the_backtracking():
-    tilings = [grid(4, 4), triangular_tiling(5, 5), king_grid(4, 4)]
-    graphs = [g for n in range(1, 7) for g in connected_unit_graphs(n)]
     found = sites = 0
-    for g in [*graphs, *tilings, *UNUSUAL]:
+    for g in HYPOTHESIS_GRAPHS:
         for z in g.vertices:
             want = backtracking_pairs(g, z)
             assert pairing_hypothesis(g, z) == want, (g, z)
@@ -248,3 +282,14 @@ def test_pairing_hypothesis_matches_the_backtracking():
             sites += 1
     # None exactly where the copy finds no partition, and both occur
     assert 0 < found < sites
+
+
+def test_triangle_free_hypothesis_matches_the_graph():
+    held = sites = 0
+    for g in HYPOTHESIS_GRAPHS:
+        for z in g.vertices:
+            want = g.degree(z) > 1 and not g.in_triangle(z)
+            assert triangle_free_hypothesis(g, z) == want, (g, z)
+            held += want
+            sites += 1
+    assert 0 < held < sites

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+import re
 
 import pytest
 
@@ -92,6 +93,12 @@ def test_pairing_hypothesis_on_tilings():
             assert not t.adjacent(a, b)
     k = king_grid(3, 3)
     assert len(pairing_hypothesis(k, (1, 1))) == 4
+
+
+def test_hypotheses_reject_an_unknown_vertex():
+    for hypothesis in (triangle_free_hypothesis, pairing_hypothesis):
+        with pytest.raises(UnknownVertexError):
+            hypothesis(cycle(4), 9)
 
 
 def test_pairing_is_deterministic():
@@ -425,6 +432,65 @@ def test_streamed_sweep_matches_the_sweep_over_a_list():
         streamed = exhaustive_small_graph_sweep(hypothesis, max_n=5, values=(0, 1, 2))
         assert streamed == exhaustive_small_graph_sweep(hypothesis, values=(0, 1, 2), graphs=listed)
         assert streamed.instance.startswith("31 graphs")
+
+
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_streamed_sweep_needs_a_vertex(max_n):
+    # as count_connected_graphs(0) does, rather than a vacuous report over 0 graphs
+    for hypothesis in ("triangle_free", "pairing"):
+        with pytest.raises(ValueError, match=f"max_n must be at least 1, got {max_n}"):
+            exhaustive_small_graph_sweep(hypothesis, max_n=max_n, values=(0, 1))
+
+
+def test_streamed_sweep_builds_a_graph_only_for_its_witness(monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    assert exhaustive_small_graph_sweep("pairing", max_n=5, values=(0, 1, 2))
+    assert built == []
+    # every vertex a site: on the edge, f = (0, 1) is convex at the leaf 1
+    # but not subharmonic there
+    monkeypatch.setattr(theorems, "_graph_hypothesis", lambda h: ("thm1", lambda adj, k: True))
+    streamed = exhaustive_small_graph_sweep("triangle_free", max_n=4, values=(0, 1))
+    assert len(built) == 1
+    assert streamed.witness == {"graph": "v 0\nv 1\ne 0 1\n", "f": {"0": 0, "1": 1}, "vertex": "1",
+                                "reason": "convex at z but not subharmonic at z"}
+    listed = [g for n in range(1, 5) for g in connected_unit_graphs(n)]
+    assert streamed == exhaustive_small_graph_sweep("triangle_free", values=(0, 1), graphs=listed)
+
+
+def test_sweep_progress_counts_the_pair_and_mean_masks(caplog):
+    with caplog.at_level(logging.INFO, logger="graphconvex.theorems"):
+        exhaustive_small_graph_sweep("pairing", max_n=6, values=(0, 1, 2))
+    messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.theorems"]
+    assert len(messages) == 6 and "masks" not in messages[0]
+    tail = re.compile(r"; n=(\d+): pair masks (\d+) built, (\d+) reused; "
+                      r"mean masks (\d+) built, (\d+) reused$")
+    got = [tuple(map(int, tail.search(message).groups())) for message in messages[1:]]
+    # the same counts from the tolerant pair scan: a mask is built the first
+    # time its key is met at its vertex count and reused every other time
+    want = []
+    for n in range(1, 6):
+        pair_keys, mean_keys, pairs, sites = set(), set(), 0, 0
+        for g in connected_unit_graphs(n):
+            m = g.metric()
+            for k, z in enumerate(g.vertices):
+                if pairing_hypothesis(g, z) is None:
+                    continue
+                for i, j, _, djk, dik in m.between_pairs(k, range(n)):
+                    pair_keys.add((k, i, j, dik, djk))
+                    pairs += 1
+                mean_keys.add((k, frozenset(g.neighbors(z))))
+                sites += 1
+        want.append((n, len(pair_keys), pairs - len(pair_keys),
+                     len(mean_keys), sites - len(mean_keys)))
+    assert got == want
+    assert want[4][2] and want[4][4]  # n = 5 reuses both kinds
 
 
 def test_sweeps_log_one_record_per_call(caplog):
