@@ -45,12 +45,13 @@ class ConvexityWitness(NamedTuple):
 
 class ConvexityVerdict(_Record):
     """Whether f is convex at ``vertex``, and if not, the first violating
-    pair in the metric's vertex order.  :func:`is_convex_at` may settle
-    ``ok`` before it has looked for that pair: it then passes a
-    :class:`functools.partial` in place of the witness, which is called the
-    first time ``witness`` is read, once, so a caller that only tests the
-    verdict never pays for it.  An immutable record with the fields ``ok``,
-    ``vertex`` and ``witness``; equality, hash and repr read the witness."""
+    pair in the metric's vertex order.  On int data over a certified
+    metric :func:`is_convex_at` settles ``ok`` without looking for that
+    pair: at a violated site it passes a :class:`functools.partial` in
+    place of the witness, which is called the first time ``witness`` is
+    read, once, so a caller that only tests the verdict never pays for it.
+    An immutable record with the fields ``ok``, ``vertex`` and
+    ``witness``; equality, hash and repr read the witness."""
 
     __slots__ = ("ok", "vertex", "_witness")
     __match_args__ = ("ok", "vertex", "witness")
@@ -119,13 +120,13 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
     itself has none there is nothing to check and the verdict is ok.  On a
     certified metric (int-weighted graphs, l1 and linf windows) with every
     value a plain int, the verdict is False at once when two neighbours of
-    z refute convexity (:func:`_neighbours_refute`); the first violating
-    pair is then probed for (:func:`_int_violation`), on a copy of f, only
-    when the verdict's ``witness`` is read.  Every other site of such data
-    takes the ranked pass (:func:`_ranked_violation`), which settles a convex
-    site from its values below f(z) alone, and any other metric or value
-    (floats, l2, a hand-built metric, fractions, +inf) the scan of every
-    between-pair.
+    z refute convexity (:func:`_neighbours_refute`), and otherwise the
+    ranked pass (:func:`_ranked_convex`) decides it, from f's values below
+    f(z) alone at a convex site.  At a violated site of such data the first
+    violating pair is probed for (:func:`_int_violation`), on a copy of f,
+    only when the verdict's ``witness`` is read.  Any other metric or value
+    (floats, l2, a hand-built metric, fractions, +inf) takes the scan of
+    every between-pair.
     """
     if z not in m.index:
         raise UnknownVertexError(z)
@@ -134,10 +135,11 @@ def is_convex_at(m: Metric, f: VertexFunction, z) -> ConvexityVerdict:
         return ConvexityVerdict(True, z)
     k = m.index[z]
     m.row(k)  # reading a certified row certifies the metric
-    search = _ranked_violation if ints and m.certified else None
-    if search and _neighbours_refute(m, k, f):
+    if ints and m.certified:
+        if not _neighbours_refute(m, k, f) and _ranked_convex(m, k, f):
+            return ConvexityVerdict(True, z)
         return ConvexityVerdict(False, z, partial(_first_witness, m, dict(f), k, _int_violation))
-    witness = _first_witness(m, f, k, search)
+    witness = _first_witness(m, f, k, None)
     return ConvexityVerdict(witness is None, z, witness)
 
 
@@ -173,8 +175,8 @@ def _neighbours_refute(m: Metric, k: int, f: VertexFunction) -> bool:
 def _first_witness(m: Metric, f: VertexFunction, k: int, search) -> ConvexityWitness | None:
     """The witness of the first violating pair at k in vertex order, or
     None when f is convex at k.  On int data over a certified metric
-    ``search(m, k, f)`` finds the pair; with ``search`` None every
-    between-pair in f's domain is scanned."""
+    ``search(m, k, f)``, :func:`_int_violation`, finds the pair; with
+    ``search`` None every between-pair in f's domain is scanned."""
     verts = m.vertices
     fz = f[verts[k]]
     if search:
@@ -194,11 +196,11 @@ def _int_violation(m: Metric, k: int, f: VertexFunction) -> list:
     """The first violating between-pair at k of the plain-int function f
     on the certified metric m, in the form and order of
     :meth:`Metric.between_pairs`, as a list of at most one tuple, at a site
-    that :func:`_neighbours_refute` refuted.  The candidates i are probed
-    in order: the j > i with k between them, :meth:`Metric.through` (i, k),
-    are tested lowest first with (d(i, k) + d(k, j)) f(k) > d(k, j) f(i) +
-    d(i, k) f(j), so the first hit is the first violating pair, found with
-    no sort, by the refuting neighbour pair at the latest.
+    that :func:`_neighbours_refute` or :func:`_ranked_convex` refuted.  The
+    candidates i are probed in order: the j > i with k between them,
+    :meth:`Metric.through` (i, k), are tested lowest first with
+    (d(i, k) + d(k, j)) f(k) > d(k, j) f(i) + d(i, k) f(j), so the first
+    hit is the first violating pair, found with no slopes or sort.
     """
     rk, verts = m.row(k), m.vertices
     vals = list(map(f.get, verts))  # None off the domain
@@ -214,24 +216,21 @@ def _int_violation(m: Metric, k: int, f: VertexFunction) -> list:
     return []
 
 
-def _ranked_violation(m: Metric, k: int, f: VertexFunction) -> list:
-    """:func:`_int_violation` at a site that no neighbour pair refuted,
-    most often a convex one, which one sort settles.  k is convex at once
-    when no value of f is smaller than f(k).  Otherwise, with slopes
-    a(i) = (f(k) - f(i)) / d(i, k), a between-pair (i, j) violates the
-    inequality exactly when a(i) + a(j) > 0.  Scaled to ints by the lcm of
-    k's shell distances and sorted once, the j with a(j) > -a(i) form one
-    suffix mask.  Such a pair has an end p with a(p) > 0, so these ends are
-    tried first, highest slope first, with one :meth:`Metric.through` (p, k)
-    each: k is convex when no suffix mask of theirs meets it.  At the first
-    that does, the ordered loop finds the first pair: for each i, the j > i
-    in its mask are tested for k between i and j lowest first, cut to
-    through(i, k) when they outnumber the shells."""
+def _ranked_convex(m: Metric, k: int, f: VertexFunction) -> bool:
+    """Whether the plain-int function f on the certified metric m is convex
+    at k, a site that no neighbour pair refuted.  k is convex at once when
+    no value of f is smaller than f(k).  Otherwise, with slopes a(i) =
+    (f(k) - f(i)) / d(i, k), a between-pair (i, j) violates the inequality
+    exactly when a(i) + a(j) > 0.  Scaled to ints by the lcm of k's shell
+    distances and sorted once, the j with a(j) > -a(i) form one suffix
+    mask.  Such a pair has an end p with a(p) > 0, so k is convex exactly
+    when, for each such end, tried highest slope first, its suffix mask
+    misses :meth:`Metric.through` (p, k)."""
     rk, verts = m.row(k), m.vertices
     vals = list(map(f.get, verts))  # None off the domain
     fz, vals[k] = vals[k], None
     if fz <= min(f.values()):  # every slope is at most 0
-        return []
+        return True
     shell_k = m.shells(k)
     if sum(map(int.bit_count, shell_k.values())) < len(verts):  # some j out of reach
         vals = [None if d == INF else v for v, d in zip(vals, rk)]
@@ -242,27 +241,13 @@ def _ranked_violation(m: Metric, k: int, f: VertexFunction) -> list:
     order = sorted(range(size), key=slopes.__getitem__)
     keys = list(map(slopes.__getitem__, order))
     if size < 2 or keys[-1] + keys[-2] <= 0:
-        return []
+        return True
     # acc[q]: the candidates at the q highest sorted positions
     acc = [0, *accumulate([1 << cands[p] for p in reversed(order)], or_)]
-    for q in reversed(order[bisect_right(keys, 0):]):  # the ends p with a(p) > 0, highest first
-        if acc[size - bisect_right(keys, -slopes[q])] & m.through(cands[q], k):
-            break  # k is violated: find its first pair in order
-    else:
-        return []  # every violating pair has such an end, so k is convex
-    for i, s in zip(cands, slopes):
-        later = acc[size - bisect_right(keys, -s)] >> i + 1 << i + 1
-        if not later:
-            continue
-        if later.bit_count() > len(shell_k):  # cheaper to keep only the j between
-            later &= m.through(i, k)
-        ri, d = m.row(i), rk[i]
-        while later:  # the lowest j first
-            j = (later & -later).bit_length() - 1
-            if ri[j] == d + rk[j]:
-                return [(i, j, ri[j], rk[j], ri[k])]
-            later &= later - 1
-    return []
+    return not any(  # the ends p with a(p) > 0, highest first
+        acc[size - bisect_right(keys, -slopes[q])] & m.through(cands[q], k)
+        for q in reversed(order[bisect_right(keys, 0):])
+    )
 
 
 @lru_cache(maxsize=32)

@@ -510,11 +510,14 @@ def exhaustive_small_graph_sweep(
     hypothesis site scanned and every firing (site where the function was
     also convex); a single refutation aborts the sweep with its witness.
     Progress goes to this module's logger at INFO level, one record each
-    time the vertex count changes; from the second record on, each also
-    says how many pair and mean masks the vertex count just finished built
-    and reused.  Without ``graphs``, ``max_n`` below 1 raises ValueError,
-    and each class is swept on the adjacency bitmasks of its enumeration
-    mask: it is built as a :class:`Graph` only for a witness.
+    time the vertex count changes and one when the sweep ends, with its
+    totals, verdict and wall time.  Over more than one graph each record
+    from the second on also says how many pair and mean masks the vertex
+    count just finished, or at the end the last one, built and reused.
+    A weighted graph among ``graphs`` raises ValueError before any sweep.
+    Without ``graphs``, ``max_n`` below 1 raises ValueError, and each
+    class is swept on the adjacency bitmasks of its enumeration mask: it
+    is built as a :class:`Graph` only for a witness.
 
     On each graph the functions are the tuples of
     ``itertools.product(values, repeat=n)`` in the vertex order of the
@@ -544,6 +547,8 @@ def exhaustive_small_graph_sweep(
         )
     else:
         graphs = list(graphs)
+        if not all(g.is_unit_weight for g in graphs):
+            raise ValueError("structural hypotheses assume unit edge weights")
         count = len(graphs)
         instances = ((g._masks(), g) for g in graphs)
     label = f"{count} graphs, f in {values}^X"
@@ -564,16 +569,18 @@ def exhaustive_small_graph_sweep(
         sites = [k for k in range(n) if hyp(adj, k)]
         if not sites:
             continue
-        if not streamed and not source.is_unit_weight:
-            raise ValueError("structural hypotheses assume unit edge weights")
         site_checked, site_fired, refutation = _implication_sweep(adj, values, sites, tables)
         checked += site_checked
         fired += site_fired
         if refutation is not None:
             g = _from_mask(n, source) if streamed else source
             witness = _refuted_at(g, values, *refutation)
-            return ClaimReport(claim, label, checked, fired, "refuted", witness)
-    return ClaimReport.settled(claim, label, checked, fired)
+            report = ClaimReport(claim, label, checked, fired, "refuted", witness)
+            break
+    else:
+        report = ClaimReport.settled(claim, label, checked, fired)
+    _log_sweep(report, start, "" if tables is None else _memo_counts(tables, last_n))
+    return report
 
 
 def _memo_counts(tables: dict, n: int) -> str:
@@ -982,12 +989,13 @@ def _nearest_neighbor_test(lat: GroupLattice, tol: float):
     return test
 
 
-def _log_sweep(report: ClaimReport, start: float) -> None:
-    """One INFO record on this module's logger for a finished sweep."""
+def _log_sweep(report: ClaimReport, start: float, tail: str = "") -> None:
+    """One INFO record on this module's logger for a finished sweep, with
+    ``tail`` appended."""
     _info(
-        __name__, "%s sweep: %s, checked=%d fired=%d, %s, %.2f s",
+        __name__, "%s sweep: %s, checked=%d fired=%d, %s, %.2f s%s",
         report.claim, report.instance, report.checked, report.hypothesis_fired,
-        report.verdict, time.perf_counter() - start,
+        report.verdict, time.perf_counter() - start, tail,
     )
 
 

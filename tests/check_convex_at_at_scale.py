@@ -13,22 +13,23 @@ random int functions each, some on about 90 % of the vertices; and of the
 15x15 l1 and linf windows for d(., a) and a random int function.  These
 metrics are all certified (their rows come with distance shells, which
 have gaps under weights 1-3), so int data first tries the pairs of z's
-neighbours: a site that two of them refute is probed for its first pair,
-and every other site goes to the ranked pass.  Each verdict's truth is
-read before its witness, as the claim checkers and ``search`` read it, so
-a site that two neighbours refute has had no pair search when its
-witness is read; the verdict, the pair and both sides of the witness
-must agree, the search must run at most once, and each metric must end
-certified.  A violating pair has an end i with f(i) < f(z), so at a
-convex site the ranked pass may call ``Metric.through`` at most once per
-such i at finite distance from z, its positive-slope candidates.  Prints
-per case the sites refuted by a neighbour pair, the sites decided by the
-ranked pass, and over its convex sites the ``through`` calls beside the
-positive-slope candidates.  Too slow for the tier-1 suite (about 4 s on a
-2-core VM with CPython 3.11.7), so pytest does not collect it; exits 1 on
-the first mismatch, when a convex site calls ``through`` more often than
-it has positive-slope candidates, or when either path decided no site
-over the whole run.
+neighbours, and a site that no two of them refute goes to the ranked
+pass.  Each verdict's truth is read before its witness, as the claim
+checkers and ``search`` read it, so no site has had a pair search when
+its witness is read: the probe finds the first pair of every violated
+site on that read.  The verdict, the pair and both sides of the witness
+must agree, the search must run at most once and not before the read,
+and each metric must end certified.  A violating pair has an end i with
+f(i) < f(z), so at a convex site the ranked pass may call
+``Metric.through`` at most once per such i at finite distance from z,
+its positive-slope candidates.  Prints per case the sites refuted by a
+neighbour pair, the sites decided by the ranked pass, and over its
+convex sites the ``through`` calls beside the positive-slope
+candidates.  Too slow for the tier-1 suite (about 4 s on a 2-core VM
+with CPython 3.11.7), so pytest does not collect it; exits 1 on the
+first mismatch, when a convex site calls ``through`` more often than it
+has positive-slope candidates, or when either path decided no site over
+the whole run.
 """
 
 import random
@@ -86,37 +87,47 @@ def cases():
 
 def main() -> int:
     searches, throughs = [], []  # one entry per first-pair search, per Metric.through call
-    ranked = []  # per ranked pass run, the through calls it made
-    search, rank, through = convexity._first_witness, convexity._ranked_violation, Metric.through
+    refuted, ranked = [], []  # the neighbour refutations; per ranked pass, its through calls
+    search, refute = convexity._first_witness, convexity._neighbours_refute
+    rank, through = convexity._ranked_convex, Metric.through
 
     def counted(*args):
         searches.append(args[2])
         return search(*args)
 
+    def refute_counted(*args):
+        refutes = refute(*args)
+        refuted.append(refutes)
+        return refutes
+
     def ranked_counted(*args):
         before = len(throughs)
-        pairs = rank(*args)
+        convex = rank(*args)
         ranked.append(len(throughs) - before)
-        return pairs
+        return convex
 
     def through_counted(*args):
         throughs.append(args[1])
         return through(*args)
 
-    convexity._first_witness, convexity._ranked_violation = counted, ranked_counted
+    convexity._first_witness, convexity._neighbours_refute = counted, refute_counted
+    convexity._ranked_convex = ranked_counted
     Metric.through = through_counted
     totals = [0, 0]  # sites refuted by a neighbour pair, sites decided by the ranked pass
     for label, instance, f in cases():
         start = time.perf_counter()
         m = instance.metric()
-        violations = by_neighbours = convex_calls = convex_ends = 0
+        violations = convex_calls = convex_ends = 0
+        refuted.clear()
         ranked.clear()
         for z in m.vertices:
             searches.clear()
             passes = len(ranked)
             verdict = is_convex_at(m, f, z)
             ok = verdict.ok
-            by_neighbours += not ok and not searches
+            if searches:
+                print(f"MISMATCH {label} at {z!r}: a pair search ran before the witness was read")
+                return 1
             w = verdict.witness
             got = None if w is None else (w.x, w.y, w.lhs, w.rhs)
             expected = pair_scan(m, f, z) if z in f else None
@@ -141,6 +152,7 @@ def main() -> int:
         if not m.certified:
             print(f"MISMATCH {label}: the metric is not certified, so the pair scan decided")
             return 1
+        by_neighbours = sum(refuted)
         print(f"{label}: {len(m.vertices)} sites agree, {violations} violations, "
               f"{by_neighbours} refuted by a neighbour pair, "
               f"{len(ranked)} decided by the ranked pass, at its convex sites "

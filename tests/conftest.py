@@ -1,6 +1,6 @@
 import pytest
 
-from graphconvex import Graph
+from graphconvex import Graph, convexity
 
 
 @pytest.fixture
@@ -12,6 +12,19 @@ def lettered_square():
     of y are at distance 1, so it is neither convex nor subharmonic at y.
     """
     return Graph([("a", "x"), ("x", "y"), ("y", "z"), ("z", "a")])
+
+
+@pytest.fixture
+def ranked_passes(monkeypatch):
+    """The sites k at which ``is_convex_at`` reached the ranked pass."""
+    real, seen = convexity._ranked_convex, []
+
+    def ranked(m, k, *args):
+        seen.append(k)
+        return real(m, k, *args)
+
+    monkeypatch.setattr(convexity, "_ranked_convex", ranked)
+    return seen
 
 
 def complete_graph(n):

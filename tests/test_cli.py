@@ -949,10 +949,12 @@ def _full_build_outcome(argv, capsys, monkeypatch):
 def cli_files(tmp_path, monkeypatch):
     """Run in a directory holding a graph ``g`` (the 4-cycle), a set ``s``
     and a function ``f`` on it, constant so that it passes every check,
-    and ``w4``, the 4-cycle with one edge of weight 2."""
+    ``w4``, the 4-cycle with one edge of weight 2, and ``w1``, one edge of
+    weight 2."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g").write_text("e 0 1\ne 1 2\ne 2 3\ne 3 0\n")
     (tmp_path / "w4").write_text("e 0 1 2\ne 1 2\ne 2 3\ne 3 0\n")
+    (tmp_path / "w1").write_text("e 0 1 2\n")
     (tmp_path / "s").write_text("0\n2\n")
     (tmp_path / "f").write_text("0 0\n1 0\n2 0\n3 0\n")
 
@@ -1066,6 +1068,9 @@ UNIT_WEIGHT_ERRORS = [
     (["verify", "lem-deg2", "--graph", "w4"], "degree-2 equivalence assumes unit weights"),
     *((["verify", claim, "--graph", "w4", *fn], "structural hypotheses assume unit edge weights")
       for claim in ("thm1", "thm2") for fn in ([], ["--fn", "f"])),
+    # no vertex of the single edge is a site, so only the weight check rejects it
+    *((["verify", claim, "--graph", "w1"], "structural hypotheses assume unit edge weights")
+      for claim in ("thm1", "thm2")),
 ]
 
 

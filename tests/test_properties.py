@@ -9,8 +9,8 @@ tests also draw from {0.1, 0.2, 0.3}, whose sums are not: two paths of
 equal length may differ in the last bits, so the oracle compares lengths
 with its own relative tolerance, and the library must apply its own.  The
 tests of the exact int path draw weights from {1, 2, 3} and compare
-witnesses exactly, value types included; those of its probe (at sites
-two neighbours refute) and its ranked pass (at every other site) on
+witnesses exactly, value types included; those of its ranked pass (at
+sites no two neighbours refute) and its probe (at every violated site) on
 certified metrics use unit weights only.
 
 The lattice oracles scan the whole window, while the library visits
@@ -36,7 +36,6 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from graphconvex import convexity  # noqa: E402
 from graphconvex.lattice import GroupLattice, _plain_passes  # noqa: E402
 from graphconvex import (  # noqa: E402
     NORMS,
@@ -331,24 +330,11 @@ GRID_EDGES = [(10 * i + j, 10 * i + j + 1, 1) for i in range(10) for j in range(
 ]
 
 
-@pytest.fixture
-def ranked_passes(monkeypatch):
-    """The sites k at which ``is_convex_at`` reached the ranked pass."""
-    real, seen = convexity._ranked_violation, []
-
-    def ranked(m, k, *args):
-        seen.append(k)
-        return real(m, k, *args)
-
-    monkeypatch.setattr(convexity, "_ranked_violation", ranked)
-    return seen
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_convex_at_matches_pair_scan_on_certified_metrics(seed, ranked_passes):
     # unit weights give breadth-first rows with shells, a certified metric:
-    # int data is probed pair by pair at sites that two neighbours refute,
-    # and ranked at every other site
+    # int data is refuted by two neighbours or else ranked, and the first
+    # pair of every violated site is probed for pair by pair
     rng = random.Random(f"certified:{seed}")
     g, d = build(100, GRID_EDGES)
     a = rng.randrange(100)
@@ -380,7 +366,8 @@ def test_convex_at_pins_a_probed_and_a_ranked_site(ranked_passes):
     # d(., 45) on the 10x10 grid at 6: its neighbours 5 and 16 refute
     # convexity, and the probe meets the first violating pair at its first
     # candidate; with 5 and 16 off the domain no neighbour pair refutes 6,
-    # and the ranked pass finds the first violating pair over all candidates
+    # the ranked pass refutes it, and the probe finds the first violating
+    # pair further on
     g, d = build(100, GRID_EDGES)
     m = g.metric()
     full = {v: d(v, 45) for v in range(100)}
@@ -390,6 +377,25 @@ def test_convex_at_pins_a_probed_and_a_ranked_site(ranked_passes):
         assert typed_witness(verdict) == exact_scan(d, f, 6)
         assert (verdict.witness.x, verdict.witness.y) == pair
         assert ranked_passes == ranked
+
+
+def test_the_witness_is_read_from_f_as_it_was_at_the_call(ranked_passes):
+    # both violated sites of the test above: f refuted by two neighbours,
+    # and f with 5 and 16 left out, refuted by the ranked pass; f then turns
+    # constant, which is convex everywhere, before the witness is read
+    g, d = build(100, GRID_EDGES)
+    m = g.metric()
+    for holes, pair, ranked in (((), (0, 16), []), ((5, 16), (0, 26), [6])):
+        f = {v: d(v, 45) for v in range(100) if v not in holes}
+        at_call = dict(f)
+        ranked_passes.clear()
+        verdict = is_convex_at(m, f, 6)
+        assert not verdict.ok and ranked_passes == ranked
+        f.clear()
+        f.update(dict.fromkeys(range(100), 0))
+        assert typed_witness(verdict) == exact_scan(d, at_call, 6)
+        assert (verdict.witness.x, verdict.witness.y) == pair
+        assert is_convex_at(m, f, 6).ok
 
 
 def test_ranked_pass_scales_slopes_to_the_eccentricity(ranked_passes):

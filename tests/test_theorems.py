@@ -420,10 +420,34 @@ def test_sweep_logs_progress_once_per_vertex_count(caplog):
     with caplog.at_level(logging.INFO, logger="graphconvex.theorems"):
         report = exhaustive_small_graph_sweep("triangle_free", max_n=4, values=(0, 1))
     messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.theorems"]
-    assert len(messages) == 4
+    assert len(messages) == 5
     assert messages[0].startswith("thm1 sweep: n=1 after 0 graphs, checked=0 fired=0")
     assert messages[3].startswith("thm1 sweep: n=4 after 4 graphs")
     assert report.instance.startswith("10 graphs")
+    # the closing record: the totals, the verdict, and the masks of n = 4
+    assert messages[4].startswith("thm1 sweep: 10 graphs, f in (0, 1)^X, checked=120 fired=72, "
+                                  "verified, ")
+    assert messages[4].endswith("; n=4: pair masks 9 built, 2 reused; mean masks 7 built, 0 reused")
+
+
+def test_a_refuted_sweep_logs_its_closing_record(caplog, monkeypatch):
+    # every vertex a site: on the edge, f = (0, 1) is convex at the leaf 1
+    # but not subharmonic there
+    monkeypatch.setattr(theorems, "_graph_hypothesis", lambda h: ("thm1", lambda adj, k: True))
+    with caplog.at_level(logging.INFO, logger="graphconvex.theorems"):
+        streamed = exhaustive_small_graph_sweep("triangle_free", max_n=4, values=(0, 1))
+        edge = [Graph([(0, 1)])]
+        single = exhaustive_small_graph_sweep("triangle_free", values=(0, 1), graphs=edge)
+    messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.theorems"]
+    assert (streamed.verdict, single.verdict) == ("refuted", "refuted")
+    assert len(messages) == 5
+    assert messages[2].startswith("thm1 sweep: 10 graphs, f in (0, 1)^X, checked=6 fired=6, "
+                                  "refuted, ")
+    assert messages[2].endswith("; n=2: pair masks 0 built, 0 reused; mean masks 2 built, 0 reused")
+    # one graph keeps no memo, so its closing record has no mask counts
+    assert messages[3].startswith("thm1 sweep: n=2 after 0 graphs, checked=0 fired=0, ")
+    assert re.fullmatch(r"thm1 sweep: 1 graphs, f in \(0, 1\)\^X, checked=4 fired=4, refuted, "
+                        r"\d+\.\d\d s", messages[4])
 
 
 def test_streamed_sweep_matches_the_sweep_over_a_list():
@@ -468,14 +492,14 @@ def test_sweep_progress_counts_the_pair_and_mean_masks(caplog):
     with caplog.at_level(logging.INFO, logger="graphconvex.theorems"):
         exhaustive_small_graph_sweep("pairing", max_n=6, values=(0, 1, 2))
     messages = [r.getMessage() for r in caplog.records if r.name == "graphconvex.theorems"]
-    assert len(messages) == 6 and "masks" not in messages[0]
+    assert len(messages) == 7 and "masks" not in messages[0]
     tail = re.compile(r"; n=(\d+): pair masks (\d+) built, (\d+) reused; "
                       r"mean masks (\d+) built, (\d+) reused$")
     got = [tuple(map(int, tail.search(message).groups())) for message in messages[1:]]
     # the same counts from the tolerant pair scan: a mask is built the first
     # time its key is met at its vertex count and reused every other time
     want = []
-    for n in range(1, 6):
+    for n in range(1, 7):  # the closing record has those of n = 6
         pair_keys, mean_keys, pairs, sites = set(), set(), 0, 0
         for g in connected_unit_graphs(n):
             m = g.metric()
